@@ -22,7 +22,7 @@ pub const END_TO_END: [(&str, &str); 12] = [
 ];
 
 /// Per-layer metrics (traced run), as `(name, unit)`.
-pub const PER_LAYER: [(&str, &str); 66] = [
+pub const PER_LAYER: [(&str, &str); 68] = [
     ("trace.generate_s", "s"),
     ("trace.generate_insts", "count"),
     ("trace.fastfwd_s", "s"),
@@ -47,7 +47,7 @@ pub const PER_LAYER: [(&str, &str); 66] = [
     ("sim.sampling.units_measured", "count"),
     ("sim.sampling.units_total", "count"),
     ("sim.sampling.ci95_rel", "ratio"),
-    ("sim.hybrid.run_s", "s"),
+    ("sim.hybrid.step_s", "s"),
     ("sim.hybrid.swaps", "count"),
     ("sim.batch.sweep_s", "s"),
     ("sim.batch.busy_s", "s"),
@@ -87,8 +87,10 @@ pub const PER_LAYER: [(&str, &str); 66] = [
     ("core.penalty_bandwidth_cycles", "count"),
     ("core.sync_blocked_cycles", "count"),
     ("profile.coverage", "ratio"),
+    ("profile.opaque_share", "ratio"),
     ("profile.overhead_pct", "%"),
     ("host.ref_kernel_mops", "MOPS"),
+    ("host.kernel_mops", "MOPS"),
 ];
 
 /// What one run measured and how many of its operations failed a check.

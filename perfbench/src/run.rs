@@ -7,14 +7,16 @@ use iss_mem::MemoryHierarchy;
 use iss_sim::serve::{ServeOptions, Server};
 
 use crate::report::Report;
-use crate::serve::{self, RequestStream, Slice};
-use crate::stats::{median, REFERENCE_HOST_MOPS};
-use crate::sweep::{self, Plan, Rounds, Sample};
+use crate::serve::{self, RequestStream};
+use crate::stats::{host_kernel_mops, median, tail_percentile, REFERENCE_HOST_MOPS};
+use crate::sweep::{self, Plan, Rounds, Sample, KERNEL_ITERS};
 use crate::workload::{nproc, shape, Shape};
 use crate::Options;
 
-/// Set-up runs this many times per run; `setup_s` is the median.
-const SETUP_REPEATS: usize = 25;
+/// Set-up runs this many times per run; `setup_s` is the median. The count
+/// is fixed, not timed, so the heap the set-ups leave behind, and with it
+/// `peak_rss_mb`, does not depend on the host's speed.
+const SETUP_REPEATS: usize = 61;
 
 /// Sweep rounds run at least this often, however short the run, so each
 /// median has a middle.
@@ -92,8 +94,12 @@ pub fn untraced(options: &Options) -> Result<Report, String> {
     let scratch = Scratch::new()?;
     let mut report = Report::default();
 
+    // Set-up takes milliseconds, so one repetition is at the mercy of a
+    // single page-fault burst; the median of many is not. The host kernel
+    // runs on both sides of the repetitions to normalize their median.
     let mut setup_s = Vec::new();
     let mut kept = None;
+    let kernel_before = host_kernel_mops(KERNEL_ITERS, 1);
     for k in 0..SETUP_REPEATS {
         // The previous repetition's listener closes before the next binds.
         drop(kept.take());
@@ -102,25 +108,27 @@ pub fn untraced(options: &Options) -> Result<Report, String> {
         setup_s.push(t.elapsed().as_secs_f64());
     }
     let Setup { plan, server } = kept.expect("set-up ran at least once");
-    report.set("setup_s", median(&setup_s));
+    let setup_kernel = (kernel_before + host_kernel_mops(KERNEL_ITERS, 1)) / 2.0;
+    let setup_raw = median(&setup_s);
+    report.set("setup_s", setup_raw * setup_kernel / REFERENCE_HOST_MOPS);
 
-    let stream = RequestStream::new(&shape.pool, options.seed);
-    let mut session = serve::Session::start(server, &shape.pool, &stream)?;
+    // The sweep phase, then the serve phase, each one stretch of the run.
     let mut rounds = Rounds::default();
-    // Sweep rounds and serve slices alternate, so both phases sample the
-    // whole run instead of one stretch of a host whose speed drifts; each
-    // slice lasts the serve share of the round before it.
-    let serve_per_sweep = (1.0 - shape.sweep_share) / shape.sweep_share;
     let start = Instant::now();
-    while rounds.sweep_s.len() < MIN_ROUNDS || start.elapsed().as_secs_f64() < options.seconds {
+    let sweep_budget = options.seconds * shape.sweep_share;
+    while rounds.sweep_s.len() < MIN_ROUNDS || start.elapsed().as_secs_f64() < sweep_budget {
         rounds.round(&plan, shape.sweep_workers, &mut report);
-        let last = rounds.sweep_s.last().map_or(0.0, |s| s.raw);
-        session.slice(last * serve_per_sweep);
     }
-    let replay = session.finish()?;
+    let stream = RequestStream::new(&shape.pool, options.seed);
+    let replay = serve::replay(
+        server,
+        &shape.pool,
+        &stream,
+        options.seconds * (1.0 - shape.sweep_share),
+    )?;
     report.set("peak_rss_mb", peak_rss_mb()?);
 
-    // The host's speed drifts by a fifth over minutes; the figures the
+    // The host's speed swings by up to 2x over minutes; the figures the
     // metrics report are host-normalized per round (see `sweep::Sample`),
     // the raw medians are printed beside them.
     let medians = |samples: &[Sample]| {
@@ -140,9 +148,15 @@ pub fn untraced(options: &Options) -> Result<Report, String> {
     report.set("interval_cpi_err_pct", interval_err);
     report.set("sampled_cpi_err_pct", sampled_err);
     report.notes.push(format!(
-        "raw medians: {}; reference kernel {:.1} MOPS (figures are scaled to {REFERENCE_HOST_MOPS})",
+        "setup_s is the median of {} set-up(s), {setup_raw:.6} s raw at {setup_kernel:.1} host-kernel \
+         MOPS",
+        setup_s.len()
+    ));
+    report.notes.push(format!(
+        "raw medians: {}; host kernel {:.1} MOPS (host-time figures are scaled to \
+         {REFERENCE_HOST_MOPS})",
         raw.join(", "),
-        median(&rounds.ref_mops)
+        median(&rounds.kernel_mops)
     ));
     report.notes.push(format!(
         "sweep: {} round(s) of {} point(s) on {} worker(s)",
@@ -155,30 +169,28 @@ pub fn untraced(options: &Options) -> Result<Report, String> {
     for p in replay.problems {
         report.fail(p);
     }
-    // Each slice gets a median, a tail and a rate; the metrics are their
-    // medians over slices, so a slice caught by a neighbour's burst cannot
-    // set the tail of the run.
-    let slices = &replay.slices;
-    let over_slices = |f: fn(&Slice) -> f64| median(&slices.iter().map(f).collect::<Vec<_>>());
-    report.set("serve_p50_ms", over_slices(|s| s.p50_ms));
-    report.set("serve_p99_ms", over_slices(|s| s.tail_ms));
-    report.set("serve_rps", over_slices(|s| s.rps));
-    let samples: usize = slices.iter().map(|s| s.samples).sum();
-    let fewest = slices.iter().map(|s| s.samples).min().unwrap_or(0);
-    let percentile = slices
-        .iter()
-        .map(|s| s.tail_percentile)
-        .fold(f64::INFINITY, f64::min);
+    let latencies = &replay.latencies_ms;
+    let (percentile, tail_ms, beyond) = tail_percentile(latencies);
+    report.set("serve_p50_ms", median(latencies));
+    report.set("serve_p99_ms", tail_ms);
+    report.set("serve_rps", latencies.len() as f64 / replay.wall_s);
+    // The request mix is a choice (see the README): the p50 of the
+    // requests the store did not answer shows how much it matters.
+    let misses = &replay.miss_latencies_ms;
     report.notes.push(format!(
-        "serve: {samples} request(s) from 2 closed-loop clients in {} slice(s) of at least \
-         {fewest}; serve_p99_ms is the median over slices of each slice's p99 (p{percentile} \
-         at the smallest slice); {} hit(s), {} miss(es), {} coalesced, {} eviction(s), \
-         worker utilization {:.3}",
-        slices.len(),
+        "serve: {} answered request(s) from 2 closed-loop clients in {:.2} s; serve_p99_ms is \
+         p{percentile} ({beyond} sample(s) beyond it); p50 of the {} request(s) not answered \
+         from the store {:.3} ms; {} hit(s), {} miss(es), {} coalesced, {} eviction(s), {} \
+         response(s) with a re-simulation's bytes after an eviction; worker utilization {:.3}",
+        latencies.len(),
+        replay.wall_s,
+        misses.len(),
+        median(misses),
         replay.server.hits,
         replay.server.misses,
         replay.server.coalesced,
         replay.server.evictions,
+        replay.resimulated,
         replay.server.worker_utilization()
     ));
     Ok(report)

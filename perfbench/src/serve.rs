@@ -1,5 +1,6 @@
 //! The serve phase: an in-process `iss serve` server and a request stream
-//! replayed against it by two closed-loop clients, one connection each.
+//! replayed against it by two closed-loop clients, each the program's own
+//! `Client` on one kept-open connection.
 //!
 //! The stream is a pure function of `(seed, client, index)`, so it needs
 //! no state and repeats exactly for a seed. Popularity is skewed, so most
@@ -9,28 +10,24 @@
 //! simulation.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use iss_sim::jsonval::{self, Json};
-use iss_sim::scenario::jsonl::record_from_json;
-use iss_sim::scenario::{render_record_line, Record};
 use iss_sim::serve::{Client, ServeStats, Server};
 
-use crate::stats::{median, tail_percentile};
 use crate::workload::Pool;
 
 /// The cheap models the pool's points run under.
 pub const MODELS: [&str; 2] = ["interval", "one-ipc"];
 
-/// Every `PAIR_EVERY`-th request is sent by both clients at once.
+/// Every `PAIR_EVERY`-th request is sent by both clients at once. A choice,
+/// like the other mix parameters: no measured traffic exists for it, and
+/// the README shows that the end-to-end metrics do not depend on it.
 pub const PAIR_EVERY: u64 = 40;
 
-/// Per-mille of the remaining requests that ask for a first-time point.
+/// Per-mille of the remaining requests that ask for a first-time point (a
+/// choice: enough that the store's write path runs in every run).
 const FRESH_PER_MILLE: u64 = 30;
 
 /// One design point of the pool.
@@ -115,45 +112,22 @@ pub fn spec_toml(pool: &Pool, point: &Point) -> String {
     )
 }
 
-/// A server accepting on its own thread.
-struct Running {
-    addr: String,
-    handle: JoinHandle<Result<(), String>>,
-}
-
-/// Reads the server counters, shuts it down and joins its thread.
-fn finish(running: Running) -> Result<ServeStats, String> {
-    let stats = Client::connect(&running.addr)?.stats();
-    let shutdown = Client::connect(&running.addr).and_then(|mut c| c.shutdown());
-    let joined = running
-        .handle
-        .join()
-        .map_err(|_| "the server thread panicked".to_string())?;
-    shutdown?;
-    joined?;
-    stats
-}
-
-/// The answered requests of one slice.
-pub struct Slice {
-    pub samples: usize,
-    pub p50_ms: f64,
-    /// The percentile `tail_ms` is (see [`tail_percentile`]).
-    pub tail_percentile: f64,
-    pub tail_ms: f64,
-    /// Answered requests per second of the slice.
-    pub rps: f64,
-}
-
 /// What the replay observed.
 pub struct Replay {
     pub attempted: u64,
     pub problems: Vec<String>,
     /// Latency of every answered request, milliseconds.
     pub latencies_ms: Vec<f64>,
+    /// The latencies of the requests the server did not answer from its
+    /// store (simulated or coalesced), also in `latencies_ms`.
+    pub miss_latencies_ms: Vec<f64>,
+    /// Responses that repeat the first response's canonical record but
+    /// not its bytes (the point was evicted and simulated again).
+    pub resimulated: u64,
     /// Seconds spent opening connections.
     pub connect_s: f64,
-    pub slices: Vec<Slice>,
+    /// Wall seconds from the first request to the last answer.
+    pub wall_s: f64,
     /// The server's own counters at the end.
     pub server: ServeStats,
 }
@@ -166,128 +140,93 @@ struct Shared<'a> {
     deadline: Instant,
     barrier: Barrier,
     stop: AtomicBool,
-    /// First response lines per point: every later response must repeat
-    /// them byte for byte.
-    baselines: Mutex<BTreeMap<Point, String>>,
+    /// The first response per point, as its line and its canonical record:
+    /// every later response must repeat the line byte for byte, or — when
+    /// the store evicted the point and the server simulated it again, which
+    /// gives a new `host_seconds` — the canonical record.
+    baselines: Mutex<BTreeMap<Point, (String, String)>>,
 }
 
-/// One client's connection, kept open across requests and slices (`None`
-/// after an error, until the next request reconnects).
-#[derive(Default)]
-struct Conn {
-    reader: Option<BufReader<QuickAck>>,
-}
-
-/// What one client observed in one slice.
+/// What one client observed.
 #[derive(Default)]
 struct Part {
     attempted: u64,
     problems: Vec<String>,
     latencies_ms: Vec<f64>,
+    miss_latencies_ms: Vec<f64>,
+    resimulated: u64,
     connect_s: f64,
 }
 
-/// A replay that runs in slices between other work: both clients stop
-/// together at a coalescing pair (where each waits for the other, so
-/// neither is left waiting or mid-request), and the next slice resumes at
-/// that request on the same connections, server and store.
-pub struct Session<'a> {
-    shared: Shared<'a>,
-    running: Running,
-    conns: [Conn; 2],
-    next: u64,
-    total: Part,
-    slices: Vec<Slice>,
-}
-
-impl<'a> Session<'a> {
-    /// Starts serving on `server`.
-    pub fn start(
-        server: Server,
-        pool: &'a Pool,
-        stream: &'a RequestStream,
-    ) -> Result<Session<'a>, String> {
-        let addr = server.local_addr()?;
-        let handle = std::thread::spawn(move || server.serve());
-        Ok(Session {
-            shared: Shared {
-                addr: addr.clone(),
-                pool,
-                stream,
-                deadline: Instant::now(),
-                barrier: Barrier::new(2),
-                stop: AtomicBool::new(false),
-                baselines: Mutex::new(BTreeMap::new()),
-            },
-            running: Running { addr, handle },
-            conns: Default::default(),
-            next: 0,
-            total: Part::default(),
-            slices: Vec::new(),
-        })
-    }
-
-    /// Replays from both clients for about `budget_s` more seconds.
-    pub fn slice(&mut self, budget_s: f64) {
-        let t = Instant::now();
-        self.shared.deadline = t + std::time::Duration::from_secs_f64(budget_s);
-        let (shared, from) = (&self.shared, self.next);
-        let total = &mut self.total;
-        let answered_before = total.latencies_ms.len();
-        let mut next = from;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0u64..)
-                .zip(self.conns.iter_mut())
-                .map(|(client, conn)| scope.spawn(move || replay(shared, client, conn, from)))
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok((part, stopped_at)) => {
-                        total.attempted += part.attempted;
-                        total.problems.extend(part.problems);
-                        total.latencies_ms.extend(part.latencies_ms);
-                        total.connect_s += part.connect_s;
-                        next = next.max(stopped_at);
-                    }
-                    Err(_) => total.problems.push("a client thread panicked".to_string()),
+/// Serves on `server` and replays the stream from two closed-loop clients
+/// for about `seconds`, then reads the server's counters and shuts it
+/// down. The clients stop together at the first coalescing pair past the
+/// deadline, so neither is left waiting or mid-request.
+pub fn replay(
+    server: Server,
+    pool: &Pool,
+    stream: &RequestStream,
+    seconds: f64,
+) -> Result<Replay, String> {
+    let addr = server.local_addr()?;
+    let handle = std::thread::spawn(move || server.serve());
+    let start = Instant::now();
+    let shared = Shared {
+        addr: addr.clone(),
+        pool,
+        stream,
+        deadline: start + Duration::from_secs_f64(seconds),
+        barrier: Barrier::new(2),
+        stop: AtomicBool::new(false),
+        baselines: Mutex::new(BTreeMap::new()),
+    };
+    let mut total = Part::default();
+    std::thread::scope(|scope| {
+        let shared = &shared;
+        let clients: Vec<_> = (0u64..2)
+            .map(|client| scope.spawn(move || replay_client(shared, client)))
+            .collect();
+        for client in clients {
+            match client.join() {
+                Ok(part) => {
+                    total.attempted += part.attempted;
+                    total.problems.extend(part.problems);
+                    total.latencies_ms.extend(part.latencies_ms);
+                    total.miss_latencies_ms.extend(part.miss_latencies_ms);
+                    total.resimulated += part.resimulated;
+                    total.connect_s += part.connect_s;
                 }
+                Err(_) => total.problems.push("a client thread panicked".to_string()),
             }
-        });
-        self.next = next;
-        let wall_s = t.elapsed().as_secs_f64();
-        let answered = &self.total.latencies_ms[answered_before..];
-        let (tail_percentile, tail_ms) = tail_percentile(answered);
-        self.slices.push(Slice {
-            samples: answered.len(),
-            p50_ms: median(answered),
-            tail_percentile,
-            tail_ms,
-            rps: answered.len() as f64 / wall_s,
-        });
-    }
-
-    /// Closes the connections, stops the server and returns everything the
-    /// slices observed.
-    pub fn finish(self) -> Result<Replay, String> {
-        drop(self.conns);
-        let server = finish(self.running)?;
-        Ok(Replay {
-            attempted: self.total.attempted,
-            problems: self.total.problems,
-            latencies_ms: self.total.latencies_ms,
-            connect_s: self.total.connect_s,
-            slices: self.slices,
-            server,
-        })
-    }
+        }
+    });
+    let wall_s = start.elapsed().as_secs_f64();
+    let stats = Client::connect(&addr)?.stats();
+    let shutdown = Client::connect(&addr).and_then(|mut c| c.shutdown());
+    let joined = handle
+        .join()
+        .map_err(|_| "the server thread panicked".to_string())?;
+    shutdown?;
+    joined?;
+    Ok(Replay {
+        attempted: total.attempted,
+        problems: total.problems,
+        latencies_ms: total.latencies_ms,
+        miss_latencies_ms: total.miss_latencies_ms,
+        resimulated: total.resimulated,
+        connect_s: total.connect_s,
+        wall_s,
+        server: stats?,
+    })
 }
 
-/// One closed-loop client from request `from` on: it sends its next
-/// request once the previous answer is in, on its kept-open connection.
-/// Returns what it observed and the request it stopped before.
-fn replay(shared: &Shared, client: u64, conn: &mut Conn, from: u64) -> (Part, u64) {
+/// One closed-loop client: it sends its next request once the previous
+/// answer is in, through the program's own `Client` on one kept-open
+/// connection (reconnecting only after an error).
+fn replay_client(shared: &Shared, client: u64) -> Part {
     let mut out = Part::default();
-    for i in from.. {
+    let mut conn: Option<Client> = None;
+    for i in 0.. {
         let (point, paired) = shared.stream.request(client, i);
         if paired {
             if shared.barrier.wait().is_leader() {
@@ -297,43 +236,45 @@ fn replay(shared: &Shared, client: u64, conn: &mut Conn, from: u64) -> (Part, u6
             }
             shared.barrier.wait();
             if shared.stop.load(Ordering::SeqCst) {
-                return (out, i);
+                return out;
             }
         }
         out.attempted += 1;
-        if conn.reader.is_none() {
-            let t = Instant::now();
-            let connected = connect(&shared.addr);
-            out.connect_s += t.elapsed().as_secs_f64();
-            match connected {
-                Ok(reader) => conn.reader = Some(reader),
-                Err(e) => {
-                    out.problems.push(format!("client {client}: {e}"));
-                    continue;
+        let c = match conn.as_mut() {
+            Some(c) => c,
+            None => {
+                let t = Instant::now();
+                let connected = Client::connect(&shared.addr);
+                out.connect_s += t.elapsed().as_secs_f64();
+                match connected {
+                    Ok(c) => conn.insert(c),
+                    Err(e) => {
+                        out.problems.push(format!("client {client}: {e}"));
+                        continue;
+                    }
                 }
             }
-        }
-        let reader = conn.reader.as_mut().expect("connected above");
+        };
         let text = spec_toml(shared.pool, &point);
         let t = Instant::now();
-        let records = run(reader, &text);
+        let outcome = c.run(&text);
         let ms = t.elapsed().as_secs_f64() * 1e3;
-        let records = match records {
-            Ok(records) => records,
+        let outcome = match outcome {
+            Ok(outcome) => outcome,
             Err(e) => {
                 // The connection may hold half a response: start afresh.
-                conn.reader = None;
+                conn = None;
                 out.problems
                     .push(format!("request {i} of client {client}: {e}"));
                 continue;
             }
         };
-        let record = match records.as_slice() {
-            [record] => record,
-            other => {
+        let (record, line) = match (outcome.records.as_slice(), outcome.record_lines.as_slice()) {
+            ([record], [line]) => (record, line),
+            (records, _) => {
                 out.problems.push(format!(
                     "request {i} of client {client}: {} records for one point",
-                    other.len()
+                    records.len()
                 ));
                 continue;
             }
@@ -350,127 +291,31 @@ fn replay(shared: &Shared, client: u64, conn: &mut Conn, from: u64) -> (Part, u6
             ));
             continue;
         }
-        // The codec is lossless, so the re-rendered record is the server's
-        // bytes (the witness `serve_load` compares).
-        let line = render_record_line(record);
         {
             let mut baselines = shared
                 .baselines
                 .lock()
                 .expect("no client panics while holding the baselines");
             match baselines.get(&point) {
-                Some(first) if *first != line => {
+                Some((first, _)) if first == line => {}
+                Some((_, canonical)) if *canonical == record.canonical() => out.resimulated += 1,
+                Some(_) => {
                     out.problems.push(format!(
                         "request {i}: response differs from the first response for its point"
                     ));
                     continue;
                 }
-                Some(_) => {}
                 None => {
-                    baselines.insert(point, line);
+                    baselines.insert(point, (line.clone(), record.canonical()));
                 }
             }
         }
         out.latencies_ms.push(ms);
+        if outcome.hits == 0 {
+            out.miss_latencies_ms.push(ms);
+        }
     }
     unreachable!("the request index space is unbounded")
-}
-
-fn connect(addr: &str) -> Result<BufReader<QuickAck>, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect: {e}"))?;
-    Ok(BufReader::new(QuickAck(stream)))
-}
-
-/// One `run` request on a kept-open connection, parsed as `Client::run`
-/// parses it.
-fn run(reader: &mut BufReader<QuickAck>, spec_toml: &str) -> Result<Vec<Record>, String> {
-    let request = format!(
-        "{{\"cmd\": \"run\", \"spec_toml\": \"{}\"}}\n",
-        jsonval::escape(spec_toml)
-    );
-    (&reader.get_ref().0)
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("cannot send the request: {e}"))?;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| format!("cannot read the response: {e}"))?;
-        if n == 0 {
-            return Err("the server closed the connection".to_string());
-        }
-        let event = jsonval::parse(line.trim_end())?;
-        match event.get("event").and_then(Json::as_str) {
-            Some("job") => {}
-            Some("done") => {
-                return event
-                    .get("records")
-                    .and_then(Json::as_arr)
-                    .ok_or("the done event has no records")?
-                    .iter()
-                    .map(record_from_json)
-                    .collect();
-            }
-            Some("error") => {
-                let message = event.get("message").and_then(Json::as_str);
-                return Err(format!("error event: {}", message.unwrap_or("")));
-            }
-            other => return Err(format!("unexpected response event {other:?}")),
-        }
-    }
-}
-
-/// A client socket that acknowledges every segment at once.
-///
-/// The server writes each response line as two writes (the text, then the
-/// newline) on a socket without `TCP_NODELAY`, so Nagle holds the newline
-/// until the text is acknowledged; a client that delays its ACK (the
-/// default) waits about 40 ms per line. `TCP_QUICKACK` is not sticky, so
-/// it is set again before every read.
-struct QuickAck(TcpStream);
-
-impl Read for QuickAck {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        quickack(&self.0)?;
-        self.0.read(buf)
-    }
-}
-
-#[cfg(target_os = "linux")]
-fn quickack(stream: &TcpStream) -> std::io::Result<()> {
-    use std::os::fd::AsRawFd;
-
-    extern "C" {
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
-    }
-    // Linux's values, the same on every architecture it runs on.
-    const IPPROTO_TCP: i32 = 6;
-    const TCP_QUICKACK: i32 = 12;
-    let on: i32 = 1;
-    // SAFETY: the descriptor belongs to `stream`, which outlives the call;
-    // `value` points at a live `i32` and `len` is its size, which is the
-    // `int` argument TCP_QUICKACK takes.
-    let rc = unsafe {
-        setsockopt(
-            stream.as_raw_fd(),
-            IPPROTO_TCP,
-            TCP_QUICKACK,
-            &on,
-            std::mem::size_of::<i32>() as u32,
-        )
-    };
-    if rc == 0 {
-        Ok(())
-    } else {
-        Err(std::io::Error::last_os_error())
-    }
-}
-
-/// Elsewhere the client acknowledges as the platform does.
-#[cfg(not(target_os = "linux"))]
-fn quickack(_stream: &TcpStream) -> std::io::Result<()> {
-    Ok(())
 }
 
 #[cfg(test)]

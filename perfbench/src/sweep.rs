@@ -10,7 +10,10 @@ use iss_sim::scenario::{Record, ScenarioSpec, SweepSpec};
 use iss_sim::store::workload_instructions;
 
 use crate::report::Report;
-use crate::stats::{reference_kernel_mops, REFERENCE_HOST_MOPS};
+use crate::stats::{host_kernel_mops, REFERENCE_HOST_MOPS};
+
+/// Lookups per host-kernel run (about 25 ms each on the reference host).
+pub const KERNEL_ITERS: u64 = 1 << 21;
 
 /// The speed metric of each model kind.
 pub const MIPS: [&str; 4] = [
@@ -125,8 +128,9 @@ pub fn cpi_errors(records: &[(CoreModel, Record)]) -> (f64, f64) {
 #[derive(Debug, Clone, Copy)]
 pub struct Sample {
     pub raw: f64,
-    /// The figure on a host whose reference kernel runs at
-    /// [`REFERENCE_HOST_MOPS`], by the kernel measured just before the round.
+    /// The figure on a host whose host kernel runs at
+    /// [`REFERENCE_HOST_MOPS`], by the kernel measured on either side of the
+    /// round.
     pub host: f64,
 }
 
@@ -137,8 +141,8 @@ pub struct Rounds {
     pub sweep_s: Vec<Sample>,
     /// Simulated MIPS per model kind, one sample per round.
     pub mips: [Vec<Sample>; 4],
-    /// Reference-kernel MOPS measured just before each round.
-    pub ref_mops: Vec<f64>,
+    /// Host-kernel MOPS measured before the first round and after each.
+    pub kernel_mops: Vec<f64>,
     /// Records of the first round with their models (later rounds must
     /// match them).
     pub records: Vec<(CoreModel, Record)>,
@@ -149,12 +153,22 @@ impl Rounds {
     /// record and comparing the round's canonical records with the first
     /// round's.
     pub fn round(&mut self, plan: &Plan, workers: usize, report: &mut Report) {
-        let ref_mops = reference_kernel_mops(1 << 22);
-        let speed = ref_mops / REFERENCE_HOST_MOPS;
-        self.ref_mops.push(ref_mops);
+        // The kernel runs between rounds; each round is normalized by the
+        // mean of the runs on either side of it.
+        let before = match self.kernel_mops.last() {
+            Some(&k) => k,
+            None => {
+                let k = host_kernel_mops(KERNEL_ITERS, workers);
+                self.kernel_mops.push(k);
+                k
+            }
+        };
         let t = Instant::now();
         let outcomes = try_run_batch_with_threads(&plan.jobs, workers);
         let wall = t.elapsed().as_secs_f64();
+        let after = host_kernel_mops(KERNEL_ITERS, workers);
+        self.kernel_mops.push(after);
+        let speed = (before + after) / 2.0 / REFERENCE_HOST_MOPS;
         self.sweep_s.push(Sample {
             raw: wall,
             host: wall * speed,

@@ -1,16 +1,15 @@
 //! The three workloads.
 //!
-//! Every workload runs the same two activities in different proportions,
-//! so each prints every end-to-end metric while stressing different
-//! layers:
+//! Every workload runs the same two phases in different proportions, so
+//! each prints every end-to-end metric while stressing different layers:
 //!
 //! * **sweep rounds** — scenario specs parsed and expanded at set-up, then
 //!   executed on the batch engine round after round (simulated MIPS per
 //!   model, CPI error against the detailed model on the same points, sweep
 //!   wall time);
-//! * **serve slices** between the rounds — an in-process `iss serve`
-//!   server answering a request stream from two closed-loop clients
-//!   (latency, throughput).
+//! * **a serve phase** after them — an in-process `iss serve` server
+//!   answering a request stream from two closed-loop clients (latency,
+//!   throughput).
 
 use iss_sim::experiments::{default_hybrid_policies, default_sampling_specs, ExperimentScale};
 use iss_sim::runner::CoreModel;
@@ -58,7 +57,8 @@ pub struct Program {
 }
 
 /// The serve phase's point pool: small design points under the cheap
-/// models, so a miss costs milliseconds and the request path dominates.
+/// models, shaped like `examples/scenarios/serve-smoke.toml` (3000
+/// instructions under interval and one-IPC), so a miss costs a millisecond.
 #[derive(Debug, Clone)]
 pub struct Pool {
     pub programs: Vec<Program>,
@@ -67,7 +67,7 @@ pub struct Pool {
     /// Points in the popular set the skewed stream mostly draws from.
     pub hot_points: u64,
     /// Result-store bound in bytes: smaller than the popular set, so LRU
-    /// eviction runs beside reads and writes.
+    /// eviction runs beside reads and writes within one run.
     pub store_bytes: u64,
 }
 
@@ -77,8 +77,8 @@ pub struct Shape {
     pub sweep_docs: Vec<String>,
     /// Batch-engine workers of the sweep phase.
     pub sweep_workers: usize,
-    /// Share of the measured seconds given to sweep rounds; serve slices
-    /// between the rounds get the rest.
+    /// Share of the measured seconds given to sweep rounds; the serve phase
+    /// after them gets the rest.
     pub sweep_share: f64,
     pub pool: Pool,
 }
@@ -174,12 +174,12 @@ pub fn shape(workload: Workload) -> Shape {
         Workload::SpecModels => Shape {
             sweep_docs: vec![spec_doc("spec-models", 100_000)],
             sweep_workers: 1,
-            sweep_share: 0.7,
+            sweep_share: 0.6,
             pool: Pool {
                 programs: spec_programs().collect(),
                 length: 3_000,
                 hot_points: 48,
-                store_bytes: 96 * 1024,
+                store_bytes: 32 * 1024,
             },
         },
         // Multicore sync and coherence, functional warming (27 of every 28
@@ -188,25 +188,25 @@ pub fn shape(workload: Workload) -> Shape {
         Workload::ParsecSweep => Shape {
             sweep_docs: parsec_docs(200_000, 50_000),
             sweep_workers: nproc(),
-            sweep_share: 0.7,
+            sweep_share: 0.6,
             pool: Pool {
                 programs: parsec_programs().collect(),
                 length: 4_000,
                 hot_points: 48,
-                store_bytes: 96 * 1024,
+                store_bytes: 32 * 1024,
             },
         },
         // The request path: spec parsing, store reads and writes, the
         // record codec and the line protocol; simulation is little.
         Workload::ServeReplay => Shape {
-            sweep_docs: vec![spec_doc("serve-replay", 20_000)],
+            sweep_docs: vec![spec_doc("serve-replay", 50_000)],
             sweep_workers: 1,
-            sweep_share: 0.3,
+            sweep_share: 0.4,
             pool: Pool {
                 programs: spec_programs().chain(parsec_programs()).collect(),
                 length: 3_000,
                 hot_points: 64,
-                store_bytes: 96 * 1024,
+                store_bytes: 32 * 1024,
             },
         },
     }

@@ -3,12 +3,12 @@
 //! Equivalent to `iss run ablation`.
 
 use iss_bench::SPEC_QUICK;
-use iss_sim::env::scale_from_env;
+use iss_sim::env::EXPERIMENT_SCALE;
 use iss_sim::experiments::ablation;
 use iss_sim::report::format_comparison_table;
 
 fn main() {
-    let records = ablation(&SPEC_QUICK, scale_from_env());
+    let records = ablation(&SPEC_QUICK, EXPERIMENT_SCALE.get());
     println!(
         "{}",
         format_comparison_table(

@@ -2,7 +2,7 @@
 //! speedup, PARSEC). Equivalent to `iss run fig10`.
 
 use iss_bench::{CORE_COUNTS, PARSEC_QUICK};
-use iss_sim::env::scale_from_env;
+use iss_sim::env::EXPERIMENT_SCALE;
 use iss_sim::experiments::fig10;
 use iss_sim::report::format_comparison_table;
 use iss_trace::catalog::PARSEC;
@@ -14,7 +14,7 @@ fn main() {
     } else {
         PARSEC_QUICK.to_vec()
     };
-    let records = fig10(&benchmarks, &CORE_COUNTS, scale_from_env());
+    let records = fig10(&benchmarks, &CORE_COUNTS, EXPERIMENT_SCALE.get());
     println!(
         "{}",
         format_comparison_table(

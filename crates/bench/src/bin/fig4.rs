@@ -4,7 +4,7 @@
 //! Usage: `fig4 [a|b|c|d|all] [--all-benchmarks]`
 
 use iss_bench::SPEC_QUICK;
-use iss_sim::env::scale_from_env;
+use iss_sim::env::EXPERIMENT_SCALE;
 use iss_sim::experiments::{fig4, Fig4Variant};
 use iss_sim::report::format_comparison_table;
 use iss_trace::catalog::SPEC_CPU2000;
@@ -18,7 +18,7 @@ fn main() {
     } else {
         SPEC_QUICK.to_vec()
     };
-    let scale = scale_from_env();
+    let scale = EXPERIMENT_SCALE.get();
     let variants: Vec<Fig4Variant> = match which {
         "a" => vec![Fig4Variant::EffectiveDispatchRate],
         "b" => vec![Fig4Variant::ICache],

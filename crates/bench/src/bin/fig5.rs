@@ -2,7 +2,7 @@
 //! accuracy). Equivalent to `iss run fig5`.
 
 use iss_bench::SPEC_QUICK;
-use iss_sim::env::scale_from_env;
+use iss_sim::env::EXPERIMENT_SCALE;
 use iss_sim::experiments::fig5;
 use iss_sim::report::format_comparison_table;
 use iss_trace::catalog::SPEC_CPU2000;
@@ -14,7 +14,7 @@ fn main() {
     } else {
         SPEC_QUICK.to_vec()
     };
-    let records = fig5(&benchmarks, scale_from_env());
+    let records = fig5(&benchmarks, EXPERIMENT_SCALE.get());
     println!(
         "{}",
         format_comparison_table(

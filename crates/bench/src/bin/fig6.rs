@@ -2,12 +2,12 @@
 //! and ANTT). Equivalent to `iss run fig6`.
 
 use iss_bench::{scenarios::FIG6_BENCHMARKS, CORE_COUNTS};
-use iss_sim::env::scale_from_env;
+use iss_sim::env::EXPERIMENT_SCALE;
 use iss_sim::experiments::fig6;
 use iss_sim::report::format_stp_antt_table;
 
 fn main() {
-    let records = fig6(&FIG6_BENCHMARKS, &CORE_COUNTS, scale_from_env());
+    let records = fig6(&FIG6_BENCHMARKS, &CORE_COUNTS, EXPERIMENT_SCALE.get());
     println!(
         "{}",
         format_stp_antt_table(

@@ -2,7 +2,7 @@
 //! Equivalent to `iss run fig7`.
 
 use iss_bench::{CORE_COUNTS, PARSEC_QUICK};
-use iss_sim::env::scale_from_env;
+use iss_sim::env::EXPERIMENT_SCALE;
 use iss_sim::experiments::fig7;
 use iss_sim::report::format_normalized_table;
 use iss_trace::catalog::PARSEC;
@@ -14,7 +14,7 @@ fn main() {
     } else {
         PARSEC_QUICK.to_vec()
     };
-    let records = fig7(&benchmarks, &CORE_COUNTS, scale_from_env());
+    let records = fig7(&benchmarks, &CORE_COUNTS, EXPERIMENT_SCALE.get());
     println!(
         "{}",
         format_normalized_table(

@@ -2,7 +2,7 @@
 //! design trade-off). Equivalent to `iss run fig8`.
 
 use iss_bench::PARSEC_QUICK;
-use iss_sim::env::scale_from_env;
+use iss_sim::env::EXPERIMENT_SCALE;
 use iss_sim::experiments::fig8;
 use iss_sim::report::format_normalized_table;
 use iss_trace::catalog::PARSEC;
@@ -14,7 +14,7 @@ fn main() {
     } else {
         PARSEC_QUICK.to_vec()
     };
-    let records = fig8(&benchmarks, scale_from_env());
+    let records = fig8(&benchmarks, EXPERIMENT_SCALE.get());
     // The first `...detailed` run per benchmark is the dual-core design
     // point — the paper's normalization reference.
     println!(

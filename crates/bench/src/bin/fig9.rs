@@ -2,7 +2,7 @@
 //! SPEC multi-program). Equivalent to `iss run fig9`.
 
 use iss_bench::{CORE_COUNTS, SPEC_QUICK};
-use iss_sim::env::scale_from_env;
+use iss_sim::env::EXPERIMENT_SCALE;
 use iss_sim::experiments::fig9;
 use iss_sim::report::format_comparison_table;
 use iss_trace::catalog::SPEC_CPU2000;
@@ -14,7 +14,7 @@ fn main() {
     } else {
         SPEC_QUICK.to_vec()
     };
-    let records = fig9(&benchmarks, &CORE_COUNTS, scale_from_env());
+    let records = fig9(&benchmarks, &CORE_COUNTS, EXPERIMENT_SCALE.get());
     println!(
         "{}",
         format_comparison_table(

@@ -5,7 +5,7 @@
 //! quick subset; `ISS_EXPERIMENT_SCALE` controls the instruction budget.
 
 use iss_bench::SPEC_QUICK;
-use iss_sim::env::scale_from_env;
+use iss_sim::env::EXPERIMENT_SCALE;
 use iss_sim::experiments::{default_sampling_specs, fig_sampling};
 use iss_sim::report::{format_comparison_table, groups};
 use iss_trace::catalog::SPEC_CPU2000;
@@ -17,7 +17,7 @@ fn main() {
     } else {
         SPEC_QUICK.to_vec()
     };
-    let scale = scale_from_env();
+    let scale = EXPERIMENT_SCALE.get();
     let specs = default_sampling_specs(scale);
     let records = fig_sampling(&benchmarks, &specs, scale);
     println!("Sampled simulation — speed vs CPI-error vs confidence frontier");

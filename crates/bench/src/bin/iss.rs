@@ -57,10 +57,9 @@ use std::process::ExitCode;
 
 use iss_bench::scenarios::{builtin_sweep, is_wall_clock_frontier, BUILTINS};
 use iss_sim::env::{
-    try_configured_threads, try_job_timeout_from_env, try_retries_from_env, try_scale_from_env,
-    try_shards_from_env,
+    self, CACHE_DIR, CACHE_MAX_MB, EXPERIMENT_SCALE, JOB_TIMEOUT_MS, SERVE_WORKERS, SHARDS,
+    SHARD_RETRIES, THREADS,
 };
-use iss_sim::experiments::ExperimentScale;
 use iss_sim::report;
 use iss_sim::scenario::{render_records_json, render_records_jsonl};
 use iss_sim::shard::{run_shard_jobs, run_sharded_sweep, shard_job_indices, ShardOptions};
@@ -83,6 +82,12 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    // Every knob is parsed once here, so a malformed one fails the command
+    // before any job reads it, and the `get()` calls below cannot panic.
+    if let Err(e) = env::check_all() {
+        eprintln!("iss: {e}");
+        return ExitCode::FAILURE;
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("run") => run(&args[1..]),
@@ -96,15 +101,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Reads `ISS_EXPERIMENT_SCALE` through the typed-error path so a typo is
-/// a clean CLI diagnostic instead of a panic.
-fn cli_scale(command: &str) -> Result<ExperimentScale, ExitCode> {
-    try_scale_from_env().map_err(|e| {
-        eprintln!("iss {command}: {e}");
-        ExitCode::FAILURE
-    })
-}
-
 fn export(args: &[String]) -> ExitCode {
     let Some(name) = args.first() else {
         return usage();
@@ -115,11 +111,7 @@ fn export(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "--jsonl") {
         return export_jsonl(name, args.iter().skip(1).find(|a| *a != "--jsonl"));
     }
-    let scale = match cli_scale("export") {
-        Ok(scale) => scale,
-        Err(code) => return code,
-    };
-    let Some(sweep) = builtin_sweep(name, scale) else {
+    let Some(sweep) = builtin_sweep(name, EXPERIMENT_SCALE.get()) else {
         eprintln!("iss export: `{name}` is not a built-in sweep (see `iss list`)");
         return ExitCode::FAILURE;
     };
@@ -141,10 +133,7 @@ fn export(args: &[String]) -> ExitCode {
 /// JSONL columnar record stream to `path` (or stdout).
 fn export_jsonl(target: &str, path: Option<&String>) -> ExitCode {
     let result = load(target)
-        .and_then(|sweep| {
-            let threads = try_configured_threads()?;
-            sweep.run_with_threads(threads)
-        })
+        .and_then(|sweep| sweep.run_with_threads(THREADS.get()))
         .map(|records| render_records_jsonl(&records));
     let text = match result {
         Ok(text) => text,
@@ -174,7 +163,7 @@ fn load(target: &str) -> Result<SweepSpec, String> {
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         return SweepSpec::from_toml(&text).map_err(|e| format!("{}: {e}", path.display()));
     }
-    match builtin_sweep(target, try_scale_from_env()?) {
+    match builtin_sweep(target, EXPERIMENT_SCALE.get()) {
         Some(sweep) => Ok(sweep),
         None => Err(format!(
             "`{target}` is neither a readable spec file nor a built-in sweep \
@@ -206,7 +195,7 @@ fn parse_job_list(value: &str) -> Result<Vec<usize>, String> {
 
 fn run(args: &[String]) -> ExitCode {
     let mut target = None;
-    let mut threads = None;
+    let mut threads: Option<String> = None;
     let mut reference = None;
     let mut json_path: Option<PathBuf> = None;
     let mut shard_of: Option<(usize, usize)> = None;
@@ -214,10 +203,10 @@ fn run(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => threads = Some(n),
-                _ => {
-                    eprintln!("iss run: --threads needs a positive integer");
+            "--threads" => match it.next() {
+                Some(v) => threads = Some(v.clone()),
+                None => {
+                    eprintln!("iss run: --threads needs {}", THREADS.accepts);
                     return ExitCode::FAILURE;
                 }
             },
@@ -322,9 +311,8 @@ fn run(args: &[String]) -> ExitCode {
             )
         });
     let threads = match threads {
-        Some(n) => n,
         None if frontier => 1,
-        None => match try_configured_threads() {
+        flag => match THREADS.resolve(flag.as_deref()) {
             Ok(n) => n,
             Err(e) => {
                 eprintln!("iss run: {e}");
@@ -377,9 +365,9 @@ fn run(args: &[String]) -> ExitCode {
 /// environment knobs, which beat the defaults.
 fn serve(args: &[String]) -> ExitCode {
     let mut addr = "127.0.0.1:0".to_string();
-    let mut workers: Option<usize> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut cache_max_mb: Option<u64> = None;
+    let mut workers: Option<String> = None;
+    let mut cache_dir: Option<String> = None;
+    let mut cache_max_mb: Option<String> = None;
     let mut evict = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -391,26 +379,24 @@ fn serve(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--workers" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => workers = Some(n),
-                _ => {
-                    eprintln!("iss serve: --workers needs a positive integer");
+            "--workers" => match it.next() {
+                Some(v) => workers = Some(v.clone()),
+                None => {
+                    eprintln!("iss serve: --workers needs {}", SERVE_WORKERS.accepts);
                     return ExitCode::FAILURE;
                 }
             },
             "--cache-dir" => match it.next() {
-                Some(v) => cache_dir = Some(PathBuf::from(v)),
+                Some(v) => cache_dir = Some(v.clone()),
                 None => {
-                    eprintln!("iss serve: --cache-dir needs a directory path");
+                    eprintln!("iss serve: --cache-dir needs {}", CACHE_DIR.accepts);
                     return ExitCode::FAILURE;
                 }
             },
-            "--cache-max-mb" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n > 0 && n.checked_mul(1024 * 1024).is_some() => {
-                    cache_max_mb = Some(n);
-                }
-                _ => {
-                    eprintln!("iss serve: --cache-max-mb needs a positive integer of MiB");
+            "--cache-max-mb" => match it.next() {
+                Some(v) => cache_max_mb = Some(v.clone()),
+                None => {
+                    eprintln!("iss serve: --cache-max-mb needs {}", CACHE_MAX_MB.accepts);
                     return ExitCode::FAILURE;
                 }
             },
@@ -421,20 +407,15 @@ fn serve(args: &[String]) -> ExitCode {
             }
         }
     }
-    let options = match iss_sim::ServeOptions::from_env() {
-        Ok(mut options) => {
-            if let Some(n) = workers {
-                options.workers = n;
-            }
-            if let Some(dir) = cache_dir {
-                options.cache_dir = dir;
-            }
-            if let Some(mb) = cache_max_mb {
-                options.cache_max_bytes = Some(mb * 1024 * 1024);
-            }
-            options.evict_on_start = evict;
-            options
-        }
+    let options = match (|| -> Result<iss_sim::ServeOptions, String> {
+        Ok(iss_sim::ServeOptions {
+            workers: SERVE_WORKERS.resolve(workers.as_deref())?,
+            cache_dir: CACHE_DIR.resolve(cache_dir.as_deref())?,
+            cache_max_bytes: Some(CACHE_MAX_MB.resolve(cache_max_mb.as_deref())? << 20),
+            evict_on_start: evict,
+        })
+    })() {
+        Ok(options) => options,
         Err(e) => {
             eprintln!("iss serve: {e}");
             return ExitCode::FAILURE;
@@ -483,7 +464,7 @@ fn serve(args: &[String]) -> ExitCode {
 /// quarantine rows *are* the report; only spec/infrastructure defects fail.
 fn sweep(args: &[String]) -> ExitCode {
     let mut target = None;
-    let mut shards: Option<usize> = None;
+    let mut shards: Option<String> = None;
     let mut checkpoint: Option<PathBuf> = None;
     let mut resume = false;
     let mut json_path: Option<PathBuf> = None;
@@ -491,10 +472,10 @@ fn sweep(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => shards = Some(n),
-                _ => {
-                    eprintln!("iss sweep: --shards needs a positive integer");
+            "--shards" => match it.next() {
+                Some(v) => shards = Some(v.clone()),
+                None => {
+                    eprintln!("iss sweep: --shards needs {}", SHARDS.accepts);
                     return ExitCode::FAILURE;
                 }
             },
@@ -546,23 +527,15 @@ fn sweep(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Flag > environment > host parallelism, all strictly parsed.
-    let mut options = match (|| -> Result<ShardOptions, String> {
-        let shards = match shards {
-            Some(n) => n,
-            None => try_shards_from_env()?,
-        };
-        let mut options = ShardOptions::new(shards.min(points.len().max(1)));
-        options.retries = try_retries_from_env()?;
-        options.job_timeout_ms = try_job_timeout_from_env()?;
-        Ok(options)
-    })() {
-        Ok(options) => options,
+    let mut options = match SHARDS.resolve(shards.as_deref()) {
+        Ok(shards) => ShardOptions::new(shards.min(points.len().max(1))),
         Err(e) => {
             eprintln!("iss sweep: {e}");
             return ExitCode::FAILURE;
         }
     };
+    options.retries = SHARD_RETRIES.get();
+    options.job_timeout_ms = JOB_TIMEOUT_MS.get();
     options.checkpoint =
         Some(checkpoint.unwrap_or_else(|| PathBuf::from(format!("iss-sweep-{}.ckpt", sweep.name))));
     options.resume = resume;
@@ -728,7 +701,7 @@ fn lint(args: &[String]) -> ExitCode {
         let report = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read: {e}"))
             .and_then(|text| SweepSpec::from_toml(&text))
-            .and_then(|sweep| iss_lint::analyze(&sweep, mips.as_ref()));
+            .and_then(|sweep| iss_lint::analyze(&sweep, mips.as_deref()));
         match report {
             Ok(report) => {
                 let cost = report.estimated_seconds.map_or(String::new(), |s| {

@@ -30,12 +30,13 @@
 
 use iss_sim::host_time::HostTimer;
 use std::fmt::Write as _;
+use std::path::PathBuf;
 
 use iss_bench::{PARSEC_QUICK, SPEC_QUICK};
 use iss_branch::BranchUnit;
 use iss_mem::tlb::TlbConfig;
 use iss_mem::{Cache, CacheConfig, LineState, MemoryHierarchy, Tlb};
-use iss_sim::env::{configured_threads, scale_from_env};
+use iss_sim::env::{BENCH_OUT, EXPERIMENT_SCALE, THREADS};
 use iss_sim::experiments::{self, default_sampling_specs, ExperimentScale, Fig4Variant};
 use iss_sim::runner::CoreModel;
 use iss_sim::scenario::{ScenarioSpec, SweepSpec};
@@ -469,12 +470,10 @@ fn main() {
         .iter()
         .skip(1)
         .find(|a| !a.starts_with("--"))
-        .cloned()
-        .or_else(|| std::env::var("ISS_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_interval.json".to_string());
+        .map_or_else(|| BENCH_OUT.get(), PathBuf::from);
 
-    let scale = scale_from_env();
-    let threads = configured_threads();
+    let scale = EXPERIMENT_SCALE.get();
+    let threads = THREADS.get();
 
     println!(
         "perf — simulator throughput (spec budget {} instructions/benchmark)",
@@ -550,6 +549,7 @@ fn main() {
         speedup,
         &drivers,
     );
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("wrote {out_path}");
+    let shown = out_path.display();
+    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {shown}: {e}"));
+    println!("wrote {shown}");
 }

@@ -16,17 +16,19 @@
 //!   exact match.
 //!
 //! The vendored `serde` is a no-op marker with no serializer backend, so
-//! both files are written and parsed by the hand-rolled line-oriented
-//! JSON subset in this module: one object per line inside the `rows` /
-//! `models` arrays, string fields as `"key": "value"`, numbers as
-//! `"key": 1.25`. The parsers are pure functions over text so the gate
-//! logic — including "injected drift must fail" — is unit-tested directly.
+//! both files are written by hand here (one object per line inside the
+//! `rows` / `models` arrays) and read back through the workspace's one
+//! JSON reader, [`iss_sim::jsonval`]. The parsers are pure functions over
+//! text so the gate logic — including "injected drift must fail" — is
+//! unit-tested directly.
 
 use std::fmt::Write as _;
 
+pub use iss_lint::ModelMips;
 use iss_sim::experiments::{
     self, default_hybrid_policies, default_sampling_specs, ExperimentScale, Fig4Variant,
 };
+use iss_sim::jsonval::{self, Json};
 use iss_sim::report;
 use iss_sim::Record;
 
@@ -54,24 +56,19 @@ pub struct GoldenAccuracy {
     pub rows: Vec<GoldenRow>,
 }
 
-/// Extracts `"key": "value"` from a JSON-subset line.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":");
-    let rest = &line[line.find(&marker)? + marker.len()..];
-    let open = rest.find('"')?;
-    let rest = &rest[open + 1..];
-    let close = rest.find('"')?;
-    Some(rest[..close].to_string())
+/// The array `key` of a parsed perf or golden file; absent means empty.
+fn array<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
+    doc.get(key).and_then(Json::as_arr).unwrap_or_default()
 }
 
-/// Extracts `"key": <number>` from a JSON-subset line.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let rest = line[line.find(&marker)? + marker.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The string field `key` of an object.
+fn str_of(obj: &Json, key: &str) -> Option<String> {
+    obj.get(key)?.as_str().map(str::to_string)
+}
+
+/// The numeric field `key` of an object.
+fn num_of(obj: &Json, key: &str) -> Option<f64> {
+    obj.get(key)?.as_f64()
 }
 
 /// Renders a golden-accuracy file.
@@ -114,38 +111,42 @@ pub fn parse_golden_accuracy(text: &str) -> Result<GoldenAccuracy, String> {
     if !text.contains("iss-accuracy-golden/v1") {
         return Err("not an iss-accuracy-golden/v1 file".to_string());
     }
-    let mut scale = None;
-    let mut tolerance = None;
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if trimmed.contains("\"spec_length\"") {
-            scale = Some(ExperimentScale {
-                spec_length: field_num(trimmed, "spec_length")
-                    .ok_or("malformed scale: spec_length")? as u64,
-                parsec_length: field_num(trimmed, "parsec_length")
-                    .ok_or("malformed scale: parsec_length")? as u64,
-                seed: field_num(trimmed, "seed").ok_or("malformed scale: seed")? as u64,
-            });
-        } else if trimmed.starts_with("\"tolerance\"") {
-            tolerance = field_num(trimmed, "tolerance");
-        } else if trimmed.contains("\"figure\"") {
-            rows.push(GoldenRow {
-                figure: field_str(trimmed, "figure").ok_or("malformed row: figure")?,
-                benchmark: field_str(trimmed, "benchmark").ok_or("malformed row: benchmark")?,
-                error: field_num(trimmed, "error").ok_or("malformed row: error")?,
-            });
-        }
-    }
+    let doc = jsonval::parse(text).map_err(|e| {
+        format!(
+            "golden file has no rows it can read ({e}) — truncated or malformed; \
+             regenerate with `accuracy_gate --write`"
+        )
+    })?;
+    let rows = array(&doc, "rows")
+        .iter()
+        .map(|r| {
+            Ok(GoldenRow {
+                figure: str_of(r, "figure").ok_or("malformed row: figure")?,
+                benchmark: str_of(r, "benchmark").ok_or("malformed row: benchmark")?,
+                error: num_of(r, "error").ok_or("malformed row: error")?,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     if rows.is_empty() {
         return Err(
             "golden file contains no rows — truncated or malformed; regenerate with `accuracy_gate --write`"
                 .to_string(),
         );
     }
+    let scale = doc.get("scale").ok_or("missing scale")?;
+    let length = |key: &str| {
+        scale
+            .get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("malformed scale: {key}"))
+    };
     Ok(GoldenAccuracy {
-        scale: scale.ok_or("missing scale")?,
-        tolerance: tolerance.ok_or("missing tolerance")?,
+        scale: ExperimentScale {
+            spec_length: length("spec_length")?,
+            parsec_length: length("parsec_length")?,
+            seed: length("seed")?,
+        },
+        tolerance: num_of(&doc, "tolerance").ok_or("missing tolerance")?,
         rows,
     })
 }
@@ -288,24 +289,12 @@ fn cpi_error_rows(records: &[Record], variant_prefix: &str, figure_prefix: &str)
 // Perf baseline gate
 // ---------------------------------------------------------------------------
 
-/// Simulated-MIPS entry of one model in a perf file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelMips {
-    /// Model name (`interval`, `detailed`, `one-ipc`).
-    pub model: String,
-    /// Simulated MIPS the perf run measured.
-    pub simulated_mips: f64,
-}
-
 /// Parses the `reference_kernel_mops` entry of a perf file: the throughput
 /// of the fixed host-speed calibration kernel, or `None` for files written
 /// before the kernel existed.
 #[must_use]
 pub fn parse_reference_kernel(text: &str) -> Option<f64> {
-    text.lines()
-        .find(|l| l.contains("\"reference_kernel_mops\""))
-        .and_then(|l| field_num(l, "reference_kernel_mops"))
-        .filter(|&m| m > 0.0)
+    num_of(&jsonval::parse(text).ok()?, "reference_kernel_mops").filter(|&m| m > 0.0)
 }
 
 /// Parses the `models` entries of a `BENCH_interval.json` perf file.
@@ -318,20 +307,7 @@ pub fn parse_perf_models(text: &str) -> Result<Vec<ModelMips>, String> {
     if !text.contains("iss-bench-perf/v1") {
         return Err("not an iss-bench-perf/v1 file".to_string());
     }
-    let models: Vec<ModelMips> = text
-        .lines()
-        .filter(|l| l.contains("\"model\"") && l.contains("\"simulated_mips\""))
-        .filter_map(|l| {
-            Some(ModelMips {
-                model: field_str(l, "model")?,
-                simulated_mips: field_num(l, "simulated_mips")?,
-            })
-        })
-        .collect();
-    if models.is_empty() {
-        return Err("no model entries found in perf file".to_string());
-    }
-    Ok(models)
+    ModelMips::parse(text)
 }
 
 /// Diffs a fresh perf run against the committed baseline. A model regresses
@@ -424,15 +400,19 @@ pub struct KernelMops {
 
 /// Parses the `kernels` entries of a perf file. Files written before the
 /// kernel rows existed have none; the empty list is the back-compat signal
-/// [`diff_kernels`] keys on.
+/// [`diff_kernels`] keys on. Text that is not JSON has no rows either
+/// ([`parse_perf_models`] reports it), and a malformed entry is skipped.
 #[must_use]
 pub fn parse_perf_kernels(text: &str) -> Vec<KernelMops> {
-    text.lines()
-        .filter(|l| l.contains("\"kernel\"") && l.contains("\"mops\""))
-        .filter_map(|l| {
+    let Ok(doc) = jsonval::parse(text) else {
+        return Vec::new();
+    };
+    array(&doc, "kernels")
+        .iter()
+        .filter_map(|k| {
             Some(KernelMops {
-                kernel: field_str(l, "kernel")?,
-                mops: field_num(l, "mops")?,
+                kernel: str_of(k, "kernel")?,
+                mops: num_of(k, "mops")?,
             })
         })
         .collect()
@@ -696,11 +676,11 @@ mod tests {
     #[test]
     fn reference_kernel_parses_and_rejects_degenerate_values() {
         let text = "{\n  \"schema\": \"iss-bench-perf/v1\",\n  \
-                    \"reference_kernel_mops\": 812.503,\n}\n";
+                    \"reference_kernel_mops\": 812.503\n}\n";
         let mops = parse_reference_kernel(text).unwrap();
         assert!((mops - 812.503).abs() < 1e-9);
         assert_eq!(parse_reference_kernel("{\"schema\": \"x\"}"), None);
-        let zero = "{\n  \"reference_kernel_mops\": 0.000,\n}\n";
+        let zero = "{\n  \"reference_kernel_mops\": 0.000\n}\n";
         assert_eq!(parse_reference_kernel(zero), None);
     }
 

@@ -21,10 +21,10 @@
 pub mod gates;
 pub mod scenarios;
 
-// Strict environment parsing is shared across the workspace in
-// `iss_sim::env`; re-exported here so every bench binary (and downstream
-// user) reaches it through one path with one loud-failure contract.
-pub use iss_sim::env::{parse_scale, scale_from_env};
+// The scale knob lives in the shared `iss_sim::env` table; re-exported here
+// so every bench binary (and downstream user) reaches it through one path
+// with one loud-failure contract.
+pub use iss_sim::env::EXPERIMENT_SCALE;
 
 /// The subset of SPEC benchmarks used when a binary is asked for a quick run
 /// (one representative per behaviour class).
@@ -45,17 +45,17 @@ mod tests {
     fn env_scale_parses_known_values() {
         // The environment is not modified here (tests may run concurrently);
         // only the default path is exercised.
-        let s = scale_from_env();
+        let s = EXPERIMENT_SCALE.get();
         assert!(s.spec_length > 0 && s.parsec_length > 0);
     }
 
     #[test]
     fn re_exported_scale_parser_is_the_shared_one() {
         assert_eq!(
-            parse_scale(Some("quick")).unwrap(),
+            EXPERIMENT_SCALE.parse(Some("quick".as_ref())).unwrap(),
             ExperimentScale::quick()
         );
-        assert!(parse_scale(Some("ful")).is_err());
+        assert!(EXPERIMENT_SCALE.parse(Some("ful".as_ref())).is_err());
     }
 
     #[test]

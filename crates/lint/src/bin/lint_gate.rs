@@ -121,7 +121,7 @@ fn run_spec_pass(root: &Path, specs_dir: &Path) -> Result<Vec<String>, String> {
         let text = std::fs::read_to_string(file)
             .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
         let sweep = SweepSpec::from_toml(&text).map_err(|e| format!("{}: {e}", file.display()))?;
-        let report = iss_lint::analyze(&sweep, mips.as_ref())
+        let report = iss_lint::analyze(&sweep, mips.as_deref())
             .map_err(|e| format!("{}: {e}", file.display()))?;
         let cost = report.estimated_seconds.map_or(String::new(), |s| {
             format!(", est {s:.2}s at baseline throughput")

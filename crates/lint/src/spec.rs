@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 
+use iss_sim::jsonval::{self, Json};
 use iss_sim::workload::WorkloadSpec;
 use iss_sim::{CoreModel, SweepSpec};
 
@@ -57,74 +58,62 @@ impl SpecReport {
     }
 }
 
-/// Per-model host throughput (MIPS), read from `ci/BENCH_baseline.json`.
-#[derive(Debug, Clone, Default)]
+/// Simulated-MIPS entry of one model in a perf file
+/// (`ci/BENCH_baseline.json` or a fresh `perf` run).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelMips {
-    entries: Vec<(String, f64)>,
+    /// Model name (`interval`, `detailed`, `one-ipc`, ...).
+    pub model: String,
+    /// Simulated MIPS the perf run measured.
+    pub simulated_mips: f64,
 }
 
 impl ModelMips {
-    /// Extracts `{"model": .., "simulated_mips": ..}` pairs from the
-    /// baseline file's `models` array — the same hand-rolled JSON-subset
-    /// idiom as the CI gates, tolerant only of the exact shape the perf
-    /// harness writes.
+    /// Reads the `models` array of a perf file.
     ///
     /// # Errors
     ///
-    /// Returns an error when no model entry can be extracted (an empty
+    /// Returns an error when the text is not JSON, an entry lacks its
+    /// `model` or `simulated_mips`, or there is no entry at all (an empty
     /// estimate must be an explicit "no baseline", not a silent zero).
-    pub fn parse(json: &str) -> Result<ModelMips, String> {
-        let mut entries = Vec::new();
-        for obj in json.split('{').skip(1) {
-            let Some(model) = str_field(obj, "model") else {
-                continue;
-            };
-            let Some(mips) = num_field(obj, "simulated_mips") else {
-                continue;
-            };
-            if mips > 0.0 {
-                entries.push((model, mips));
-            }
-        }
-        if entries.is_empty() {
-            return Err("no model entries with a positive simulated_mips found".to_string());
-        }
-        Ok(ModelMips { entries })
-    }
-
-    /// Throughput for `model`: an exact name match, else the slowest
-    /// known model (a conservative estimate for hybrids and newcomers).
-    #[must_use]
-    pub fn mips_for(&self, model: &str) -> Option<f64> {
-        self.entries
+    pub fn parse(text: &str) -> Result<Vec<ModelMips>, String> {
+        let doc = jsonval::parse(text)?;
+        let models = doc
+            .get("models")
+            .and_then(Json::as_arr)
+            .unwrap_or_default()
             .iter()
-            .find(|(name, _)| name == model)
-            .map(|&(_, m)| m)
-            .or_else(|| {
-                self.entries
-                    .iter()
-                    .map(|&(_, m)| m)
-                    .min_by(|a, b| a.total_cmp(b))
+            .map(|m| {
+                Ok(ModelMips {
+                    model: m
+                        .get("model")
+                        .and_then(Json::as_str)
+                        .ok_or("model entry without a `model` name")?
+                        .to_string(),
+                    simulated_mips: m
+                        .get("simulated_mips")
+                        .and_then(Json::as_f64)
+                        .ok_or("model entry without a numeric `simulated_mips`")?,
+                })
             })
+            .collect::<Result<Vec<_>, String>>()?;
+        if models.is_empty() {
+            return Err("no model entries found in perf file".to_string());
+        }
+        Ok(models)
     }
 }
 
-fn str_field(obj: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\"");
-    let after = &obj[obj.find(&marker)? + marker.len()..];
-    let after = after.trim_start().strip_prefix(':')?.trim_start();
-    let body = after.strip_prefix('"')?;
-    Some(body[..body.find('"')?].to_string())
-}
-
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\"");
-    let after = &obj[obj.find(&marker)? + marker.len()..];
-    let after = after.trim_start().strip_prefix(':')?.trim_start();
-    let end = after
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(after.len());
-    after[..end].parse().ok()
+/// Throughput for `model`: an exact name match, else the slowest known
+/// model (a conservative estimate for hybrids and newcomers). Entries
+/// without a positive rate are ignored.
+#[must_use]
+pub fn mips_for(models: &[ModelMips], model: &str) -> Option<f64> {
+    let rated = || models.iter().filter(|m| m.simulated_mips > 0.0);
+    rated()
+        .find(|m| m.model == model)
+        .or_else(|| rated().min_by(|a, b| a.simulated_mips.total_cmp(&b.simulated_mips)))
+        .map(|m| m.simulated_mips)
 }
 
 /// Total simulated instructions one expanded point costs.
@@ -156,7 +145,7 @@ const WINDOW_PER_DISPATCH: (u64, u64) = (4, 256);
 /// Returns the underlying parse/expansion error when the sweep cannot be
 /// expanded at all — that is `iss validate` territory; the lint pass
 /// only runs on specs that validate.
-pub fn analyze(sweep: &SweepSpec, mips: Option<&ModelMips>) -> Result<SpecReport, String> {
+pub fn analyze(sweep: &SweepSpec, mips: Option<&[ModelMips]>) -> Result<SpecReport, String> {
     let points = sweep.expand()?;
     let mut findings = Vec::new();
 
@@ -267,7 +256,7 @@ pub fn analyze(sweep: &SweepSpec, mips: Option<&ModelMips>) -> Result<SpecReport
     for p in &points {
         let insts = workload_instructions(&p.workload);
         instructions = instructions.saturating_add(insts);
-        match mips.and_then(|m| m.mips_for(&model_rate_name(p.model))) {
+        match mips.and_then(|m| mips_for(m, &model_rate_name(p.model))) {
             Some(rate) => seconds += insts as f64 / (rate * 1.0e6),
             None => have_seconds = false,
         }
@@ -284,7 +273,7 @@ pub fn analyze(sweep: &SweepSpec, mips: Option<&ModelMips>) -> Result<SpecReport
 
 /// The baseline table keys throughput by plain model names; parameterized
 /// models (hybrid, sampled) fall back to the slowest baseline entry via
-/// [`ModelMips::mips_for`] unless their exact string is present.
+/// [`mips_for`] unless their exact string is present.
 fn model_rate_name(model: CoreModel) -> String {
     model.name()
 }
@@ -422,10 +411,10 @@ mod tests {
     #[test]
     fn baseline_parsing_reads_the_perf_file_shape() {
         let mips = ModelMips::parse(BASELINE).unwrap();
-        assert_eq!(mips.mips_for("interval"), Some(5.0));
-        assert_eq!(mips.mips_for("detailed"), Some(0.5));
+        assert_eq!(mips_for(&mips, "interval"), Some(5.0));
+        assert_eq!(mips_for(&mips, "detailed"), Some(0.5));
         // Unknown models fall back to the slowest entry.
-        assert_eq!(mips.mips_for("hybrid-periodic-4@2000"), Some(0.5));
+        assert_eq!(mips_for(&mips, "hybrid-periodic-4@2000"), Some(0.5));
         assert!(ModelMips::parse("{}").is_err());
     }
 }

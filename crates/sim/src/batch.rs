@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::config::SystemConfig;
+use crate::env::THREADS;
 use crate::runner::{run, CoreModel, SimSummary};
 use crate::scenario::fnv1a_hex;
 use crate::workload::WorkloadSpec;
@@ -172,10 +173,6 @@ impl std::fmt::Display for JobFailure {
 
 impl std::error::Error for JobFailure {}
 
-// Strict `ISS_THREADS` parsing lives in the shared [`crate::env`] module;
-// re-exported here because the worker count is this module's contract.
-pub use crate::env::{configured_threads, parse_thread_count};
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -238,10 +235,9 @@ pub fn try_run_batch_with_threads(
         .collect()
 }
 
-/// [`try_run_batch_with_threads`] with the [`configured_threads`] worker
-/// count.
+/// [`try_run_batch_with_threads`] with the [`THREADS`] worker count.
 pub fn try_run_batch(jobs: &[SimJob]) -> Vec<Result<SimSummary, JobFailure>> {
-    try_run_batch_with_threads(jobs, configured_threads())
+    try_run_batch_with_threads(jobs, THREADS.get())
 }
 
 /// Runs every job on `threads` workers and returns the summaries in job
@@ -259,7 +255,7 @@ pub fn run_batch_with_threads(jobs: &[SimJob], threads: usize) -> Vec<SimSummary
         .collect()
 }
 
-/// Runs every job on the [`configured_threads`] worker count (`ISS_THREADS`,
+/// Runs every job on the [`THREADS`] worker count (`ISS_THREADS`,
 /// default: available parallelism) and returns the summaries in job order.
 ///
 /// This is the entry point every experiment driver routes through.
@@ -270,7 +266,7 @@ pub fn run_batch_with_threads(jobs: &[SimJob], threads: usize) -> Vec<SimSummary
 /// batch completed.
 #[must_use]
 pub fn run_batch(jobs: &[SimJob]) -> Vec<SimSummary> {
-    run_batch_with_threads(jobs, configured_threads())
+    run_batch_with_threads(jobs, THREADS.get())
 }
 
 #[cfg(test)]
@@ -365,7 +361,7 @@ mod tests {
 
     #[test]
     fn configured_threads_is_positive() {
-        assert!(configured_threads() >= 1);
+        assert!(THREADS.get() >= 1);
     }
 
     #[test]

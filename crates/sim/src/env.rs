@@ -1,311 +1,294 @@
-//! Strict environment-variable parsing shared by every binary.
+//! The environment knob table: one [`Knob`] per `ISS_*` variable.
 //!
-//! Every knob the simulator reads from the environment goes through this
-//! module, with one common failure contract: an unset variable (or the
-//! empty string) selects a documented default, and **anything else must
-//! parse exactly** — typos, zeros and overflows are rejected with a loud
-//! error naming the variable, the offending value and the escape hatch,
-//! never silently mapped to a default. A typo like `ISS_EXPERIMENT_SCALE=ful`
-//! must not quietly turn a "full" accuracy run into a quick one, and
-//! `ISS_THREADS=0` must not quietly benchmark at the wrong concurrency.
+//! Every `ISS_*` variable the workspace reads is a constant in this module,
+//! and no other module reads one. All knobs share one parse path: an unset
+//! variable (or a blank one) selects the knob's documented default, and
+//! **anything else must parse exactly** — typos, zeros and overflows are
+//! rejected, never silently mapped to a default. A typo like
+//! `ISS_EXPERIMENT_SCALE=ful` must not quietly turn a "full" accuracy run
+//! into a quick one, and `ISS_THREADS=0` must not quietly benchmark at the
+//! wrong concurrency. All knobs also share one error shape: the variable
+//! (or `iss` flag), what it accepts, the bad value, and how to get the
+//! default back.
 //!
-//! The variables currently covered:
-//!
-//! * `ISS_THREADS` — batch-engine worker count ([`parse_thread_count`],
-//!   [`configured_threads`]).
-//! * `ISS_EXPERIMENT_SCALE` — experiment instruction budget
-//!   ([`parse_scale`], [`scale_from_env`]).
-//! * `ISS_SHARDS` — sharded-sweep child process count
-//!   ([`parse_shard_count`], [`try_shards_from_env`]).
-//! * `ISS_SHARD_RETRIES` — retry budget per shard before bisection
-//!   ([`parse_retry_limit`], [`try_retries_from_env`]).
-//! * `ISS_JOB_TIMEOUT_MS` — per-job progress deadline for child shards
-//!   ([`parse_job_timeout_ms`], [`try_job_timeout_from_env`]).
-//! * `ISS_FAULT_INJECT` — deterministic fault injection for the
-//!   crash-recovery tests ([`parse_fault_spec`], [`try_fault_from_env`]).
-//! * `ISS_SERVE_WORKERS` — `iss serve` simulation worker pool size
-//!   ([`parse_serve_workers`], [`try_serve_workers_from_env`]).
-//! * `ISS_CACHE_DIR` — `iss serve` result-store directory
-//!   ([`cache_dir_from_env`]).
-//! * `ISS_CACHE_MAX_MB` — result-store size bound in MiB
-//!   ([`parse_cache_max_mb`], [`try_cache_max_mb_from_env`]).
-//! * `ISS_WARM_BATCH` — functional-warming batch size for the
-//!   structure-of-arrays hot path ([`parse_warm_batch`],
-//!   [`try_warm_batch_from_env`]).
+//! A knob with an `iss` flag resolves flag, then variable, then default
+//! ([`Knob::resolve`]). `iss` parses the whole table once at start-up
+//! ([`check_all`]), so a malformed knob fails the command instead of
+//! failing every job that reads it.
+
+use std::ffi::OsStr;
+use std::path::PathBuf;
+use std::str::FromStr;
 
 use crate::experiments::ExperimentScale;
 
-/// The common loud-failure error shape of this module: names the variable,
-/// what it accepts, the offending value, and how to get the default back.
-#[must_use]
-pub fn reject(var: &str, expected: &str, got: &str, escape: &str) -> String {
-    format!("{var} must be {expected}, got `{got}` ({escape})")
+/// One environment knob: its variable, its `iss` flag, what a set value
+/// must be, what an unset one selects, and the parser.
+pub struct Knob<T> {
+    /// The environment variable.
+    pub var: &'static str,
+    /// The `iss` flag that overrides the variable, if any.
+    pub flag: Option<&'static str>,
+    /// What a set value must be, in words.
+    pub accepts: &'static str,
+    /// What an unset or blank value selects, in words.
+    pub default: &'static str,
+    fallback: fn() -> T,
+    parser: fn(&OsStr) -> Option<T>,
 }
 
-/// Parses an `ISS_THREADS` value into a worker count.
+impl<T> Knob<T> {
+    /// Parses a raw value of the variable: `None` (unset) and blank text
+    /// select the default, anything else must parse exactly.
+    ///
+    /// # Errors
+    ///
+    /// Returns the shared error naming the variable and the bad value.
+    pub fn parse(&self, raw: Option<&OsStr>) -> Result<T, String> {
+        self.parse_as(self.var, "unset the variable to use the default", raw)
+    }
+
+    /// Reads the variable from the environment and parses it (see
+    /// [`Knob::parse`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the shared error when the variable is set but malformed.
+    pub fn try_get(&self) -> Result<T, String> {
+        self.parse(std::env::var_os(self.var).as_deref())
+    }
+
+    /// [`Knob::try_get`] for callers with no error channel of their own.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the shared error when the variable is set but
+    /// malformed.
+    #[must_use]
+    pub fn get(&self) -> T {
+        self.try_get().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Resolves the knob from its flag's operand, then the variable, then
+    /// the default. A blank operand counts as an absent flag.
+    ///
+    /// # Errors
+    ///
+    /// Returns the shared error naming the flag when the operand is
+    /// malformed, or naming the variable when that is.
+    pub fn resolve(&self, operand: Option<&str>) -> Result<T, String> {
+        match operand {
+            Some(v) if !v.trim().is_empty() => self.parse_as(
+                self.flag.unwrap_or(self.var),
+                &format!("omit the flag to use {} or the default", self.var),
+                Some(OsStr::new(v)),
+            ),
+            _ => self.try_get(),
+        }
+    }
+
+    /// The value an unset variable selects.
+    #[must_use]
+    pub(crate) fn default_value(&self) -> T {
+        (self.fallback)()
+    }
+
+    fn parse_as(&self, name: &str, escape: &str, raw: Option<&OsStr>) -> Result<T, String> {
+        let raw = match raw {
+            Some(raw) if !raw.to_str().is_some_and(|s| s.trim().is_empty()) => raw,
+            _ => return Ok(self.default_value()),
+        };
+        (self.parser)(raw).ok_or_else(|| {
+            format!(
+                "{name} must be {}, got `{}` ({escape}: {})",
+                self.accepts,
+                raw.to_string_lossy().trim(),
+                self.default
+            )
+        })
+    }
+}
+
+/// `ISS_THREADS`: batch-engine worker count (`iss run --threads`).
+pub const THREADS: Knob<usize> = Knob {
+    var: "ISS_THREADS",
+    flag: Some("--threads"),
+    accepts: "a positive integer",
+    default: "the host's available parallelism",
+    fallback: host_parallelism,
+    parser: positive,
+};
+
+/// `ISS_EXPERIMENT_SCALE`: the experiment instruction budget. A number sets
+/// the SPEC budget per benchmark; PARSEC workloads get twice that,
+/// saturating instead of overflowing.
+pub const EXPERIMENT_SCALE: Knob<ExperimentScale> = Knob {
+    var: "ISS_EXPERIMENT_SCALE",
+    flag: None,
+    accepts: "`quick`, `full`, or a positive instruction count",
+    default: "quick scale",
+    fallback: ExperimentScale::quick,
+    parser: scale,
+};
+
+/// `ISS_BENCH_OUT`: output path of the `perf` binary (a positional
+/// argument overrides it).
+pub const BENCH_OUT: Knob<PathBuf> = Knob {
+    var: "ISS_BENCH_OUT",
+    flag: None,
+    accepts: "a file path",
+    default: "`BENCH_interval.json`",
+    fallback: || PathBuf::from("BENCH_interval.json"),
+    parser: path,
+};
+
+/// `ISS_WARM_BATCH`: functional-warming batch size of the
+/// structure-of-arrays hot path in sampled runs.
 ///
-/// `None` (variable unset) and the empty string select the default (the
-/// host's available parallelism). Anything else must be a positive integer:
-/// `0` and non-numeric values are **rejected** rather than silently falling
-/// back to the default.
+/// Every size is bit-identical (batch `1` degenerates to the scalar path);
+/// `0` would make the warming loop spin without retiring instructions. The
+/// default of 64 instructions amortizes the per-batch column passes while
+/// keeping the buffers inside the L1 data cache, and is a whole number of
+/// [`iss_simd::LANE_WIDTH`] lanes so the lane kernels get full chunks with
+/// no scalar tail.
+pub const WARM_BATCH: Knob<usize> = Knob {
+    var: "ISS_WARM_BATCH",
+    flag: None,
+    accepts: "a positive integer of instructions",
+    default: "a batch of 64",
+    fallback: || 8 * iss_simd::LANE_WIDTH,
+    parser: positive,
+};
+
+/// `ISS_SHARDS`: child-process count of a sharded sweep (`iss sweep
+/// --shards`).
+pub const SHARDS: Knob<usize> = Knob {
+    var: "ISS_SHARDS",
+    flag: Some("--shards"),
+    accepts: "a positive integer",
+    default: "the host's available parallelism",
+    fallback: host_parallelism,
+    parser: positive,
+};
+
+/// `ISS_SHARD_RETRIES`: re-dispatches of a failed shard before the
+/// supervisor bisects its job list (`0` bisects immediately).
+pub const SHARD_RETRIES: Knob<u32> = Knob {
+    var: "ISS_SHARD_RETRIES",
+    flag: None,
+    accepts: "a non-negative integer (u32)",
+    default: "2 retries",
+    fallback: || 2,
+    parser: whole,
+};
+
+/// `ISS_JOB_TIMEOUT_MS`: per-job progress deadline of child shards.
+pub const JOB_TIMEOUT_MS: Knob<u64> = Knob {
+    var: "ISS_JOB_TIMEOUT_MS",
+    flag: None,
+    accepts: "a positive integer of milliseconds",
+    default: "120000 ms",
+    fallback: || 120_000,
+    parser: positive,
+};
+
+/// `ISS_FAULT_INJECT`: deterministic fault injection for the
+/// crash-recovery tests, as `<kind>:<job>` (see [`FaultSpec`]).
+pub const FAULT_INJECT: Knob<Option<FaultSpec>> = Knob {
+    var: "ISS_FAULT_INJECT",
+    flag: None,
+    accepts: "`panic:<job>`, `exit:<job>` or `stall:<job>`",
+    default: "no fault injection",
+    fallback: || None,
+    parser: fault,
+};
+
+/// `ISS_SERVE_WORKERS`: simulation worker pool size of `iss serve`
+/// (`--workers`).
+pub const SERVE_WORKERS: Knob<usize> = Knob {
+    var: "ISS_SERVE_WORKERS",
+    flag: Some("--workers"),
+    accepts: "a positive integer",
+    default: "the host's available parallelism",
+    fallback: host_parallelism,
+    parser: positive,
+};
+
+/// `ISS_CACHE_DIR`: result-store directory of `iss serve` (`--cache-dir`),
+/// relative to the server's working directory unless absolute.
+pub const CACHE_DIR: Knob<PathBuf> = Knob {
+    var: "ISS_CACHE_DIR",
+    flag: Some("--cache-dir"),
+    accepts: "a directory path",
+    default: "`.iss-cache`",
+    fallback: || PathBuf::from(".iss-cache"),
+    parser: path,
+};
+
+/// `ISS_CACHE_MAX_MB`: result-store size bound in MiB (`--cache-max-mb`).
+/// The byte count must fit in `u64`.
+pub const CACHE_MAX_MB: Knob<u64> = Knob {
+    var: "ISS_CACHE_MAX_MB",
+    flag: Some("--cache-max-mb"),
+    accepts: "a positive integer of MiB",
+    default: "512 MiB",
+    fallback: || 512,
+    parser: |raw| positive::<u64>(raw).filter(|mb| mb.checked_mul(1 << 20).is_some()),
+};
+
+/// A knob with its value type erased, so one table can hold them all.
+trait Entry {
+    #[cfg(test)]
+    fn var(&self) -> &'static str;
+    fn check(&self) -> Result<(), String>;
+}
+
+impl<T> Entry for Knob<T> {
+    #[cfg(test)]
+    fn var(&self) -> &'static str {
+        self.var
+    }
+
+    fn check(&self) -> Result<(), String> {
+        self.try_get().map(drop)
+    }
+}
+
+/// Every knob, in the order of the README's environment table.
+const TABLE: [&dyn Entry; 11] = [
+    &THREADS,
+    &EXPERIMENT_SCALE,
+    &BENCH_OUT,
+    &WARM_BATCH,
+    &SHARDS,
+    &SHARD_RETRIES,
+    &JOB_TIMEOUT_MS,
+    &FAULT_INJECT,
+    &SERVE_WORKERS,
+    &CACHE_DIR,
+    &CACHE_MAX_MB,
+];
+
+/// Parses every knob in the table from the environment.
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending value when it is not a positive
-/// integer.
-pub fn parse_thread_count(value: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = value else {
-        return Ok(default_threads());
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(default_threads());
-    }
-    let escape = "unset the variable to use the host's available parallelism";
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err(reject("ISS_THREADS", "a positive integer", "0", escape)),
-        Ok(n) => Ok(n),
-        Err(_) => Err(reject("ISS_THREADS", "a positive integer", trimmed, escape)),
-    }
+/// Returns the shared error of the first malformed knob.
+pub fn check_all() -> Result<(), String> {
+    TABLE.iter().try_for_each(|knob| knob.check())
 }
 
-/// Worker count used by the batch engine: the `ISS_THREADS` environment
-/// variable when set to a positive integer, otherwise the host's available
-/// parallelism (1 if that cannot be determined).
+/// [`WARM_BATCH`] read from the environment. The repository benchmark
+/// (`perfbench`) calls it by this name.
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending value when `ISS_THREADS` is set
-/// to `0` or to a non-numeric value (see [`parse_thread_count`]) — the
-/// typed-error path for callers that can surface the message themselves
-/// (the scenario engine, the `iss` CLI).
-pub fn try_configured_threads() -> Result<usize, String> {
-    let value = std::env::var("ISS_THREADS").ok();
-    parse_thread_count(value.as_deref())
+/// Returns the shared error when `ISS_WARM_BATCH` is malformed.
+pub fn try_warm_batch_from_env() -> Result<usize, String> {
+    WARM_BATCH.try_get()
 }
 
-/// Panicking convenience over [`try_configured_threads`] for binaries with
-/// no error channel of their own.
-///
-/// # Panics
-///
-/// Panics with a clear message when `ISS_THREADS` is set to `0` or to a
-/// non-numeric value (see [`parse_thread_count`]).
-#[must_use]
-pub fn configured_threads() -> usize {
-    try_configured_threads().unwrap_or_else(|e| panic!("{e}"))
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Parses an `ISS_EXPERIMENT_SCALE` value into an [`ExperimentScale`].
-///
-/// `None` (variable unset) and the empty string select `quick`. Anything
-/// else must be `quick`, `full` (case-insensitive) or a positive integer
-/// instruction count per SPEC benchmark (PARSEC workloads get twice that
-/// budget, saturating instead of overflowing). Unknown strings, `0`,
-/// negative and overflowing numbers are **rejected** rather than silently
-/// falling back to `quick`.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is neither a known
-/// keyword nor a positive integer.
-pub fn parse_scale(value: Option<&str>) -> Result<ExperimentScale, String> {
-    let Some(raw) = value else {
-        return Ok(ExperimentScale::quick());
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(ExperimentScale::quick());
-    }
-    if trimmed.eq_ignore_ascii_case("quick") {
-        return Ok(ExperimentScale::quick());
-    }
-    if trimmed.eq_ignore_ascii_case("full") {
-        return Ok(ExperimentScale::full());
-    }
-    let expected = "`quick`, `full`, or a positive instruction count";
-    let escape = "unset the variable to run at quick scale";
-    match trimmed.parse::<u64>() {
-        Ok(0) => Err(reject("ISS_EXPERIMENT_SCALE", expected, "0", escape)),
-        Ok(n) => Ok(ExperimentScale {
-            spec_length: n,
-            parsec_length: n.saturating_mul(2),
-            seed: 42,
-        }),
-        Err(_) => Err(reject("ISS_EXPERIMENT_SCALE", expected, trimmed, escape)),
-    }
-}
-
-/// Reads the experiment scale from `ISS_EXPERIMENT_SCALE` (see
-/// [`parse_scale`] for the accepted values) — the typed-error path for
-/// callers that can surface the message themselves.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to an unknown keyword, `0`, or a non-positive/overflowing number.
-pub fn try_scale_from_env() -> Result<ExperimentScale, String> {
-    let value = std::env::var("ISS_EXPERIMENT_SCALE").ok();
-    parse_scale(value.as_deref())
-}
-
-/// Panicking convenience over [`try_scale_from_env`] for binaries with no
-/// error channel of their own.
-///
-/// # Panics
-///
-/// Panics with a clear message when the variable is set to an unknown
-/// keyword, `0`, or a non-positive/overflowing number, instead of silently
-/// running at the wrong scale.
-#[must_use]
-pub fn scale_from_env() -> ExperimentScale {
-    try_scale_from_env().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Parses an `ISS_SHARDS` value into a sharded-sweep child process count.
-///
-/// `None` (variable unset) and the empty string select the default (the
-/// host's available parallelism). Anything else must be a positive integer;
-/// `0` and garbage are **rejected** — a sweep silently collapsing to one
-/// shard would hide the fault-containment the operator asked for.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is not a positive
-/// integer.
-pub fn parse_shard_count(value: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = value else {
-        return Ok(default_threads());
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(default_threads());
-    }
-    let escape = "unset the variable to use the host's available parallelism";
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err(reject("ISS_SHARDS", "a positive integer", "0", escape)),
-        Ok(n) => Ok(n),
-        Err(_) => Err(reject("ISS_SHARDS", "a positive integer", trimmed, escape)),
-    }
-}
-
-/// Reads the sharded-sweep child process count from `ISS_SHARDS` (see
-/// [`parse_shard_count`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to `0` or to a non-numeric value.
-pub fn try_shards_from_env() -> Result<usize, String> {
-    let value = std::env::var("ISS_SHARDS").ok();
-    parse_shard_count(value.as_deref())
-}
-
-/// Default retry budget per shard before the supervisor starts bisecting
-/// its job list (see [`parse_retry_limit`]).
-pub const DEFAULT_SHARD_RETRIES: u32 = 2;
-
-/// Parses an `ISS_SHARD_RETRIES` value into a retry budget.
-///
-/// `None` (variable unset) and the empty string select
-/// [`DEFAULT_SHARD_RETRIES`]. Anything else must be a non-negative integer
-/// (`0` is meaningful: fail straight to bisection); garbage and numbers
-/// overflowing `u32` are **rejected** rather than silently capped.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is not a
-/// non-negative integer fitting in `u32`.
-pub fn parse_retry_limit(value: Option<&str>) -> Result<u32, String> {
-    let Some(raw) = value else {
-        return Ok(DEFAULT_SHARD_RETRIES);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(DEFAULT_SHARD_RETRIES);
-    }
-    let escape = "unset the variable to use the default of 2 retries";
-    trimmed.parse::<u32>().map_err(|_| {
-        reject(
-            "ISS_SHARD_RETRIES",
-            "a non-negative integer (u32)",
-            trimmed,
-            escape,
-        )
-    })
-}
-
-/// Reads the per-shard retry budget from `ISS_SHARD_RETRIES` (see
-/// [`parse_retry_limit`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to anything but a non-negative integer fitting in `u32`.
-pub fn try_retries_from_env() -> Result<u32, String> {
-    let value = std::env::var("ISS_SHARD_RETRIES").ok();
-    parse_retry_limit(value.as_deref())
-}
-
-/// Default per-job progress deadline for child shards, in milliseconds
-/// (see [`parse_job_timeout_ms`]).
-pub const DEFAULT_JOB_TIMEOUT_MS: u64 = 120_000;
-
-/// Parses an `ISS_JOB_TIMEOUT_MS` value into a per-job progress deadline.
-///
-/// `None` (variable unset) and the empty string select
-/// [`DEFAULT_JOB_TIMEOUT_MS`]. Anything else must be a positive integer
-/// number of milliseconds: `0` would kill every child instantly and is
-/// **rejected**, as are garbage and overflowing values.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is not a positive
-/// integer.
-pub fn parse_job_timeout_ms(value: Option<&str>) -> Result<u64, String> {
-    let Some(raw) = value else {
-        return Ok(DEFAULT_JOB_TIMEOUT_MS);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(DEFAULT_JOB_TIMEOUT_MS);
-    }
-    let escape = "unset the variable to use the default of 120000 ms";
-    match trimmed.parse::<u64>() {
-        Ok(0) => Err(reject(
-            "ISS_JOB_TIMEOUT_MS",
-            "a positive integer of milliseconds",
-            "0",
-            escape,
-        )),
-        Ok(n) => Ok(n),
-        Err(_) => Err(reject(
-            "ISS_JOB_TIMEOUT_MS",
-            "a positive integer of milliseconds",
-            trimmed,
-            escape,
-        )),
-    }
-}
-
-/// Reads the per-job progress deadline from `ISS_JOB_TIMEOUT_MS` (see
-/// [`parse_job_timeout_ms`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to `0` or to a non-numeric/overflowing value.
-pub fn try_job_timeout_from_env() -> Result<u64, String> {
-    let value = std::env::var("ISS_JOB_TIMEOUT_MS").ok();
-    parse_job_timeout_ms(value.as_deref())
-}
-
-/// The way an injected fault takes a child shard down (see
-/// [`parse_fault_spec`]).
+/// The way an injected fault takes a child shard down (see [`FaultSpec`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Panic before simulating the job (child exits with the panic status).
@@ -332,12 +315,13 @@ impl FaultKind {
 /// A deterministic fault to inject into child shards: take down the shard
 /// the moment it is about to simulate global job index [`FaultSpec::job`].
 ///
-/// Encoded as `<kind>:<job>` (e.g. `panic:3`, `exit:0`, `stall:2`) in the
-/// `ISS_FAULT_INJECT` variable. The supervisor forwards the variable to
-/// every child it spawns, so the selected job is *permanently* poisoned:
-/// retries keep failing, bisection isolates it, and the sweep must finish
-/// with exactly that job quarantined — the end-to-end recovery path the
-/// crash tests assert.
+/// Encoded as `<kind>:<job>` (e.g. `panic:3`, `exit:0`, `stall:2`) in
+/// [`FAULT_INJECT`]. The supervisor forwards the variable to every child it
+/// spawns, so the selected job is *permanently* poisoned: retries keep
+/// failing, bisection isolates it, and the sweep must finish with exactly
+/// that job quarantined — the end-to-end recovery path the crash tests
+/// assert. A typo silently disabling injection would turn those tests into
+/// no-ops, hence the strict parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// How the child dies.
@@ -347,269 +331,96 @@ pub struct FaultSpec {
     pub job: usize,
 }
 
-/// Parses an `ISS_FAULT_INJECT` value into an optional [`FaultSpec`].
-///
-/// `None` (variable unset) and the empty string mean no injection.
-/// Anything else must be exactly `<kind>:<job>` with `kind` one of
-/// `panic`, `exit`, `stall` and `job` a non-negative integer; anything
-/// else is **rejected** — a typo silently disabling injection would turn
-/// the crash-recovery tests into no-ops.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value for malformed specs.
-pub fn parse_fault_spec(value: Option<&str>) -> Result<Option<FaultSpec>, String> {
-    let Some(raw) = value else {
-        return Ok(None);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// A set value as trimmed text; non-Unicode input is never a number or a
+/// keyword.
+fn text(raw: &OsStr) -> Option<&str> {
+    raw.to_str().map(str::trim)
+}
+
+fn whole<N: FromStr>(raw: &OsStr) -> Option<N> {
+    text(raw)?.parse().ok()
+}
+
+fn positive<N: FromStr + Default + PartialEq>(raw: &OsStr) -> Option<N> {
+    whole(raw).filter(|n| *n != N::default())
+}
+
+fn path(raw: &OsStr) -> Option<PathBuf> {
+    Some(PathBuf::from(raw))
+}
+
+fn scale(raw: &OsStr) -> Option<ExperimentScale> {
+    let keyword = text(raw)?;
+    if keyword.eq_ignore_ascii_case("quick") {
+        return Some(ExperimentScale::quick());
     }
-    let expected = "`panic:<job>`, `exit:<job>` or `stall:<job>`";
-    let escape = "unset the variable to disable fault injection";
-    let Some((kind_raw, job_raw)) = trimmed.split_once(':') else {
-        return Err(reject("ISS_FAULT_INJECT", expected, trimmed, escape));
-    };
-    let kind = match kind_raw {
-        "panic" => FaultKind::Panic,
-        "exit" => FaultKind::Exit,
-        "stall" => FaultKind::Stall,
-        _ => return Err(reject("ISS_FAULT_INJECT", expected, trimmed, escape)),
-    };
-    let job = job_raw
-        .parse::<usize>()
-        .map_err(|_| reject("ISS_FAULT_INJECT", expected, trimmed, escape))?;
-    Ok(Some(FaultSpec { kind, job }))
-}
-
-/// Reads the fault-injection spec from `ISS_FAULT_INJECT` (see
-/// [`parse_fault_spec`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value for malformed specs.
-pub fn try_fault_from_env() -> Result<Option<FaultSpec>, String> {
-    let value = std::env::var("ISS_FAULT_INJECT").ok();
-    parse_fault_spec(value.as_deref())
-}
-
-/// Parses an `ISS_SERVE_WORKERS` value into the `iss serve` simulation
-/// worker pool size.
-///
-/// `None` (variable unset) and the empty string select the default (the
-/// host's available parallelism). Anything else must be a positive
-/// integer: `0` workers would deadlock every request and is **rejected**,
-/// as is garbage — a typo must not silently change the server's
-/// concurrency.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is not a positive
-/// integer.
-pub fn parse_serve_workers(value: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = value else {
-        return Ok(default_threads());
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(default_threads());
+    if keyword.eq_ignore_ascii_case("full") {
+        return Some(ExperimentScale::full());
     }
-    let escape = "unset the variable to use the host's available parallelism";
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err(reject(
-            "ISS_SERVE_WORKERS",
-            "a positive integer",
-            "0",
-            escape,
-        )),
-        Ok(n) => Ok(n),
-        Err(_) => Err(reject(
-            "ISS_SERVE_WORKERS",
-            "a positive integer",
-            trimmed,
-            escape,
-        )),
-    }
+    positive::<u64>(raw).map(|n| ExperimentScale {
+        spec_length: n,
+        parsec_length: n.saturating_mul(2),
+        seed: 42,
+    })
 }
 
-/// Reads the `iss serve` worker pool size from `ISS_SERVE_WORKERS` (see
-/// [`parse_serve_workers`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to `0` or to a non-numeric value.
-pub fn try_serve_workers_from_env() -> Result<usize, String> {
-    let value = std::env::var("ISS_SERVE_WORKERS").ok();
-    parse_serve_workers(value.as_deref())
-}
-
-/// Default result-store directory when `ISS_CACHE_DIR` is unset.
-pub const DEFAULT_CACHE_DIR: &str = ".iss-cache";
-
-/// Reads the result-store directory from `ISS_CACHE_DIR`.
-///
-/// Unlike the numeric knobs this one cannot fail: any non-empty string is
-/// a path, and an unset or empty variable selects
-/// [`DEFAULT_CACHE_DIR`] relative to the server's working directory.
-#[must_use]
-pub fn cache_dir_from_env() -> std::path::PathBuf {
-    match std::env::var("ISS_CACHE_DIR") {
-        Ok(dir) if !dir.trim().is_empty() => std::path::PathBuf::from(dir),
-        _ => std::path::PathBuf::from(DEFAULT_CACHE_DIR),
-    }
-}
-
-/// Default result-store size bound in MiB (see [`parse_cache_max_mb`]).
-pub const DEFAULT_CACHE_MAX_MB: u64 = 512;
-
-/// Parses an `ISS_CACHE_MAX_MB` value into the result-store size bound in
-/// MiB.
-///
-/// `None` (variable unset) and the empty string select
-/// [`DEFAULT_CACHE_MAX_MB`]. Anything else must be a positive integer
-/// whose byte count fits in `u64`: `0` would evict the store to nothing
-/// and is **rejected**, as are garbage and overflowing values — a typo
-/// must not silently change the store's retention.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is not a positive
-/// integer with an in-range byte count.
-pub fn parse_cache_max_mb(value: Option<&str>) -> Result<u64, String> {
-    let Some(raw) = value else {
-        return Ok(DEFAULT_CACHE_MAX_MB);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(DEFAULT_CACHE_MAX_MB);
-    }
-    let expected = "a positive integer of MiB";
-    let escape = "unset the variable to use the default of 512 MiB";
-    match trimmed.parse::<u64>() {
-        Ok(0) => Err(reject("ISS_CACHE_MAX_MB", expected, "0", escape)),
-        Ok(n) if n.checked_mul(1024 * 1024).is_none() => {
-            Err(reject("ISS_CACHE_MAX_MB", expected, trimmed, escape))
-        }
-        Ok(n) => Ok(n),
-        Err(_) => Err(reject("ISS_CACHE_MAX_MB", expected, trimmed, escape)),
-    }
-}
-
-/// Reads the result-store size bound from `ISS_CACHE_MAX_MB` (see
-/// [`parse_cache_max_mb`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to `0`, garbage, or a value whose byte count overflows `u64`.
-pub fn try_cache_max_mb_from_env() -> Result<u64, String> {
-    let value = std::env::var("ISS_CACHE_MAX_MB").ok();
-    parse_cache_max_mb(value.as_deref())
-}
-
-/// Default functional-warming batch size (see [`parse_warm_batch`]).
-///
-/// 64 instructions amortize the per-batch column passes well while keeping
-/// the structure-of-arrays buffers inside the L1 data cache. The default is
-/// expressed as a whole number of [`iss_simd::LANE_WIDTH`] lanes so the
-/// batched columns feed the lane kernels full chunks with no scalar tail
-/// (any batch size is bit-identical; lane-multiple sizes are just fastest).
-pub const DEFAULT_WARM_BATCH: usize = 8 * iss_simd::LANE_WIDTH;
-
-/// Parses an `ISS_WARM_BATCH` value into the functional-warming batch size.
-///
-/// `None` (variable unset) and the empty string select
-/// [`DEFAULT_WARM_BATCH`]. Anything else must be a positive integer:
-/// batching is bit-identical at every size (batch `1` degenerates to the
-/// scalar path), but `0` would make the warming loop spin without retiring
-/// instructions and is **rejected**, as is garbage — a typo must not
-/// silently change the warming throughput an experiment was sized for.
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when it is not a positive
-/// integer.
-pub fn parse_warm_batch(value: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = value else {
-        return Ok(DEFAULT_WARM_BATCH);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(DEFAULT_WARM_BATCH);
-    }
-    let expected = "a positive integer of instructions";
-    let escape = "unset the variable to use the default batch of 64";
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err(reject("ISS_WARM_BATCH", expected, "0", escape)),
-        Ok(n) => Ok(n),
-        Err(_) => Err(reject("ISS_WARM_BATCH", expected, trimmed, escape)),
-    }
-}
-
-/// Reads the functional-warming batch size from `ISS_WARM_BATCH` (see
-/// [`parse_warm_batch`]).
-///
-/// # Errors
-///
-/// Returns a message naming the offending value when the variable is set
-/// to `0` or to a non-numeric value.
-pub fn try_warm_batch_from_env() -> Result<usize, String> {
-    let value = std::env::var("ISS_WARM_BATCH").ok();
-    parse_warm_batch(value.as_deref())
-}
-
-/// Panicking convenience over [`try_warm_batch_from_env`] for callers with
-/// no error channel of their own.
-///
-/// # Panics
-///
-/// Panics with a clear message when `ISS_WARM_BATCH` is set to `0` or to a
-/// non-numeric value (see [`parse_warm_batch`]).
-#[must_use]
-pub fn warm_batch_from_env() -> usize {
-    try_warm_batch_from_env().unwrap_or_else(|e| panic!("{e}"))
+fn fault(raw: &OsStr) -> Option<Option<FaultSpec>> {
+    let (kind, job) = text(raw)?.split_once(':')?;
+    let kind = [FaultKind::Panic, FaultKind::Exit, FaultKind::Stall]
+        .into_iter()
+        .find(|k| k.name() == kind)?;
+    Some(Some(FaultSpec {
+        kind,
+        job: job.parse().ok()?,
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parses `raw` as the value of `knob`'s variable.
+    fn parse<T>(knob: &Knob<T>, raw: Option<&str>) -> Result<T, String> {
+        knob.parse(raw.map(OsStr::new))
+    }
+
     #[test]
     fn thread_parsing_accepts_positive_integers_and_unset() {
-        assert_eq!(parse_thread_count(Some("3")), Ok(3));
-        assert_eq!(parse_thread_count(Some(" 8 ")), Ok(8));
-        assert!(parse_thread_count(None).unwrap() >= 1);
-        assert!(parse_thread_count(Some("")).unwrap() >= 1);
+        assert_eq!(parse(&THREADS, Some("3")), Ok(3));
+        assert_eq!(parse(&THREADS, Some(" 8 ")), Ok(8));
+        assert!(parse(&THREADS, None).unwrap() >= 1);
+        assert!(parse(&THREADS, Some("")).unwrap() >= 1);
     }
 
     #[test]
     fn thread_parsing_rejects_zero_and_garbage_loudly() {
-        let zero = parse_thread_count(Some("0")).unwrap_err();
-        assert!(zero.contains("`0`"), "got: {zero}");
-        let junk = parse_thread_count(Some("four")).unwrap_err();
+        let zero = parse(&THREADS, Some("0")).unwrap_err();
+        assert!(
+            zero.contains("ISS_THREADS") && zero.contains("`0`"),
+            "got: {zero}"
+        );
+        let junk = parse(&THREADS, Some("four")).unwrap_err();
         assert!(junk.contains("`four`"), "got: {junk}");
-        let negative = parse_thread_count(Some("-2")).unwrap_err();
+        let negative = parse(&THREADS, Some("-2")).unwrap_err();
         assert!(negative.contains("`-2`"), "got: {negative}");
     }
 
     #[test]
     fn scale_parsing_accepts_keywords_numbers_and_unset() {
-        assert_eq!(parse_scale(None).unwrap(), ExperimentScale::quick());
-        assert_eq!(parse_scale(Some("")).unwrap(), ExperimentScale::quick());
-        assert_eq!(parse_scale(Some("  ")).unwrap(), ExperimentScale::quick());
-        assert_eq!(
-            parse_scale(Some("quick")).unwrap(),
-            ExperimentScale::quick()
-        );
-        assert_eq!(
-            parse_scale(Some("QUICK")).unwrap(),
-            ExperimentScale::quick()
-        );
-        assert_eq!(parse_scale(Some("full")).unwrap(), ExperimentScale::full());
-        assert_eq!(parse_scale(Some("Full")).unwrap(), ExperimentScale::full());
-        let custom = parse_scale(Some(" 50000 ")).unwrap();
+        let quick = ExperimentScale::quick();
+        assert_eq!(parse(&EXPERIMENT_SCALE, None).unwrap(), quick);
+        assert_eq!(parse(&EXPERIMENT_SCALE, Some("")).unwrap(), quick);
+        assert_eq!(parse(&EXPERIMENT_SCALE, Some("  ")).unwrap(), quick);
+        assert_eq!(parse(&EXPERIMENT_SCALE, Some("quick")).unwrap(), quick);
+        assert_eq!(parse(&EXPERIMENT_SCALE, Some("QUICK")).unwrap(), quick);
+        let full = ExperimentScale::full();
+        assert_eq!(parse(&EXPERIMENT_SCALE, Some("full")).unwrap(), full);
+        assert_eq!(parse(&EXPERIMENT_SCALE, Some("Full")).unwrap(), full);
+        let custom = parse(&EXPERIMENT_SCALE, Some(" 50000 ")).unwrap();
         assert_eq!(custom.spec_length, 50_000);
         assert_eq!(custom.parsec_length, 100_000);
         assert_eq!(custom.seed, 42);
@@ -617,7 +428,7 @@ mod tests {
 
     #[test]
     fn scale_parsing_saturates_the_parsec_budget() {
-        let huge = parse_scale(Some(&u64::MAX.to_string())).unwrap();
+        let huge = parse(&EXPERIMENT_SCALE, Some(&u64::MAX.to_string())).unwrap();
         assert_eq!(huge.spec_length, u64::MAX);
         assert_eq!(huge.parsec_length, u64::MAX, "must saturate, not overflow");
     }
@@ -625,113 +436,96 @@ mod tests {
     #[test]
     fn scale_parsing_rejects_typos_zero_and_bad_numbers_loudly() {
         // The motivating bug: `ful` used to silently select quick scale.
-        let typo = parse_scale(Some("ful")).unwrap_err();
-        assert!(typo.contains("`ful`"), "got: {typo}");
-        let zero = parse_scale(Some("0")).unwrap_err();
-        assert!(zero.contains("`0`"), "got: {zero}");
-        let negative = parse_scale(Some("-5")).unwrap_err();
-        assert!(negative.contains("`-5`"), "got: {negative}");
-        let overflow = parse_scale(Some("99999999999999999999999")).unwrap_err();
-        assert!(
-            overflow.contains("99999999999999999999999"),
-            "got: {overflow}"
-        );
-        let junk = parse_scale(Some("fast")).unwrap_err();
-        assert!(junk.contains("`fast`"), "got: {junk}");
+        for bad in ["ful", "0", "-5", "99999999999999999999999", "fast"] {
+            let err = parse(&EXPERIMENT_SCALE, Some(bad)).unwrap_err();
+            assert!(
+                err.contains("ISS_EXPERIMENT_SCALE") && err.contains(&format!("`{bad}`")),
+                "`{bad}` got: {err}"
+            );
+        }
     }
 
     #[test]
     fn shard_parsing_accepts_positive_integers_and_unset() {
-        assert_eq!(parse_shard_count(Some("4")), Ok(4));
-        assert_eq!(parse_shard_count(Some(" 2 ")), Ok(2));
-        assert!(parse_shard_count(None).unwrap() >= 1);
-        assert!(parse_shard_count(Some("")).unwrap() >= 1);
+        assert_eq!(parse(&SHARDS, Some("4")), Ok(4));
+        assert_eq!(parse(&SHARDS, Some(" 2 ")), Ok(2));
+        assert!(parse(&SHARDS, None).unwrap() >= 1);
+        assert!(parse(&SHARDS, Some("")).unwrap() >= 1);
     }
 
     #[test]
     fn shard_parsing_rejects_zero_and_garbage_loudly() {
-        let zero = parse_shard_count(Some("0")).unwrap_err();
+        let zero = parse(&SHARDS, Some("0")).unwrap_err();
         assert!(
             zero.contains("ISS_SHARDS") && zero.contains("`0`"),
             "got: {zero}"
         );
-        let junk = parse_shard_count(Some("two")).unwrap_err();
+        let junk = parse(&SHARDS, Some("two")).unwrap_err();
         assert!(junk.contains("`two`"), "got: {junk}");
     }
 
     #[test]
     fn retry_parsing_accepts_zero_and_defaults_when_unset() {
-        assert_eq!(parse_retry_limit(None), Ok(DEFAULT_SHARD_RETRIES));
-        assert_eq!(parse_retry_limit(Some("")), Ok(DEFAULT_SHARD_RETRIES));
+        assert_eq!(parse(&SHARD_RETRIES, None), Ok(2));
+        assert_eq!(parse(&SHARD_RETRIES, Some("")), Ok(2));
         assert_eq!(
-            parse_retry_limit(Some("0")),
+            parse(&SHARD_RETRIES, Some("0")),
             Ok(0),
             "0 = straight to bisection"
         );
-        assert_eq!(parse_retry_limit(Some(" 5 ")), Ok(5));
+        assert_eq!(parse(&SHARD_RETRIES, Some(" 5 ")), Ok(5));
     }
 
     #[test]
     fn retry_parsing_rejects_garbage_and_overflow_loudly() {
-        let junk = parse_retry_limit(Some("lots")).unwrap_err();
+        let junk = parse(&SHARD_RETRIES, Some("lots")).unwrap_err();
         assert!(
             junk.contains("ISS_SHARD_RETRIES") && junk.contains("`lots`"),
             "got: {junk}"
         );
-        let negative = parse_retry_limit(Some("-1")).unwrap_err();
+        let negative = parse(&SHARD_RETRIES, Some("-1")).unwrap_err();
         assert!(negative.contains("`-1`"), "got: {negative}");
-        let overflow = parse_retry_limit(Some("4294967296")).unwrap_err();
+        let overflow = parse(&SHARD_RETRIES, Some("4294967296")).unwrap_err();
         assert!(overflow.contains("`4294967296`"), "got: {overflow}");
     }
 
     #[test]
     fn timeout_parsing_accepts_positive_ms_and_defaults_when_unset() {
-        assert_eq!(parse_job_timeout_ms(None), Ok(DEFAULT_JOB_TIMEOUT_MS));
-        assert_eq!(parse_job_timeout_ms(Some("")), Ok(DEFAULT_JOB_TIMEOUT_MS));
-        assert_eq!(parse_job_timeout_ms(Some("300")), Ok(300));
+        assert_eq!(parse(&JOB_TIMEOUT_MS, None), Ok(120_000));
+        assert_eq!(parse(&JOB_TIMEOUT_MS, Some("")), Ok(120_000));
+        assert_eq!(parse(&JOB_TIMEOUT_MS, Some("300")), Ok(300));
     }
 
     #[test]
     fn timeout_parsing_rejects_zero_garbage_and_overflow_loudly() {
-        let zero = parse_job_timeout_ms(Some("0")).unwrap_err();
+        let zero = parse(&JOB_TIMEOUT_MS, Some("0")).unwrap_err();
         assert!(
             zero.contains("ISS_JOB_TIMEOUT_MS") && zero.contains("`0`"),
             "got: {zero}"
         );
-        let junk = parse_job_timeout_ms(Some("1s")).unwrap_err();
+        let junk = parse(&JOB_TIMEOUT_MS, Some("1s")).unwrap_err();
         assert!(junk.contains("`1s`"), "got: {junk}");
-        let overflow = parse_job_timeout_ms(Some("99999999999999999999999")).unwrap_err();
+        let overflow = parse(&JOB_TIMEOUT_MS, Some("99999999999999999999999")).unwrap_err();
         assert!(
-            overflow.contains("99999999999999999999999"),
+            overflow.contains("`99999999999999999999999`"),
             "got: {overflow}"
         );
     }
 
     #[test]
     fn fault_parsing_accepts_every_kind_and_none_when_unset() {
-        assert_eq!(parse_fault_spec(None), Ok(None));
-        assert_eq!(parse_fault_spec(Some("")), Ok(None));
-        assert_eq!(
-            parse_fault_spec(Some("panic:3")),
-            Ok(Some(FaultSpec {
-                kind: FaultKind::Panic,
-                job: 3
-            }))
-        );
-        assert_eq!(
-            parse_fault_spec(Some("exit:0")),
-            Ok(Some(FaultSpec {
-                kind: FaultKind::Exit,
-                job: 0
-            }))
-        );
-        assert_eq!(
-            parse_fault_spec(Some(" stall:2 ")),
-            Ok(Some(FaultSpec {
-                kind: FaultKind::Stall,
-                job: 2
-            }))
-        );
+        assert_eq!(parse(&FAULT_INJECT, None), Ok(None));
+        assert_eq!(parse(&FAULT_INJECT, Some("")), Ok(None));
+        for (raw, kind, job) in [
+            ("panic:3", FaultKind::Panic, 3),
+            ("exit:0", FaultKind::Exit, 0),
+            (" stall:2 ", FaultKind::Stall, 2),
+        ] {
+            assert_eq!(
+                parse(&FAULT_INJECT, Some(raw)),
+                Ok(Some(FaultSpec { kind, job }))
+            );
+        }
     }
 
     #[test]
@@ -744,7 +538,7 @@ mod tests {
             "panic:-1",
             "3:panic",
         ] {
-            let err = parse_fault_spec(Some(bad)).unwrap_err();
+            let err = parse(&FAULT_INJECT, Some(bad)).unwrap_err();
             assert!(err.contains("ISS_FAULT_INJECT"), "`{bad}` got: {err}");
             assert!(err.contains(bad.trim()), "`{bad}` got: {err}");
         }
@@ -752,41 +546,41 @@ mod tests {
 
     #[test]
     fn serve_worker_parsing_accepts_positive_integers_and_unset() {
-        assert_eq!(parse_serve_workers(Some("4")), Ok(4));
-        assert_eq!(parse_serve_workers(Some(" 2 ")), Ok(2));
-        assert!(parse_serve_workers(None).unwrap() >= 1);
-        assert!(parse_serve_workers(Some("")).unwrap() >= 1);
+        assert_eq!(parse(&SERVE_WORKERS, Some("4")), Ok(4));
+        assert_eq!(parse(&SERVE_WORKERS, Some(" 2 ")), Ok(2));
+        assert!(parse(&SERVE_WORKERS, None).unwrap() >= 1);
+        assert!(parse(&SERVE_WORKERS, Some("")).unwrap() >= 1);
     }
 
     #[test]
     fn serve_worker_parsing_rejects_zero_and_garbage_loudly() {
-        let zero = parse_serve_workers(Some("0")).unwrap_err();
+        let zero = parse(&SERVE_WORKERS, Some("0")).unwrap_err();
         assert!(
             zero.contains("ISS_SERVE_WORKERS") && zero.contains("`0`"),
             "got: {zero}"
         );
-        let junk = parse_serve_workers(Some("many")).unwrap_err();
+        let junk = parse(&SERVE_WORKERS, Some("many")).unwrap_err();
         assert!(junk.contains("`many`"), "got: {junk}");
     }
 
     #[test]
     fn cache_size_parsing_accepts_positive_mib_and_defaults_when_unset() {
-        assert_eq!(parse_cache_max_mb(None), Ok(DEFAULT_CACHE_MAX_MB));
-        assert_eq!(parse_cache_max_mb(Some("")), Ok(DEFAULT_CACHE_MAX_MB));
-        assert_eq!(parse_cache_max_mb(Some(" 64 ")), Ok(64));
+        assert_eq!(parse(&CACHE_MAX_MB, None), Ok(512));
+        assert_eq!(parse(&CACHE_MAX_MB, Some("")), Ok(512));
+        assert_eq!(parse(&CACHE_MAX_MB, Some(" 64 ")), Ok(64));
     }
 
     #[test]
     fn cache_size_parsing_rejects_zero_garbage_and_overflow_loudly() {
-        let zero = parse_cache_max_mb(Some("0")).unwrap_err();
+        let zero = parse(&CACHE_MAX_MB, Some("0")).unwrap_err();
         assert!(
             zero.contains("ISS_CACHE_MAX_MB") && zero.contains("`0`"),
             "got: {zero}"
         );
-        let junk = parse_cache_max_mb(Some("big")).unwrap_err();
+        let junk = parse(&CACHE_MAX_MB, Some("big")).unwrap_err();
         assert!(junk.contains("`big`"), "got: {junk}");
         // Parses as u64, but the byte count would overflow.
-        let overflow = parse_cache_max_mb(Some("18446744073709551615")).unwrap_err();
+        let overflow = parse(&CACHE_MAX_MB, Some("18446744073709551615")).unwrap_err();
         assert!(
             overflow.contains("`18446744073709551615`"),
             "got: {overflow}"
@@ -795,42 +589,99 @@ mod tests {
 
     #[test]
     fn warm_batch_parsing_accepts_positive_integers_and_defaults_when_unset() {
-        assert_eq!(parse_warm_batch(None), Ok(DEFAULT_WARM_BATCH));
-        assert_eq!(parse_warm_batch(Some("")), Ok(DEFAULT_WARM_BATCH));
-        assert_eq!(parse_warm_batch(Some("1")), Ok(1), "1 = the scalar path");
-        assert_eq!(parse_warm_batch(Some(" 128 ")), Ok(128));
+        assert_eq!(parse(&WARM_BATCH, None), Ok(64));
+        assert_eq!(parse(&WARM_BATCH, Some("")), Ok(64));
+        assert_eq!(parse(&WARM_BATCH, Some("1")), Ok(1), "1 = the scalar path");
+        assert_eq!(parse(&WARM_BATCH, Some(" 128 ")), Ok(128));
     }
 
     #[test]
     fn warm_batch_parsing_rejects_zero_and_garbage_loudly() {
-        let zero = parse_warm_batch(Some("0")).unwrap_err();
+        let zero = parse(&WARM_BATCH, Some("0")).unwrap_err();
         assert!(
             zero.contains("ISS_WARM_BATCH") && zero.contains("`0`"),
             "got: {zero}"
         );
-        let junk = parse_warm_batch(Some("wide")).unwrap_err();
+        let junk = parse(&WARM_BATCH, Some("wide")).unwrap_err();
         assert!(junk.contains("`wide`"), "got: {junk}");
-        let negative = parse_warm_batch(Some("-8")).unwrap_err();
+        let negative = parse(&WARM_BATCH, Some("-8")).unwrap_err();
         assert!(negative.contains("`-8`"), "got: {negative}");
     }
 
     #[test]
     fn all_variables_share_the_error_shape() {
-        let threads = parse_thread_count(Some("nope")).unwrap_err();
-        let scale = parse_scale(Some("nope")).unwrap_err();
-        let shards = parse_shard_count(Some("nope")).unwrap_err();
-        let retries = parse_retry_limit(Some("nope")).unwrap_err();
-        let timeout = parse_job_timeout_ms(Some("nope")).unwrap_err();
-        let fault = parse_fault_spec(Some("nope")).unwrap_err();
-        let workers = parse_serve_workers(Some("nope")).unwrap_err();
-        let cache = parse_cache_max_mb(Some("nope")).unwrap_err();
-        let warm = parse_warm_batch(Some("nope")).unwrap_err();
-        for e in [
-            &threads, &scale, &shards, &retries, &timeout, &fault, &workers, &cache, &warm,
-        ] {
+        let errors = [
+            parse(&THREADS, Some("nope")).map(drop),
+            parse(&EXPERIMENT_SCALE, Some("nope")).map(drop),
+            parse(&SHARDS, Some("nope")).map(drop),
+            parse(&SHARD_RETRIES, Some("nope")).map(drop),
+            parse(&JOB_TIMEOUT_MS, Some("nope")).map(drop),
+            parse(&FAULT_INJECT, Some("nope")).map(drop),
+            parse(&SERVE_WORKERS, Some("nope")).map(drop),
+            parse(&CACHE_MAX_MB, Some("nope")).map(drop),
+            parse(&WARM_BATCH, Some("nope")).map(drop),
+        ];
+        for e in errors {
+            let e = e.unwrap_err();
             assert!(e.contains("must be"), "got: {e}");
             assert!(e.contains("`nope`"), "got: {e}");
             assert!(e.contains("unset the variable"), "got: {e}");
         }
+    }
+
+    #[test]
+    fn flags_share_the_error_shape_and_name_the_flag() {
+        for (knob, flag) in [
+            (&THREADS, "--threads"),
+            (&SHARDS, "--shards"),
+            (&SERVE_WORKERS, "--workers"),
+        ] {
+            assert_eq!(knob.resolve(Some(" 3 ")), Ok(3));
+            let err = knob.resolve(Some("0")).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{flag} must be a positive integer, got `0`"))
+                    && err.contains(&format!("omit the flag to use {}", knob.var)),
+                "got: {err}"
+            );
+        }
+        let err = CACHE_MAX_MB
+            .resolve(Some("18446744073709551615"))
+            .unwrap_err();
+        assert!(err.starts_with("--cache-max-mb must be"), "got: {err}");
+        assert_eq!(
+            CACHE_DIR.resolve(Some("runs/cache")),
+            Ok(PathBuf::from("runs/cache"))
+        );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn non_unicode_values_are_rejected_or_kept_never_treated_as_unset() {
+        use std::os::unix::ffi::OsStrExt;
+        let raw = OsStr::from_bytes(b"/tmp/cache-\xff");
+        for err in [
+            THREADS.parse(Some(raw)).map(drop),
+            EXPERIMENT_SCALE.parse(Some(raw)).map(drop),
+            CACHE_MAX_MB.parse(Some(raw)).map(drop),
+            FAULT_INJECT.parse(Some(raw)).map(drop),
+        ] {
+            let err = err.unwrap_err();
+            assert!(err.contains("`/tmp/cache-\u{fffd}`"), "got: {err}");
+        }
+        assert_eq!(CACHE_DIR.parse(Some(raw)), Ok(PathBuf::from(raw)));
+        assert_eq!(BENCH_OUT.parse(Some(raw)), Ok(PathBuf::from(raw)));
+    }
+
+    #[test]
+    fn readme_env_table_has_one_row_per_knob() {
+        let readme = include_str!("../../../README.md");
+        let rows: Vec<&str> = readme
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `"))
+            .filter_map(|rest| rest.split_once('`').map(|(name, _)| name))
+            .filter(|name| name.starts_with("ISS_"))
+            .collect();
+        let knobs: Vec<&str> = TABLE.iter().map(|k| k.var()).collect();
+        assert_eq!(rows, knobs, "README env rows vs the knob table");
     }
 }

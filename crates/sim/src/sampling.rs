@@ -64,6 +64,7 @@ use iss_trace::{
 };
 
 use crate::config::SystemConfig;
+use crate::env::WARM_BATCH;
 use crate::model::{AnyMachine, CpuModel, ModelCheckpoint};
 use crate::runner::{BaseModel, CoreModel, CoreSummary, SimSummary};
 
@@ -563,8 +564,7 @@ fn probe(machine: &AnyMachine, spec: SamplingSpec) -> (u64, u64, u64, Vec<(u64, 
 /// # Panics
 ///
 /// Panics when the spec is invalid (see [`SamplingSpec::validate`]) or
-/// `ISS_WARM_BATCH` is set to `0` or garbage (see
-/// [`crate::env::parse_warm_batch`]).
+/// `ISS_WARM_BATCH` is malformed (see [`crate::env::WARM_BATCH`]).
 #[must_use]
 pub fn run_sampled(
     spec: SamplingSpec,
@@ -572,13 +572,7 @@ pub fn run_sampled(
     workload: ThreadedWorkload,
     label: String,
 ) -> SimSummary {
-    run_sampled_with_batch(
-        spec,
-        config,
-        workload,
-        label,
-        crate::env::warm_batch_from_env(),
-    )
+    run_sampled_with_batch(spec, config, workload, label, WARM_BATCH.get())
 }
 
 /// [`run_sampled`] with an explicit warming batch size instead of the
@@ -623,11 +617,6 @@ pub fn run_sampled_with_batch(
     let mut per_core_steady: Vec<(u64, u64)> = vec![(0, 0); num_cores];
     let period = u64::from(spec.sample_every);
     let prefix_units = u64::from(spec.prefix_units);
-
-    let mut t_restore = 0.0f64;
-    let mut t_measure = 0.0f64;
-    let mut t_extract = 0.0f64;
-    let mut t_warm = 0.0f64;
     loop {
         let done = match &phase {
             Phase::Functional(fs) => fs.all_done(),
@@ -642,7 +631,6 @@ pub fn run_sampled_with_batch(
         // functional-warming units.
         let sampled = !in_prefix && (unit - prefix_units) % period == period - 1;
         if in_prefix || sampled {
-            let t0 = HostTimer::start();
             let mut machine = match phase {
                 Phase::Timed(m) => m,
                 Phase::Functional(fs) => {
@@ -655,8 +643,6 @@ pub fn run_sampled_with_batch(
                     AnyMachine::restore(spec.measure, config, fs.into_checkpoint(spec.measure))
                 }
             };
-            t_restore += t0.elapsed_seconds();
-            let t0 = HostTimer::start();
             // A sampled unit opens with a warmup prefix (excluded from the
             // sample); prefix units are continuous with the preceding unit,
             // so everything they run is counted exactly.
@@ -689,18 +675,14 @@ pub fn run_sampled_with_batch(
                     }
                 }
             }
-            t_measure += t0.elapsed_seconds();
             phase = Phase::Timed(machine);
         } else {
-            let t0 = HostTimer::start();
             let mut fs = match phase {
                 Phase::Timed(m) => {
                     FunctionalState::from_checkpoint(m.into_lean_checkpoint(), config, warm_batch)
                 }
                 Phase::Functional(fs) => fs,
             };
-            t_extract += t0.elapsed_seconds();
-            let t0 = HostTimer::start();
             let latency_before = fs.memory.stats().totals().latency_cycles;
             let consumed = fs.advance(spec.unit_insts);
             if consumed > 0 {
@@ -711,7 +693,6 @@ pub fn run_sampled_with_batch(
                     cpi: None,
                 });
             }
-            t_warm += t0.elapsed_seconds();
             fast_forwarded += consumed;
             let stuck = consumed == 0 && !fs.all_done();
             phase = Phase::Functional(fs);
@@ -728,15 +709,6 @@ pub fn run_sampled_with_batch(
         unit += 1;
     }
 
-    if std::env::var("ISS_SAMPLING_TRACE").is_ok() {
-        eprintln!(
-            "sampling trace: restore {:.1}ms measure {:.1}ms extract {:.1}ms warm {:.1}ms",
-            t_restore * 1e3,
-            t_measure * 1e3,
-            t_extract * 1e3,
-            t_warm * 1e3
-        );
-    }
     // --- extrapolation -----------------------------------------------------
     let (total_instructions, per_core_insts, memory) = match &phase {
         Phase::Timed(m) => {

@@ -52,7 +52,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::batch::{try_run_batch_with_threads, SimJob};
 use crate::config::SystemConfig;
-use crate::env::try_configured_threads;
+use crate::env::THREADS;
 use crate::runner::CoreModel;
 use crate::runner::SimSummary;
 use crate::workload::WorkloadSpec;
@@ -392,11 +392,11 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Propagates expansion/validation errors and a malformed
-    /// `ISS_THREADS` value (via [`try_configured_threads`]); simulation
+    /// `ISS_THREADS` value (see [`THREADS`]); simulation
     /// panics inside a job surface as panics (they indicate bugs, not bad
     /// specs — every spec-level defect is caught by validation first).
     pub fn run(&self) -> Result<Vec<Record>, String> {
-        self.run_with_threads(try_configured_threads()?)
+        self.run_with_threads(THREADS.try_get()?)
     }
 
     /// [`SweepSpec::run`] on an explicit worker count. The frontier sweeps

@@ -68,24 +68,6 @@ pub struct ServeOptions {
     pub evict_on_start: bool,
 }
 
-impl ServeOptions {
-    /// Options from the environment knobs: `ISS_SERVE_WORKERS`,
-    /// `ISS_CACHE_DIR`, `ISS_CACHE_MAX_MB`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the loud rejection of a malformed knob (see
-    /// [`crate::env`]).
-    pub fn from_env() -> Result<ServeOptions, String> {
-        Ok(ServeOptions {
-            workers: crate::env::try_serve_workers_from_env()?,
-            cache_dir: crate::env::cache_dir_from_env(),
-            cache_max_bytes: Some(crate::env::try_cache_max_mb_from_env()? * 1024 * 1024),
-            evict_on_start: false,
-        })
-    }
-}
-
 /// Server counters, as returned by the `stats` command.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServeStats {

@@ -14,7 +14,7 @@
 //! * [`run_shard_jobs`] — the child side: run an explicit job-index list
 //!   serially, streaming one [`Record`] JSON line per job to a writer
 //!   (`iss run <spec> --jobs ...` wires it to stdout). Honors the
-//!   `ISS_FAULT_INJECT` variable ([`crate::env::parse_fault_spec`]) so
+//!   `ISS_FAULT_INJECT` variable ([`crate::env::FAULT_INJECT`]) so
 //!   tests can deterministically take a child down.
 //! * [`run_sharded_sweep`] — the supervisor: generic over a *launcher*
 //!   closure mapping a [`ShardTask`] to a [`Command`], so unit tests fake
@@ -37,7 +37,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use crate::batch::{try_run_batch_with_threads, FailureKind, JobFailure};
-use crate::env::{try_fault_from_env, FaultKind, DEFAULT_JOB_TIMEOUT_MS, DEFAULT_SHARD_RETRIES};
+use crate::env::{FaultKind, FAULT_INJECT, JOB_TIMEOUT_MS, SHARD_RETRIES};
 use crate::host_time::HostTimer;
 use crate::jsonval::{self, Json};
 use crate::scenario::jsonl::{parse_record_line, record_from_json, render_record_line};
@@ -88,8 +88,8 @@ impl ShardOptions {
     pub fn new(shards: usize) -> Self {
         ShardOptions {
             shards,
-            retries: DEFAULT_SHARD_RETRIES,
-            job_timeout_ms: DEFAULT_JOB_TIMEOUT_MS,
+            retries: SHARD_RETRIES.default_value(),
+            job_timeout_ms: JOB_TIMEOUT_MS.default_value(),
             backoff_base_ms: 100,
             backoff_cap_ms: 2_000,
             checkpoint: None,
@@ -184,7 +184,7 @@ pub fn run_shard_jobs(
     out: &mut dyn Write,
 ) -> Result<(), String> {
     let points = sweep.expand()?;
-    let fault = try_fault_from_env()?;
+    let fault = FAULT_INJECT.try_get()?;
     for &i in indices {
         let point = points.get(i).ok_or_else(|| {
             format!(

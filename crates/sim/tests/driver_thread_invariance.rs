@@ -4,10 +4,10 @@
 //! process environment with `std::env::set_var`, which is unsound when other
 //! threads concurrently read the environment (glibc `setenv`/`getenv` race).
 //! As the sole test it runs with no sibling test threads, and the batch
-//! workers it spawns never touch the environment (`configured_threads` is
-//! read on the calling thread before the pool starts).
+//! workers it spawns never touch the environment (`THREADS` is read on the
+//! calling thread before the pool starts).
 
-use iss_sim::batch::configured_threads;
+use iss_sim::env::THREADS;
 use iss_sim::experiments::{fig5, fig6, ExperimentScale};
 use iss_sim::Record;
 
@@ -26,11 +26,11 @@ fn driver_rows_are_identical_across_worker_counts() {
         seed: 5,
     };
     std::env::set_var("ISS_THREADS", "1");
-    assert_eq!(configured_threads(), 1);
+    assert_eq!(THREADS.get(), 1);
     let serial_fig5 = fig5(&["gcc", "mcf"], scale);
     let serial_fig6 = fig6(&["gzip"], &[1, 2], scale);
     std::env::set_var("ISS_THREADS", "4");
-    assert_eq!(configured_threads(), 4);
+    assert_eq!(THREADS.get(), 4);
     let parallel_fig5 = fig5(&["gcc", "mcf"], scale);
     let parallel_fig6 = fig6(&["gzip"], &[1, 2], scale);
     std::env::remove_var("ISS_THREADS");

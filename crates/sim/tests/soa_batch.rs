@@ -26,9 +26,9 @@
 //! process environment with `std::env::set_var`, which is unsound when other
 //! threads concurrently read the environment (glibc `setenv`/`getenv`
 //! race). As the sole test it runs with no sibling test threads, and the
-//! batch workers it spawns never touch the environment (both
-//! `configured_threads` and the warming batch size are read on the calling
-//! thread before any pool starts).
+//! batch workers it spawns never touch the environment (both the
+//! `ISS_THREADS` worker count and the warming batch size are read on the
+//! calling thread before any pool starts).
 
 use iss_branch::{BranchStats, BranchUnit};
 use iss_mem::MemoryHierarchy;

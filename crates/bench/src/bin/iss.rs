@@ -18,7 +18,11 @@
 //! `run` executes a scenario file (or a built-in figure sweep by name)
 //! through the generic engine and prints the unified record table plus,
 //! when the sweep carries a reference variant (`detailed` by default), the
-//! comparison view (CPI error, host-time speedup, CI coverage). With
+//! comparison view (CPI error, host-time speedup, CI coverage). The sweep's
+//! shape adds the figure views: STP/ANTT when a homogeneous multiprogram
+//! workload spans several copy counts, normalized execution time for
+//! multithreaded workloads, and the best point within 5% CPI error when
+//! the sweep has hybrid or sampled variants. With
 //! `--shard K/N` or `--jobs I,J,...` it instead becomes the *child* of a
 //! sharded sweep: it runs the selected expansion-order jobs serially and
 //! streams one `Record` JSON line per job to stdout (no tables).
@@ -47,23 +51,25 @@
 //! `list` names the built-in sweeps and any `.toml` files in a directory
 //! (default `examples/scenarios`).
 //! `export` writes a built-in sweep as a scenario file — the quickest way
-//! to start a new scenario: export the nearest figure, then edit knobs.
+//! to start a new scenario: export the nearest figure, then edit knobs
+//! (for example `benchmarks`, to run a figure over the whole catalog).
 //!
 //! The instruction budget of built-in sweeps follows
 //! `ISS_EXPERIMENT_SCALE`; files carry their own budgets.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use iss_bench::scenarios::{builtin_sweep, is_wall_clock_frontier, BUILTINS};
 use iss_sim::env::{
     self, CACHE_DIR, CACHE_MAX_MB, EXPERIMENT_SCALE, JOB_TIMEOUT_MS, SERVE_WORKERS, SHARDS,
     SHARD_RETRIES, THREADS,
 };
+use iss_sim::experiments::{builtin, BUILTINS};
 use iss_sim::report;
 use iss_sim::scenario::{render_records_json, render_records_jsonl};
 use iss_sim::shard::{run_shard_jobs, run_sharded_sweep, shard_job_indices, ShardOptions};
-use iss_sim::SweepSpec;
+use iss_sim::{CoreModel, SweepSpec, WorkloadSpec};
 
 const DEFAULT_SCENARIO_DIR: &str = "examples/scenarios";
 
@@ -111,7 +117,7 @@ fn export(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "--jsonl") {
         return export_jsonl(name, args.iter().skip(1).find(|a| *a != "--jsonl"));
     }
-    let Some(sweep) = builtin_sweep(name, EXPERIMENT_SCALE.get()) else {
+    let Some(sweep) = builtin(name, EXPERIMENT_SCALE.get()) else {
         eprintln!("iss export: `{name}` is not a built-in sweep (see `iss list`)");
         return ExitCode::FAILURE;
     };
@@ -163,7 +169,7 @@ fn load(target: &str) -> Result<SweepSpec, String> {
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         return SweepSpec::from_toml(&text).map_err(|e| format!("{}: {e}", path.display()));
     }
-    match builtin_sweep(target, EXPERIMENT_SCALE.get()) {
+    match builtin(target, EXPERIMENT_SCALE.get()) {
         Some(sweep) => Ok(sweep),
         None => Err(format!(
             "`{target}` is neither a readable spec file nor a built-in sweep \
@@ -298,20 +304,17 @@ fn run(args: &[String]) -> ExitCode {
             }
         };
     }
-    // A sweep whose rows compare host wall-clocks (the hybrid/sampling
-    // frontiers by name, or any sweep mixing hybrid/sampled variants with
-    // references) runs on one worker by default: concurrent jobs
+    // A sweep whose rows compare host wall-clocks (any sweep with hybrid or
+    // sampled variants) runs on one worker by default: concurrent jobs
     // time-slicing against each other would contaminate exactly the
     // speedup columns such sweeps exist to report. `--threads` overrides.
-    let frontier = is_wall_clock_frontier(&sweep.name)
-        || points.iter().any(|p| {
-            matches!(
-                p.model,
-                iss_sim::CoreModel::Hybrid(_) | iss_sim::CoreModel::Sampled(_)
-            )
-        });
+    let frontier: Vec<&str> = points
+        .iter()
+        .filter(|p| matches!(p.model, CoreModel::Hybrid(_) | CoreModel::Sampled(_)))
+        .map(|p| p.variant.as_str())
+        .collect();
     let threads = match threads {
-        None if frontier => 1,
+        None if !frontier.is_empty() => 1,
         flag => match THREADS.resolve(flag.as_deref()) {
             Ok(n) => n,
             Err(e) => {
@@ -334,17 +337,56 @@ fn run(args: &[String]) -> ExitCode {
         }
     };
     print!("{}", report::format_records_table(&sweep.name, &records));
-    let reference = reference.or_else(|| {
-        records
-            .iter()
-            .any(|r| r.variant == "detailed")
-            .then(|| "detailed".to_string())
-    });
-    if let Some(reference) = reference {
+    // The reference variant: `--reference`, else `detailed` when the sweep
+    // has one. Design-point sweeps label it per template (`2 cores +
+    // L2/detailed`); the normalized view matches it by suffix.
+    let explicit = reference.is_some();
+    let reference = reference.unwrap_or_else(|| "detailed".to_string());
+    let has_reference = explicit || records.iter().any(|r| r.variant == reference);
+    if has_reference {
         println!();
         print!(
             "{}",
             report::format_comparison_table(&sweep.name, &records, &reference)
+        );
+    }
+    // The figure views follow from the sweep's own shape.
+    let copies: BTreeSet<usize> = points
+        .iter()
+        .filter_map(|p| match p.workload {
+            WorkloadSpec::MultiprogramHomogeneous { copies, .. } => Some(copies),
+            _ => None,
+        })
+        .collect();
+    if copies.len() > 1 {
+        println!();
+        print!(
+            "{}",
+            report::format_stp_antt_table(
+                &format!("{} — STP and ANTT vs copies", sweep.name),
+                &records
+            )
+        );
+    }
+    let multithreaded = points
+        .iter()
+        .any(|p| matches!(p.workload, WorkloadSpec::Multithreaded { .. }));
+    if multithreaded && records.iter().any(|r| r.variant.ends_with(&reference)) {
+        println!();
+        print!(
+            "{}",
+            report::format_normalized_table(
+                &format!("{} — normalized execution time", sweep.name),
+                &records,
+                &reference
+            )
+        );
+    }
+    if has_reference && !frontier.is_empty() {
+        println!();
+        print!(
+            "{}",
+            report::format_best_point(&records, &reference, &frontier)
         );
     }
     if let Some(path) = json_path {
@@ -645,7 +687,7 @@ fn validate(args: &[String]) -> ExitCode {
                 );
                 // Validation accepts duplicate design points (they simulate
                 // fine, just redundantly); nudge toward the deeper check.
-                let mut digests = std::collections::BTreeSet::new();
+                let mut digests = BTreeSet::new();
                 if points
                     .iter()
                     .filter_map(|p| p.digest().ok())
@@ -744,7 +786,7 @@ fn lint(args: &[String]) -> ExitCode {
 
 fn list(args: &[String]) -> ExitCode {
     println!("built-in sweeps (run with `iss run <name>`):");
-    for (name, description) in BUILTINS {
+    for (name, description, _) in BUILTINS {
         println!("  {name:<14} {description}");
     }
     let dir = args

@@ -2,7 +2,7 @@
 //!
 //! Runs a fixed instruction budget per core model (single-threaded, so the
 //! number reported is the hot-loop speed, not the batch engine's), times the
-//! figure drivers through the parallel batch engine, and emits
+//! built-in figure sweeps through the parallel batch engine, and emits
 //! `BENCH_interval.json` with:
 //!
 //! * simulated MIPS per core model (single-thread),
@@ -18,7 +18,8 @@
 //!   scan, batched branch update) in MOPS on harvested columns — the perf
 //!   gate pins each as a host-normalized per-kernel floor,
 //! * the interval-vs-detailed simulation speedup,
-//! * wall-clock seconds per figure driver (these scale with `ISS_THREADS`).
+//! * wall-clock seconds per built-in figure sweep (these scale with
+//!   `ISS_THREADS`).
 //!
 //! Every measurement runs through the generic scenario engine: each model's
 //! throughput row is a one-model benchmark sweep executed on a single
@@ -37,7 +38,7 @@ use iss_branch::BranchUnit;
 use iss_mem::tlb::TlbConfig;
 use iss_mem::{Cache, CacheConfig, LineState, MemoryHierarchy, Tlb};
 use iss_sim::env::{BENCH_OUT, EXPERIMENT_SCALE, THREADS};
-use iss_sim::experiments::{self, default_sampling_specs, ExperimentScale, Fig4Variant};
+use iss_sim::experiments::{builtin, default_sampling_specs, ExperimentScale};
 use iss_sim::runner::CoreModel;
 use iss_sim::scenario::{ScenarioSpec, SweepSpec};
 use iss_sim::{SystemConfig, WorkloadSpec};
@@ -358,21 +359,38 @@ fn measure_reference_kernel() -> f64 {
     REFERENCE_ITERS as f64 / best / 1e6
 }
 
-/// Wall-clock of one figure driver (runs through `run_batch`, so this is the
-/// number that drops when `ISS_THREADS` rises).
+/// Wall-clock of one built-in sweep (runs through `run_batch`, so this is
+/// the number that drops when `ISS_THREADS` rises).
 struct DriverTiming {
     name: &'static str,
     seconds: f64,
     rows: usize,
 }
 
-fn time_driver(name: &'static str, f: impl FnOnce() -> usize) -> DriverTiming {
+/// Times the `name` built-in at `scale`, cut down to `benchmarks` (and to
+/// `cores` when non-empty). Wall-clock frontiers pass `threads = Some(1)`.
+fn time_driver(
+    name: &'static str,
+    benchmarks: &[&str],
+    cores: &[usize],
+    threads: Option<usize>,
+    scale: ExperimentScale,
+) -> DriverTiming {
+    let mut sweep = builtin(name, scale).unwrap_or_else(|| panic!("unknown builtin {name}"));
+    sweep.benchmarks = benchmarks.iter().map(|b| (*b).to_string()).collect();
+    if !cores.is_empty() {
+        sweep.cores = cores.to_vec();
+    }
     let start = HostTimer::start();
-    let rows = f();
+    let records = match threads {
+        Some(threads) => sweep.run_with_threads(threads),
+        None => sweep.run(),
+    }
+    .unwrap_or_else(|e| panic!("perf driver {name} failed: {e}"));
     DriverTiming {
         name,
         seconds: start.elapsed_seconds(),
-        rows,
+        rows: records.len(),
     }
 }
 
@@ -380,25 +398,15 @@ fn time_drivers(scale: ExperimentScale) -> Vec<DriverTiming> {
     let spec2 = &SPEC_QUICK[..2];
     let parsec2 = &PARSEC_QUICK[..2];
     vec![
-        time_driver("fig4", || {
-            experiments::fig4(Fig4Variant::EffectiveDispatchRate, &SPEC_QUICK, scale).len()
-        }),
-        time_driver("fig5", || experiments::fig5(&SPEC_QUICK, scale).len()),
-        time_driver("fig6", || experiments::fig6(spec2, &[1, 2, 4], scale).len()),
-        time_driver("fig7", || {
-            experiments::fig7(parsec2, &[1, 2, 4], scale).len()
-        }),
-        time_driver("fig8", || experiments::fig8(parsec2, scale).len()),
-        time_driver("fig9", || experiments::fig9(spec2, &[1, 4], scale).len()),
-        time_driver("fig10", || {
-            experiments::fig10(parsec2, &[1, 4], scale).len()
-        }),
-        time_driver("ablation", || {
-            experiments::ablation(&SPEC_QUICK, scale).len()
-        }),
-        time_driver("fig_sampling", || {
-            experiments::fig_sampling(spec2, &default_sampling_specs(scale), scale).len()
-        }),
+        time_driver("fig4-dispatch", &SPEC_QUICK, &[], None, scale),
+        time_driver("fig5", &SPEC_QUICK, &[], None, scale),
+        time_driver("fig6", spec2, &[1, 2, 4], None, scale),
+        time_driver("fig7", parsec2, &[1, 2, 4], None, scale),
+        time_driver("fig8", parsec2, &[], None, scale),
+        time_driver("fig9", spec2, &[1, 4], None, scale),
+        time_driver("fig10", parsec2, &[1, 4], None, scale),
+        time_driver("ablation", &SPEC_QUICK, &[], None, scale),
+        time_driver("sampling", spec2, &[], Some(1), scale),
     ]
 }
 
@@ -532,10 +540,10 @@ fn main() {
     let drivers = if no_figures {
         Vec::new()
     } else {
-        println!("timing figure drivers with {threads} worker thread(s)...");
+        println!("timing built-in sweeps with {threads} worker thread(s)...");
         let drivers = time_drivers(scale);
         for d in &drivers {
-            println!("{:<10} {:>10.3}s {:>5} rows", d.name, d.seconds, d.rows);
+            println!("{:<14} {:>10.3}s {:>5} rows", d.name, d.seconds, d.rows);
         }
         drivers
     };

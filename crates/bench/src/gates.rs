@@ -25,9 +25,7 @@
 use std::fmt::Write as _;
 
 pub use iss_lint::ModelMips;
-use iss_sim::experiments::{
-    self, default_hybrid_policies, default_sampling_specs, ExperimentScale, Fig4Variant,
-};
+use iss_sim::experiments::{builtin, ExperimentScale};
 use iss_sim::jsonval::{self, Json};
 use iss_sim::report;
 use iss_sim::Record;
@@ -209,9 +207,9 @@ pub fn diff_accuracy(golden: &GoldenAccuracy, current: &[GoldenRow]) -> Vec<Stri
 }
 
 /// Computes the current accuracy rows: all four Figure 4 variants, Figure 5,
-/// and the hybrid/sampling frontiers under their default sweeps — all
-/// through the generic scenario engine, paired out of the unified
-/// [`Record`] rows.
+/// and the hybrid/sampling frontiers, each its built-in sweep over
+/// `benchmarks` — all through the generic scenario engine, paired out of
+/// the unified [`Record`] rows.
 ///
 /// The error formulas are the figures' own: per-core IPC error for the
 /// single-threaded accuracy figures, whole-run CPI error (against the
@@ -221,26 +219,34 @@ pub fn diff_accuracy(golden: &GoldenAccuracy, current: &[GoldenRow]) -> Vec<Stri
 ///
 /// # Panics
 ///
-/// Panics when a comparison group comes back without its reference record
-/// (impossible for the sweeps this function constructs).
+/// Panics when a sweep fails (unknown benchmark) or a comparison group
+/// comes back without its reference record.
 #[must_use]
 pub fn compute_accuracy_rows(benchmarks: &[&str], scale: ExperimentScale) -> Vec<GoldenRow> {
+    // The frontiers compare wall-clocks, so they run on one worker like
+    // `iss run` does; the error columns are worker-count invariant anyway.
+    let run = |name: &str, threads: Option<usize>| {
+        let mut sweep = builtin(name, scale).expect("accuracy sweeps are built-ins");
+        sweep.benchmarks = benchmarks.iter().map(|b| (*b).to_string()).collect();
+        match threads {
+            Some(threads) => sweep.run_with_threads(threads),
+            None => sweep.run(),
+        }
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
     let mut rows = Vec::new();
-    for variant in Fig4Variant::all() {
-        rows.extend(ipc_error_rows(&experiments::fig4(
-            variant, benchmarks, scale,
-        )));
+    for name in [
+        "fig4-dispatch",
+        "fig4-icache",
+        "fig4-branch",
+        "fig4-l2",
+        "fig5",
+    ] {
+        rows.extend(ipc_error_rows(&run(name, None)));
     }
-    rows.extend(ipc_error_rows(&experiments::fig5(benchmarks, scale)));
-    let policies = default_hybrid_policies(scale);
+    rows.extend(cpi_error_rows(&run("hybrid", Some(1)), "hybrid-", ""));
     rows.extend(cpi_error_rows(
-        &experiments::fig_hybrid(benchmarks, &policies, scale),
-        "hybrid-",
-        "",
-    ));
-    let specs = default_sampling_specs(scale);
-    rows.extend(cpi_error_rows(
-        &experiments::fig_sampling(benchmarks, &specs, scale),
+        &run("sampling", Some(1)),
         "sampled-",
         "sampling-",
     ));

@@ -1,16 +1,17 @@
-//! # iss-bench — the `iss` scenario CLI, figure shims and benchmarks
+//! # iss-bench — the `iss` scenario CLI, CI gates and benchmarks
 //!
 //! The `iss` binary is the front door: `iss run <spec-or-figure>` executes
 //! any scenario file or built-in figure sweep through the generic scenario
 //! engine, `iss validate` checks spec files without simulating, `iss list`
-//! names what is available. The per-figure binaries (`fig4` .. `fig10`,
-//! `fig_hybrid`, `fig_sampling`, `ablation`, `table1`) are thin shims over
-//! the same built-in sweeps ([`scenarios`]), kept for CI and muscle
-//! memory; the Criterion benches under `benches/` measure the host-side
-//! cost of interval vs detailed simulation (the quantity behind Figures 9
-//! and 10).
+//! names what is available. The built-in sweeps are the checked-in files
+//! under `examples/scenarios/` (see [`iss_sim::experiments::builtin`]);
+//! `table1` prints the Table 1 configuration. The gate binaries
+//! (`accuracy_gate`, `perf`, `perf_gate`) pin accuracy and speed in CI
+//! ([`gates`]), and the Criterion benches under `benches/` measure the
+//! host-side cost of interval vs detailed simulation (the quantity behind
+//! Figures 9 and 10).
 //!
-//! The instruction budget of the binaries is controlled by the
+//! The instruction budget of the built-in sweeps is controlled by the
 //! `ISS_EXPERIMENT_SCALE` environment variable: `quick` (default for CI
 //! smoke runs), `full` (the paper-style runs), or a number of instructions
 //! per benchmark.
@@ -19,22 +20,18 @@
 #![warn(missing_docs)]
 
 pub mod gates;
-pub mod scenarios;
 
 // The scale knob lives in the shared `iss_sim::env` table; re-exported here
 // so every bench binary (and downstream user) reaches it through one path
 // with one loud-failure contract.
 pub use iss_sim::env::EXPERIMENT_SCALE;
 
-/// The subset of SPEC benchmarks used when a binary is asked for a quick run
-/// (one representative per behaviour class).
+/// The SPEC benchmarks the gates measure (one representative per behaviour
+/// class; the same set the built-in sweeps use).
 pub const SPEC_QUICK: [&str; 6] = ["gcc", "gzip", "mcf", "twolf", "swim", "mesa"];
 
-/// The subset of PARSEC benchmarks used for quick runs.
+/// The PARSEC benchmarks of the built-in multithreaded sweeps.
 pub const PARSEC_QUICK: [&str; 4] = ["blackscholes", "canneal", "fluidanimate", "vips"];
-
-/// Core counts swept by the multi-core figures.
-pub const CORE_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 #[cfg(test)]
 mod tests {

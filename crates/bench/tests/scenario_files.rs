@@ -1,11 +1,9 @@
 //! The checked-in scenario files under `examples/scenarios/` are the
-//! public face of the experiment harness; these tests pin them to the
-//! Rust constructors so neither side can silently drift.
+//! public face of the experiment harness (the built-in figure sweeps are
+//! these files); these tests pin that every file parses and expands.
 
 use std::path::PathBuf;
 
-use iss_bench::scenarios::{builtin_sweep, BUILTINS};
-use iss_sim::experiments::ExperimentScale;
 use iss_sim::runner::CoreModel;
 use iss_sim::SweepSpec;
 
@@ -20,25 +18,8 @@ fn read_sweep(file: &str) -> SweepSpec {
     SweepSpec::from_toml(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Every built-in figure sweep has a checked-in mirror file that parses to
-/// an **equal** `SweepSpec` — edit either side and this fails until the
-/// other follows.
-#[test]
-fn checked_in_figure_files_mirror_the_builtin_sweeps() {
-    let scale = ExperimentScale::quick();
-    for (name, _) in BUILTINS {
-        let from_file = read_sweep(&format!("{name}.toml"));
-        let from_rust = builtin_sweep(name, scale).expect("builtin resolves");
-        assert_eq!(
-            from_file, from_rust,
-            "`examples/scenarios/{name}.toml` drifted from the `{name}` builtin \
-             (regenerate with `iss export {name} examples/scenarios/{name}.toml`)"
-        );
-    }
-}
-
-/// Every file in the directory — including scenarios with no Rust
-/// counterpart — parses, expands and validates.
+/// Every file in the directory — the built-in figures and the other
+/// scenarios — parses, expands and validates.
 #[test]
 fn every_checked_in_file_parses_and_expands() {
     let dir = scenario_dir();
@@ -58,7 +39,7 @@ fn every_checked_in_file_parses_and_expands() {
         assert!(!points.is_empty(), "{} expands to nothing", path.display());
         checked += 1;
     }
-    // The 13 figure mirrors plus the heterogeneous showcase scenario.
+    // The 13 built-in figures plus the heterogeneous showcase scenario.
     assert!(checked >= 14, "only {checked} scenario files found");
 }
 

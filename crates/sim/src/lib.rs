@@ -1,4 +1,4 @@
-//! # iss-sim — simulation harness, metrics and experiment drivers
+//! # iss-sim — simulation harness, metrics and the built-in figure sweeps
 //!
 //! This crate ties the substrates together into the tool a user actually
 //! runs: a [`config::SystemConfig`] describing the simulated chip (Table 1 of
@@ -7,13 +7,14 @@
 //! models (interval, detailed cycle-accurate, one-IPC), the multi-program
 //! [`metrics`] the paper reports (IPC, STP, ANTT, normalized execution time,
 //! relative error), and the declarative [`scenario`] engine: every
-//! experiment — including each figure of the paper's evaluation section
-//! ([`experiments`]) — is a [`scenario::ScenarioSpec`]/[`scenario::SweepSpec`]
+//! experiment is a [`scenario::ScenarioSpec`]/[`scenario::SweepSpec`]
 //! that expands into a deterministic job batch and reports unified
 //! [`scenario::Record`] rows (formatted by [`report`]). Sweeps execute
 //! through the parallel [`batch`] engine (`ISS_THREADS` workers,
 //! deterministic job-ordered results); scenario files (a strict TOML
 //! subset) describe the same surface, so new experiments are data files.
+//! Each figure of the paper's evaluation section is such a file, embedded
+//! as a built-in sweep ([`experiments::builtin`]).
 //!
 //! ```
 //! use iss_sim::config::SystemConfig;

@@ -342,6 +342,51 @@ pub fn format_normalized_table(title: &str, records: &[Record], reference: &str)
     out
 }
 
+/// The one-line verdict of a speed-vs-accuracy frontier (a sweep with
+/// hybrid or sampled variants): the fastest `candidates` record within 5%
+/// CPI error of its group's `reference`, with its 95% interval when it has
+/// one, or a line saying no candidate got that close.
+#[must_use]
+pub fn format_best_point(records: &[Record], reference: &str, candidates: &[&str]) -> String {
+    let best = groups(records)
+        .into_iter()
+        .filter_map(|group| {
+            let reference = group.variant(reference).filter(|r| !r.is_quarantined())?;
+            group
+                .records
+                .iter()
+                .filter(|r| {
+                    candidates.contains(&r.variant.as_str())
+                        && !r.is_quarantined()
+                        && r.cpi_error_vs(reference) <= 0.05
+                })
+                .map(|&r| {
+                    (
+                        r,
+                        group.key,
+                        r.speedup_vs(reference),
+                        r.cpi_error_vs(reference),
+                    )
+                })
+                .max_by(|a, b| a.2.total_cmp(&b.2))
+        })
+        .max_by(|a, b| a.2.total_cmp(&b.2));
+    match best {
+        Some((r, benchmark, speedup, error)) => {
+            let ci = r
+                .ci95_half_width()
+                .map_or_else(String::new, |w| format!(" (95% CI half-width {w:.3} CPI)"));
+            format!(
+                "best point within 5% CPI error: {} on {benchmark} — {speedup:.1}x at {:.1}% \
+                 error{ci}\n",
+                r.variant,
+                error * 100.0
+            )
+        }
+        None => "no point stayed within 5% CPI error at this scale\n".to_string(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,6 +509,27 @@ mod tests {
         assert!(t.contains("1.000"), "reference row: {t}");
         assert!(t.contains("0.600"), "scaled detailed row: {t}");
         assert!(t.contains("0.550"), "scaled interval row: {t}");
+    }
+
+    #[test]
+    fn best_point_is_the_fastest_candidate_within_five_percent() {
+        let records = vec![
+            record("gcc", "detailed", 1, 2_000, 8.0),
+            record("gcc", "interval", 1, 2_050, 0.5),
+            record("gcc", "hybrid-periodic-4@2000", 1, 2_060, 2.0),
+            record("gcc", "hybrid-always-interval@2000", 1, 2_400, 1.0),
+            record("mcf", "detailed", 1, 4_000, 8.0),
+            record("mcf", "hybrid-periodic-4@2000", 1, 4_040, 4.0),
+        ];
+        let candidates = ["hybrid-periodic-4@2000", "hybrid-always-interval@2000"];
+        // `interval` is faster but no candidate; always-interval is 20% off.
+        let line = format_best_point(&records, "detailed", &candidates);
+        assert_eq!(
+            line,
+            "best point within 5% CPI error: hybrid-periodic-4@2000 on gcc — 4.0x at 3.0% error\n"
+        );
+        let line = format_best_point(&records[..4], "detailed", &candidates[1..]);
+        assert_eq!(line, "no point stayed within 5% CPI error at this scale\n");
     }
 
     #[test]

@@ -156,46 +156,6 @@ impl MachineSpec {
         }
     }
 
-    /// Figure 4(a): perfect branch predictor, I-side and L2 — only the L1
-    /// D-cache is real.
-    #[must_use]
-    pub fn fig4_effective_dispatch_rate() -> Self {
-        let mut m = Self::hpca2010();
-        m.overrides.perfect_branch = true;
-        m.overrides.perfect_iside = true;
-        m.overrides.perfect_l2 = true;
-        m
-    }
-
-    /// Figure 4(b): perfect branch predictor and D-side — only the I-cache
-    /// and I-TLB are real.
-    #[must_use]
-    pub fn fig4_icache() -> Self {
-        let mut m = Self::hpca2010();
-        m.overrides.perfect_branch = true;
-        m.overrides.perfect_dside = true;
-        m
-    }
-
-    /// Figure 4(c): all caches perfect — only the branch predictor is real.
-    #[must_use]
-    pub fn fig4_branch_prediction() -> Self {
-        let mut m = Self::hpca2010();
-        m.overrides.perfect_iside = true;
-        m.overrides.perfect_dside = true;
-        m
-    }
-
-    /// Figure 4(d): perfect branch predictor and I-side — the L1 D-cache
-    /// and L2 are real.
-    #[must_use]
-    pub fn fig4_l2() -> Self {
-        let mut m = Self::hpca2010();
-        m.overrides.perfect_branch = true;
-        m.overrides.perfect_iside = true;
-        m
-    }
-
     /// Returns a copy with an explicit core count.
     #[must_use]
     pub fn with_cores(mut self, cores: usize) -> Self {
@@ -331,26 +291,27 @@ mod tests {
 
     #[test]
     fn fig4_presets_resolve_bit_identically_to_the_legacy_constructors() {
-        // The accuracy gate's golden numbers depend on these configs being
-        // *exactly* the legacy ones, not merely similar.
-        assert_eq!(
-            MachineSpec::fig4_effective_dispatch_rate()
+        // The accuracy gate's golden numbers depend on the Figure 4 files'
+        // machines being *exactly* the legacy configs, not merely similar.
+        let quick = crate::experiments::ExperimentScale::quick();
+        let machine = |name: &str| {
+            crate::experiments::builtin(name, quick)
+                .expect("builtin resolves")
+                .templates[0]
+                .machine
                 .resolve(1)
-                .unwrap(),
+                .unwrap()
+        };
+        assert_eq!(
+            machine("fig4-dispatch"),
             SystemConfig::fig4_effective_dispatch_rate()
         );
+        assert_eq!(machine("fig4-icache"), SystemConfig::fig4_icache());
         assert_eq!(
-            MachineSpec::fig4_icache().resolve(1).unwrap(),
-            SystemConfig::fig4_icache()
-        );
-        assert_eq!(
-            MachineSpec::fig4_branch_prediction().resolve(1).unwrap(),
+            machine("fig4-branch"),
             SystemConfig::fig4_branch_prediction()
         );
-        assert_eq!(
-            MachineSpec::fig4_l2().resolve(1).unwrap(),
-            SystemConfig::fig4_l2()
-        );
+        assert_eq!(machine("fig4-l2"), SystemConfig::fig4_l2());
     }
 
     #[test]

@@ -297,7 +297,7 @@ impl Server {
     }
 
     /// Accepts connections until a `shutdown` command arrives, one thread
-    /// per connection, then joins every connection thread and returns.
+    /// per connection, then joins every live connection thread and returns.
     ///
     /// # Errors
     ///
@@ -312,6 +312,9 @@ impl Server {
             let stream = stream.map_err(|e| format!("accept failed: {e}"))?;
             let shared = Arc::clone(&self.shared);
             let self_addr = addr.clone();
+            // Reap connections that have closed: an exited thread keeps its
+            // stack mapped until it is joined.
+            handles.retain(|h: &std::thread::JoinHandle<()>| !h.is_finished());
             handles.push(std::thread::spawn(move || {
                 handle_connection(&shared, stream, &self_addr);
             }));

@@ -3,7 +3,7 @@
 //! of hybrid batch rows, and the speed-vs-accuracy acceptance frontier.
 
 use iss_sim::batch::run_batch_with_threads;
-use iss_sim::experiments::{default_hybrid_policies, fig_hybrid, ExperimentScale};
+use iss_sim::experiments::{builtin, default_hybrid_policies, ExperimentScale};
 use iss_sim::hybrid::HybridSpec;
 use iss_sim::model::{AnyMachine, CpuModel};
 use iss_sim::runner::{run, BaseModel, CoreModel};
@@ -186,7 +186,10 @@ fn hybrid_batch_rows_are_worker_count_invariant() {
 fn frontier_contains_a_2x_faster_point_within_5_percent_error() {
     let scale = ExperimentScale::quick();
     let policies = default_hybrid_policies(scale);
-    let records = fig_hybrid(&["gcc", "gzip", "mcf", "twolf"], &policies, scale);
+    let mut sweep = builtin("hybrid", scale).unwrap();
+    sweep.benchmarks.truncate(4);
+    assert_eq!(sweep.benchmarks, ["gcc", "gzip", "mcf", "twolf"]);
+    let records = sweep.run_with_threads(1).unwrap();
     // One detailed reference plus one hybrid record per policy, per
     // benchmark.
     assert_eq!(records.len(), 4 * (1 + policies.len()));

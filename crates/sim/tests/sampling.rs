@@ -4,7 +4,7 @@
 //! acceptance frontier.
 
 use iss_sim::batch::run_batch_with_threads;
-use iss_sim::experiments::{default_sampling_specs, fig_sampling, ExperimentScale};
+use iss_sim::experiments::{builtin, default_sampling_specs, ExperimentScale};
 use iss_sim::runner::{run, BaseModel, CoreModel};
 use iss_sim::sampling::SamplingSpec;
 use iss_sim::{SimJob, SystemConfig, WorkloadSpec};
@@ -111,7 +111,11 @@ fn frontier_has_a_fast_point_within_5_percent_average_error() {
     let specs = default_sampling_specs(scale);
     let acceptance = specs[0];
     assert_eq!(acceptance.measure, BaseModel::Detailed);
-    let records = fig_sampling(&SPEC_QUICK, &[acceptance], scale);
+    let mut sweep = builtin("sampling", scale).unwrap();
+    sweep.models.truncate(2); // the detailed and interval references
+    sweep.models.push(CoreModel::Sampled(acceptance));
+    assert_eq!(sweep.benchmarks, SPEC_QUICK);
+    let records = sweep.run_with_threads(1).unwrap();
     // Per benchmark: detailed + interval references and the sampled point.
     assert_eq!(records.len(), SPEC_QUICK.len() * 3);
     let rows: Vec<(&iss_sim::Record, &iss_sim::Record)> = iss_sim::report::groups(&records)

@@ -8,6 +8,7 @@
 //! `parse(render(x)) == x` across that surface so spec files cannot
 //! silently drift from the Rust types.
 
+use iss_sim::experiments::{builtin, ExperimentScale};
 use iss_sim::hybrid::HybridSpec;
 use iss_sim::runner::{BaseModel, CoreModel};
 use iss_sim::sampling::SamplingSpec;
@@ -21,12 +22,13 @@ fn machine_grid() -> Vec<MachineSpec> {
         MachineSpec::hpca2010(),
         MachineSpec::fig8_dual_core_l2(),
         MachineSpec::fig8_quad_core_3d(),
-        MachineSpec::fig4_effective_dispatch_rate(),
-        MachineSpec::fig4_icache(),
-        MachineSpec::fig4_branch_prediction(),
-        MachineSpec::fig4_l2(),
         MachineSpec::hpca2010().with_cores(8),
     ];
+    // The Figure 4 component-isolation machines.
+    for name in ["fig4-dispatch", "fig4-icache", "fig4-branch", "fig4-l2"] {
+        let sweep = builtin(name, ExperimentScale::quick()).expect("builtin resolves");
+        grid.push(sweep.templates[0].machine);
+    }
     let knobs: Vec<MachineOverrides> = vec![
         MachineOverrides {
             no_l2: true,

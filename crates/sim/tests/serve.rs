@@ -217,3 +217,45 @@ fn the_store_outlives_the_server_across_restarts() {
     let recold = run_once(&evicting);
     assert_eq!(recold.misses, 4, "--evict must start from an empty store");
 }
+
+/// Mapped regions of this process (one line each in `/proc/self/maps`).
+#[cfg(target_os = "linux")]
+fn mapping_count() -> usize {
+    std::fs::read_to_string("/proc/self/maps")
+        .expect("read /proc/self/maps")
+        .lines()
+        .count()
+}
+
+/// A closed connection must not keep its thread's stack mapped until
+/// shutdown: hundreds of short connections leave the mapping count close
+/// to where it started, and the server still answers.
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_threads() {
+    const CONNECTIONS: usize = 400;
+    let (addr, handle) = start("reap", 1);
+    // Warm up once so lazily mapped state (allocator arenas, the store)
+    // is not counted as growth.
+    Client::connect(&addr)
+        .expect("connect")
+        .stats()
+        .expect("stats");
+    let before = mapping_count();
+    for _ in 0..CONNECTIONS {
+        drop(Client::connect(&addr).expect("connect"));
+    }
+    let mut client = Client::connect(&addr).expect("connect");
+    let stats = client.stats().expect("stats after many connections");
+    assert_eq!(
+        stats.requests, 0,
+        "stats requests are not simulation requests"
+    );
+    let grown = mapping_count().saturating_sub(before);
+    assert!(
+        grown < CONNECTIONS / 4,
+        "{grown} new mappings after {CONNECTIONS} closed connections"
+    );
+    client.shutdown().expect("shutdown");
+    assert_eq!(handle.join().expect("join"), Ok(()));
+}

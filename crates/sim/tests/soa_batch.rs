@@ -32,9 +32,9 @@
 
 use iss_branch::{BranchStats, BranchUnit};
 use iss_mem::MemoryHierarchy;
-use iss_sim::experiments::{default_sampling_specs, fig_sampling, ExperimentScale};
+use iss_sim::experiments::{builtin, default_sampling_specs, ExperimentScale};
 use iss_sim::sampling::{run_sampled_with_batch, SamplingSpec};
-use iss_sim::{BaseModel, Record, SimSummary, SystemConfig, WorkloadSpec};
+use iss_sim::{BaseModel, CoreModel, Record, SimSummary, SystemConfig, WorkloadSpec};
 use iss_trace::{catalog, BranchInfo, InstructionStream, MemAccess, SyntheticStream, ThreadId};
 
 /// Fetch-batching grain of the sampled warming path (64-byte lines).
@@ -335,13 +335,18 @@ fn soa_batched_paths_are_bit_identical_to_scalar() {
         parsec_length: 40_000,
         seed: 11,
     };
-    let sampling_spec = default_sampling_specs(scale)[0];
+    let mut sweep = builtin("sampling", scale).unwrap();
+    sweep.benchmarks = vec!["gcc".into(), "mcf".into()];
+    sweep.models.truncate(2); // the detailed and interval references
+    sweep
+        .models
+        .push(CoreModel::Sampled(default_sampling_specs(scale)[0]));
     std::env::set_var("ISS_WARM_BATCH", "1");
     std::env::set_var("ISS_THREADS", "1");
-    let serial = fig_sampling(&["gcc", "mcf"], &[sampling_spec], scale);
+    let serial = sweep.run().unwrap();
     std::env::remove_var("ISS_WARM_BATCH");
     std::env::set_var("ISS_THREADS", "4");
-    let parallel = fig_sampling(&["gcc", "mcf"], &[sampling_spec], scale);
+    let parallel = sweep.run().unwrap();
     std::env::remove_var("ISS_THREADS");
     assert_eq!(canonical(&serial), canonical(&parallel));
 }

@@ -4,12 +4,12 @@
 //! units: the streams must advance (so the measured units see the right part
 //! of the execution) and the long-lived microarchitectural state — branch
 //! tables and the cache hierarchy — must stay warm, but no cycles need to be
-//! accounted. [`fast_forward`] is that path: it drains instructions from the
-//! per-core [`CheckpointStream`]s as fast as they can be generated, hands
-//! every instruction to an observer callback (the sampling controller warms
-//! branch predictors and the memory hierarchy there), and keeps the shared
-//! [`SyncController`] consistent so barriers, locks and joins hold across
-//! functional and timed execution alike.
+//! accounted. [`fast_forward_batched`] is that path: it drains instructions
+//! from the per-core [`CheckpointStream`]s as fast as they can be generated,
+//! hands them in structure-of-arrays batches to an observer callback (the
+//! sampling controller warms branch predictors and the memory hierarchy
+//! there), and keeps the shared [`SyncController`] consistent so barriers,
+//! locks and joins hold across functional and timed execution alike.
 //!
 //! Everything here is driven by simulated state only — stream contents and
 //! synchronization outcomes — so a fast-forwarded prefix is exactly as
@@ -167,8 +167,7 @@ impl InstBatch {
 }
 
 /// Applies the synchronization side effect of one consumed instruction.
-/// Shared by the scalar and batched fast-forward paths so they cannot
-/// diverge.
+/// Shared with the scalar test oracle so the two cannot diverge.
 fn apply_sync(sync: &mut SyncController, core: ThreadId, op: SyncOp) {
     match op {
         SyncOp::BarrierArrive { id } => {
@@ -186,7 +185,8 @@ fn apply_sync(sync: &mut SyncController, core: ThreadId, op: SyncOp) {
 }
 
 /// Advances every core's stream functionally by (up to) `budget` instructions
-/// chip-wide, honoring synchronization.
+/// chip-wide, honoring synchronization, and hands the consumed instructions
+/// to `observe_batch` decoded into the structure-of-arrays `batch`.
 ///
 /// Cores are advanced round-robin in deterministic order, each receiving an
 /// equal share of the budget. A core stops early when it finishes its stream
@@ -194,85 +194,18 @@ fn apply_sync(sync: &mut SyncController, core: ThreadId, op: SyncOp) {
 /// long as any core still makes progress, so a barrier arrival by a later
 /// core wakes an earlier one within the same call. When the remaining cores
 /// are all blocked, finished, or out of budget, the call returns — the next
-/// unit (functional or timed) picks up from a consistent state.
+/// unit (functional or timed) picks up from a consistent state. Every
+/// consumed instruction is counted into `per_core[core].instructions`;
+/// cores that exhaust their stream are marked done in `per_core` and
+/// finished in `sync`.
 ///
-/// Every consumed instruction is passed to `observe` (with its core index)
-/// before its synchronization side effects are applied, and is counted into
-/// `per_core[core].instructions`. Cores that exhaust their stream are marked
-/// done in `per_core` and finished in `sync`.
-///
-/// Returns the number of instructions consumed chip-wide.
-///
-/// # Panics
-///
-/// Panics if `streams` and `per_core` disagree on the number of cores.
-pub fn fast_forward(
-    streams: &mut [CheckpointStream],
-    sync: &mut SyncController,
-    per_core: &mut [CoreResume],
-    budget: u64,
-    observe: &mut dyn FnMut(ThreadId, &DynInst),
-) -> u64 {
-    assert_eq!(
-        streams.len(),
-        per_core.len(),
-        "one resume entry per core stream is required"
-    );
-    let num_cores = streams.len();
-    let live = per_core.iter().filter(|c| !c.done).count() as u64;
-    if live == 0 || budget == 0 {
-        return 0;
-    }
-    // Equal shares, remainder to the lowest-numbered live cores.
-    let mut share: Vec<u64> = vec![0; num_cores];
-    let (base, mut extra) = (budget / live, budget % live);
-    for (core, resume) in per_core.iter().enumerate() {
-        if !resume.done {
-            share[core] = base + u64::from(extra > 0);
-            extra = extra.saturating_sub(1);
-        }
-    }
-
-    let mut consumed = 0u64;
-    loop {
-        let mut progressed = false;
-        for core in 0..num_cores {
-            let mut turn = ROUND_ROBIN_CHUNK.min(share[core]);
-            while turn > 0 && !per_core[core].done && !sync.is_blocked(core) {
-                let Some(inst) = streams[core].next_inst() else {
-                    per_core[core].done = true;
-                    sync.mark_finished(core);
-                    break;
-                };
-                observe(core, &inst);
-                if let Some(op) = inst.sync {
-                    apply_sync(sync, core, op);
-                }
-                per_core[core].instructions += 1;
-                share[core] -= 1;
-                turn -= 1;
-                consumed += 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    consumed
-}
-
-/// Batched sibling of [`fast_forward`]: identical scheduling, consumption
-/// and synchronization semantics, but consumed instructions are decoded into
-/// the structure-of-arrays `batch` and handed to `observe_batch` a batch at
-/// a time instead of one [`DynInst`] at a time.
-///
-/// The equivalence contract, relied on by the sampled-simulation warming
-/// path and pinned by differential tests:
+/// The batching contract, relied on by the sampled-simulation warming path
+/// and pinned by differential tests against a one-instruction-at-a-time
+/// scalar oracle:
 ///
 /// * The instruction sequence each core consumes — and therefore every
 ///   stream position, per-core count and synchronization outcome — is
-///   byte-identical to [`fast_forward`] under the same budget.
+///   independent of the batch capacity.
 /// * Batches never span a scheduling boundary: each flush contains
 ///   instructions of a single core, in consumption order.
 /// * A batch is cut at (and includes) any instruction carrying a
@@ -280,8 +213,8 @@ pub fn fast_forward(
 ///   effects are applied, mirroring the scalar observe-then-sync order, so
 ///   a blocking acquire or barrier arrival is observed exactly once and
 ///   nothing past it is consumed prematurely.
-/// * `batch` capacity 1 degenerates to the scalar path: every instruction
-///   is flushed individually.
+/// * `batch` capacity 1 degenerates to a scalar walk: every instruction is
+///   flushed individually.
 ///
 /// Returns the number of instructions consumed chip-wide.
 ///
@@ -306,8 +239,7 @@ pub fn fast_forward_batched(
     if live == 0 || budget == 0 {
         return 0;
     }
-    // Equal shares, remainder to the lowest-numbered live cores — the same
-    // split the scalar path computes.
+    // Equal shares, remainder to the lowest-numbered live cores.
     let mut share: Vec<u64> = vec![0; num_cores];
     let (base, mut extra) = (budget / live, budget % live);
     for (core, resume) in per_core.iter().enumerate() {
@@ -387,6 +319,65 @@ mod tests {
             };
             n
         ]
+    }
+
+    /// The scalar fast-forward, the oracle [`fast_forward_batched`] is
+    /// pinned to: the same scheduler, handing each consumed instruction to
+    /// `observe` before its synchronization side effects are applied.
+    fn fast_forward(
+        streams: &mut [CheckpointStream],
+        sync: &mut SyncController,
+        per_core: &mut [CoreResume],
+        budget: u64,
+        observe: &mut dyn FnMut(ThreadId, &DynInst),
+    ) -> u64 {
+        assert_eq!(
+            streams.len(),
+            per_core.len(),
+            "one resume entry per core stream is required"
+        );
+        let num_cores = streams.len();
+        let live = per_core.iter().filter(|c| !c.done).count() as u64;
+        if live == 0 || budget == 0 {
+            return 0;
+        }
+        // Equal shares, remainder to the lowest-numbered live cores.
+        let mut share: Vec<u64> = vec![0; num_cores];
+        let (base, mut extra) = (budget / live, budget % live);
+        for (core, resume) in per_core.iter().enumerate() {
+            if !resume.done {
+                share[core] = base + u64::from(extra > 0);
+                extra = extra.saturating_sub(1);
+            }
+        }
+
+        let mut consumed = 0u64;
+        loop {
+            let mut progressed = false;
+            for core in 0..num_cores {
+                let mut turn = ROUND_ROBIN_CHUNK.min(share[core]);
+                while turn > 0 && !per_core[core].done && !sync.is_blocked(core) {
+                    let Some(inst) = streams[core].next_inst() else {
+                        per_core[core].done = true;
+                        sync.mark_finished(core);
+                        break;
+                    };
+                    observe(core, &inst);
+                    if let Some(op) = inst.sync {
+                        apply_sync(sync, core, op);
+                    }
+                    per_core[core].instructions += 1;
+                    share[core] -= 1;
+                    turn -= 1;
+                    consumed += 1;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        consumed
     }
 
     #[test]

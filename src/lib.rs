@@ -21,8 +21,9 @@
 //!   contribution),
 //! * [`detailed`] — the cycle-accurate out-of-order baseline and the one-IPC
 //!   model,
-//! * [`sim`] — system configuration, workloads, metrics (STP, ANTT) and the
-//!   experiment drivers for every figure of the paper.
+//! * [`sim`] — system configuration, workloads, metrics (STP, ANTT), the
+//!   scenario engine, and every figure of the paper as a built-in sweep
+//!   (`sim::experiments::builtin`) read from its checked-in scenario file.
 //!
 //! ## Quickstart
 //!

@@ -7,30 +7,15 @@
 //! overlapped by long-latency loads, and otherwise dispatches instructions at
 //! the effective dispatch rate derived from the old-window critical path.
 
-use iss_branch::{BranchPredictorConfig, BranchStats, BranchUnit};
+use iss_branch::{BranchPredictorConfig, BranchUnit};
 use iss_mem::MemoryHierarchy;
-use iss_trace::{DynInst, InstructionStream, SyncController, SyncOp, ThreadId};
+use iss_trace::{CoreResume, DynInst, InstructionStream, SyncController, SyncOp, ThreadId};
 
 use crate::config::IntervalCoreConfig;
+use crate::multicore::{CoreWarmParts, SimCore};
 use crate::old_window::OldWindow;
 use crate::stats::IntervalCoreStats;
 use crate::window::{DependenceTracker, Window};
-
-/// Transferable warm state of one core, extracted by *consuming* the core:
-/// nothing in here is cloned, which is what makes frequent timed→functional
-/// transitions in sampled simulation cheap.
-#[derive(Debug)]
-pub struct CoreWarmParts<S> {
-    /// The core's resume point (clock, retired instructions, done flag).
-    pub resume: iss_trace::CoreResume,
-    /// Instructions fetched into the window but not retired, oldest first.
-    pub pending: Vec<DynInst>,
-    /// The core's instruction stream, positioned after the pending
-    /// instructions.
-    pub stream: S,
-    /// The warm branch-prediction front-end.
-    pub branch: BranchUnit,
-}
 
 /// What happened when the core tried to dispatch the window-head instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,14 +47,17 @@ pub struct IntervalCore<S> {
     done: bool,
 }
 
-impl<S: InstructionStream> IntervalCore<S> {
+impl<S: InstructionStream> SimCore for IntervalCore<S> {
+    type Stream = S;
+    type Config = IntervalCoreConfig;
+    type Stats = IntervalCoreStats;
+
     /// Creates a core fed by `stream`.
     ///
     /// # Panics
     ///
     /// Panics if either configuration is invalid.
-    #[must_use]
-    pub fn new(
+    fn new(
         core_id: ThreadId,
         config: &IntervalCoreConfig,
         branch_config: &BranchPredictorConfig,
@@ -94,113 +82,12 @@ impl<S: InstructionStream> IntervalCore<S> {
         }
     }
 
-    /// The core index in the multi-core system.
-    #[must_use]
-    pub fn core_id(&self) -> ThreadId {
-        self.core_id
-    }
-
-    /// The per-core simulated time.
-    #[must_use]
-    pub fn core_sim_time(&self) -> u64 {
-        self.core_sim_time
-    }
-
-    /// Whether this core has retired its entire stream.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Accumulated interval statistics.
-    #[must_use]
-    pub fn stats(&self) -> IntervalCoreStats {
-        self.stats
-    }
-
-    /// Branch prediction statistics of this core's front-end.
-    #[must_use]
-    pub fn branch_stats(&self) -> BranchStats {
-        self.branch_unit.stats()
-    }
-
-    /// The branch-prediction front-end (for checkpointing its warm tables).
-    #[must_use]
-    pub fn branch_unit(&self) -> &BranchUnit {
-        &self.branch_unit
-    }
-
-    /// Replaces the branch front-end with `unit` (typically a warm snapshot
-    /// carried over from an outgoing model at a hybrid swap).
-    pub fn install_branch_unit(&mut self, unit: BranchUnit) {
-        self.branch_unit = unit;
-    }
-
-    /// The instruction source feeding this core.
-    #[must_use]
-    pub fn stream(&self) -> &S {
-        &self.stream
-    }
-
-    /// Instructions fetched into the look-ahead window but not yet retired,
-    /// oldest first. At a checkpoint these must be replayed to the incoming
-    /// model, since they have already been consumed from the stream.
-    #[must_use]
-    pub fn pending_insts(&self) -> Vec<DynInst> {
-        self.window.iter().copied().collect()
-    }
-
-    /// Consumes the core into its transferable warm state (see
-    /// [`CoreWarmParts`]); the pending instructions are the same list
-    /// [`IntervalCore::pending_insts`] reports.
-    #[must_use]
-    pub fn into_warm_parts(self) -> CoreWarmParts<S> {
-        let resume = iss_trace::CoreResume {
-            time: if self.done {
-                self.stats.cycles
-            } else {
-                self.core_sim_time
-            },
-            instructions: self.stats.instructions,
-            done: self.done,
-        };
-        CoreWarmParts {
-            resume,
-            pending: self.window.iter().copied().collect(),
-            stream: self.stream,
-            branch: self.branch_unit,
-        }
-    }
-
-    /// Positions a freshly built core at a checkpoint's resume point: its
-    /// clock, its retired-instruction base, and (for cores that had already
-    /// finished) the final state. Microarchitectural warm-up state (old
-    /// window, overlap flags, dispatch credit) restarts cold — the interval
-    /// model rebuilds it within one interval.
-    pub fn resume_at(&mut self, resume: &iss_trace::CoreResume) {
-        self.core_sim_time = resume.time;
-        self.stats.instructions = resume.instructions;
-        if resume.done {
-            self.done = true;
-            self.stats.cycles = resume.time;
-        }
-    }
-
-    fn refill_window(&mut self) {
-        while self.window.has_room() && !self.stream_exhausted {
-            match self.stream.next_inst() {
-                Some(inst) => self.window.push_tail(inst),
-                None => self.stream_exhausted = true,
-            }
-        }
-    }
-
     /// Simulates one cycle of this core at multi-core time `multi_time`.
     ///
     /// Only does work when the per-core simulated time has caught up with the
     /// multi-core time (event-driven at core granularity); otherwise the core
     /// is still "paying" for an earlier miss-event penalty.
-    pub fn step_cycle(
+    fn step_cycle(
         &mut self,
         multi_time: u64,
         mem: &mut MemoryHierarchy,
@@ -250,6 +137,84 @@ impl<S: InstructionStream> IntervalCore<S> {
 
         if self.core_sim_time == multi_time {
             self.core_sim_time = multi_time + 1;
+        }
+    }
+
+    /// The per-core simulated time: after a step, every live core's time is
+    /// ahead of the multi-core time (it is paying for a miss event, or just
+    /// advanced one cycle), and nothing happens to it before then.
+    fn next_event(&self, _now: u64) -> u64 {
+        self.core_sim_time
+    }
+
+    fn is_done(&self) -> bool {
+        self.done
+    }
+
+    fn core_id(&self) -> ThreadId {
+        self.core_id
+    }
+
+    fn stats(&self) -> IntervalCoreStats {
+        self.stats
+    }
+
+    fn retired(&self) -> u64 {
+        self.stats.instructions
+    }
+
+    /// An unfinished core reports its own per-core time.
+    fn cycles(&self, _now: u64) -> u64 {
+        if self.done {
+            self.stats.cycles
+        } else {
+            self.core_sim_time
+        }
+    }
+
+    /// The pending instructions are the window contents: fetched from the
+    /// stream but not yet retired.
+    fn into_warm_parts(self, now: u64) -> CoreWarmParts<S> {
+        CoreWarmParts {
+            resume: CoreResume {
+                time: self.cycles(now),
+                instructions: self.stats.instructions,
+                done: self.done,
+            },
+            pending: self.window.iter().copied().collect(),
+            stream: self.stream,
+            branch: Some(self.branch_unit),
+        }
+    }
+
+    /// Microarchitectural warm-up state (old window, overlap flags, dispatch
+    /// credit) restarts cold — the interval model rebuilds it within one
+    /// interval.
+    fn resume_at(&mut self, resume: &CoreResume) {
+        self.core_sim_time = resume.time;
+        self.stats.instructions = resume.instructions;
+        if resume.done {
+            self.done = true;
+            self.stats.cycles = resume.time;
+        }
+    }
+
+    fn branch_unit(&self) -> Option<&BranchUnit> {
+        Some(&self.branch_unit)
+    }
+
+    fn install_branch_unit(&mut self, unit: BranchUnit) {
+        self.branch_unit = unit;
+    }
+}
+
+impl<S: InstructionStream> IntervalCore<S> {
+    fn refill_window(&mut self) {
+        while self.window.has_room() && !self.stream_exhausted {
+            match self.stream.next_inst() {
+                Some(inst) => self.window.push_tail(inst),
+                None => self.stream_exhausted = true,
+            }
         }
     }
 

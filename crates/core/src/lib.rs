@@ -51,8 +51,8 @@ pub mod stats;
 pub mod window;
 
 pub use config::IntervalCoreConfig;
-pub use core_model::{CoreWarmParts, IntervalCore};
-pub use multicore::{IntervalSimResult, IntervalSimulator, IntervalWarmParts};
+pub use core_model::IntervalCore;
+pub use multicore::{CoreWarmParts, IntervalSimulator, Multicore, SimCore, SimResult, WarmParts};
 pub use old_window::OldWindow;
 pub use stats::{CoreResult, IntervalCoreStats, MissEventKind};
 pub use window::{OverlapFlags, Window};

@@ -1,32 +1,99 @@
-//! The multi-core interval simulator.
+//! The multi-core machine, shared by every core model.
 //!
-//! [`IntervalSimulator`] owns one [`IntervalCore`] per simulated core, the
-//! shared [`MemoryHierarchy`] (caches, MOESI coherence, DRAM bandwidth) and
-//! the shared [`SyncController`]. It advances a global multi-core simulated
-//! time cycle by cycle (line 74 of the paper's pseudocode); each core only
-//! performs work in cycles where its per-core simulated time has caught up
-//! with the multi-core time, which makes the core-level simulation
-//! event-driven while keeping the shared-resource simulation cycle-ordered.
+//! [`Multicore`] owns one core per simulated core, the shared
+//! [`MemoryHierarchy`] (caches, MOESI coherence, DRAM bandwidth) and the
+//! shared [`SyncController`]. It advances a global multi-core simulated time
+//! (line 74 of the paper's pseudocode); each core only performs work in
+//! cycles where its per-core simulated time has caught up with the
+//! multi-core time, which makes the core-level simulation event-driven while
+//! keeping the shared-resource simulation cycle-ordered.
+//!
+//! Interval simulation replaces only the per-core timing model, so the
+//! machine is generic over the core ([`SimCore`]): [`IntervalSimulator`]
+//! runs interval cores, and the detailed and one-IPC simulators of
+//! `iss-detailed` are the same driver over their own cores.
 
-use serde::{Deserialize, Serialize};
-
-use iss_branch::{BranchPredictorConfig, BranchStats};
+use iss_branch::{BranchPredictorConfig, BranchStats, BranchUnit};
 use iss_mem::{MemoryConfig, MemoryHierarchy, MemoryStats};
 use iss_trace::host_time::HostTimer;
-use iss_trace::{InstructionStream, SyncController, SyntheticStream, ThreadedWorkload};
+use iss_trace::{
+    CoreResume, DynInst, InstructionStream, SyncController, SyntheticStream, ThreadId,
+    ThreadedWorkload,
+};
 
-use crate::config::IntervalCoreConfig;
 use crate::core_model::IntervalCore;
 use crate::stats::CoreResult;
 
-/// Result of a complete interval-simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IntervalSimResult {
+/// The per-core timing model a [`Multicore`] machine drives.
+pub trait SimCore {
+    /// The instruction source feeding the core.
+    type Stream: InstructionStream;
+    /// The core's own configuration (`()` for a model without one).
+    type Config;
+    /// The statistics the core accumulates.
+    type Stats: Copy;
+
+    /// Creates core `core_id` fed by `stream`. A model without a branch
+    /// predictor ignores `branch_config`.
+    fn new(
+        core_id: ThreadId,
+        config: &Self::Config,
+        branch_config: &BranchPredictorConfig,
+        stream: Self::Stream,
+    ) -> Self;
+
+    /// Simulates one cycle at multi-core time `now`.
+    fn step_cycle(&mut self, now: u64, mem: &mut MemoryHierarchy, sync: &mut SyncController);
+
+    /// The earliest multi-core time at which an unfinished core, stepped at
+    /// `now`, has work again. The machine skips ahead to the earliest such
+    /// time over all cores; a core that must see every cycle returns
+    /// `now + 1`.
+    fn next_event(&self, now: u64) -> u64;
+
+    /// Whether the core has retired its entire stream.
+    fn is_done(&self) -> bool;
+
+    /// The core index.
+    fn core_id(&self) -> ThreadId;
+
+    /// Accumulated statistics.
+    fn stats(&self) -> Self::Stats;
+
+    /// Instructions retired so far.
+    fn retired(&self) -> u64;
+
+    /// The cycle count this core reports at multi-core time `now`: its final
+    /// count once done, otherwise the clock the model reports progress by.
+    fn cycles(&self, now: u64) -> u64;
+
+    /// Consumes the core into its transferable warm state; `now` is the
+    /// multi-core time. Nothing is cloned.
+    fn into_warm_parts(self, now: u64) -> CoreWarmParts<Self::Stream>;
+
+    /// Positions a freshly built core at a checkpoint's resume point: its
+    /// clock, its retired-instruction base, and (for cores that had already
+    /// finished) the final state.
+    fn resume_at(&mut self, resume: &CoreResume);
+
+    /// The branch-prediction front-end (`None` for a model that predicts no
+    /// branches).
+    fn branch_unit(&self) -> Option<&BranchUnit>;
+
+    /// Replaces the branch front-end with `unit`, typically a warm one
+    /// carried over from an outgoing model (ignored by a model without one).
+    fn install_branch_unit(&mut self, unit: BranchUnit);
+}
+
+/// Result of a multi-core run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimResult<St> {
     /// Multi-core simulated cycles until the last core finished.
     pub cycles: u64,
-    /// Per-core results (instructions, per-core cycles, miss-event breakdown).
-    pub per_core: Vec<CoreResult>,
-    /// Per-core branch prediction statistics.
+    /// Per-core results (instructions, per-core cycles, model statistics).
+    pub per_core: Vec<CoreResult<St>>,
+    /// Per-core branch prediction statistics (empty for a model that
+    /// predicts no branches).
     pub branch: Vec<BranchStats>,
     /// Shared memory-hierarchy statistics.
     pub memory: MemoryStats,
@@ -37,7 +104,7 @@ pub struct IntervalSimResult {
     pub total_instructions: u64,
 }
 
-impl IntervalSimResult {
+impl<St> SimResult<St> {
     /// Aggregate instructions per cycle over the whole chip.
     #[must_use]
     pub fn aggregate_ipc(&self) -> f64 {
@@ -59,37 +126,57 @@ impl IntervalSimResult {
     }
 }
 
-/// Transferable warm state of a whole interval machine, extracted by
-/// *consuming* the simulator — the clone-free counterpart of a lean
-/// checkpoint, for callers that own the machine (the sampled-simulation
-/// controller deconstructs a timing model this way at every
-/// timed→functional transition).
+/// Transferable warm state of one core, extracted by *consuming* the core:
+/// nothing in here is cloned, which is what makes frequent timed→functional
+/// transitions in sampled simulation cheap.
 #[derive(Debug)]
-pub struct IntervalWarmParts<S> {
+pub struct CoreWarmParts<S> {
+    /// The core's resume point (clock, retired instructions, done flag).
+    pub resume: CoreResume,
+    /// Instructions fetched but not yet retired, oldest first.
+    pub pending: Vec<DynInst>,
+    /// The core's instruction stream, positioned after the pending
+    /// instructions.
+    pub stream: S,
+    /// The warm branch-prediction front-end (`None` for a model that
+    /// predicts no branches).
+    pub branch: Option<BranchUnit>,
+}
+
+/// Transferable warm state of a whole machine, extracted by *consuming* the
+/// simulator — the clone-free counterpart of a lean checkpoint, for callers
+/// that own the machine (the sampled-simulation controller deconstructs a
+/// timing model this way at every timed→functional transition).
+#[derive(Debug)]
+pub struct WarmParts<S> {
     /// The machine clock (absolute simulated cycles).
     pub machine_time: u64,
     /// Per-core warm state, in core order.
-    pub cores: Vec<crate::core_model::CoreWarmParts<S>>,
+    pub cores: Vec<CoreWarmParts<S>>,
     /// The shared memory hierarchy, moved out intact.
     pub memory: MemoryHierarchy,
     /// The shared synchronization state, moved out intact.
     pub sync: SyncController,
 }
 
-/// Multi-core interval simulator.
+/// A multi-core machine of `C` cores over one shared memory hierarchy and
+/// synchronization state.
 #[derive(Debug, Clone)]
-pub struct IntervalSimulator<S> {
-    cores: Vec<IntervalCore<S>>,
+pub struct Multicore<C> {
+    cores: Vec<C>,
     mem: MemoryHierarchy,
     sync: SyncController,
-    multi_core_time: u64,
+    time: u64,
     /// Host wall-clock seconds accumulated across all advancement calls
     /// (`run_with_limit` and `step_interval` both add to it).
     host_seconds: f64,
 }
 
-impl<S: InstructionStream> IntervalSimulator<S> {
-    /// Builds a simulator from per-core instruction streams and a shared
+/// Multi-core interval simulator.
+pub type IntervalSimulator<S> = Multicore<IntervalCore<S>>;
+
+impl<C: SimCore> Multicore<C> {
+    /// Builds a machine from per-core instruction streams and a shared
     /// synchronization controller.
     ///
     /// # Panics
@@ -99,22 +186,12 @@ impl<S: InstructionStream> IntervalSimulator<S> {
     /// count, or if any configuration is invalid.
     #[must_use]
     pub fn new(
-        core_config: &IntervalCoreConfig,
+        core_config: &C::Config,
         branch_config: &BranchPredictorConfig,
         mem_config: &MemoryConfig,
-        streams: Vec<S>,
+        streams: Vec<C::Stream>,
         sync: SyncController,
     ) -> Self {
-        assert_eq!(
-            streams.len(),
-            mem_config.num_cores,
-            "one instruction stream per core is required"
-        );
-        assert_eq!(
-            streams.len(),
-            sync.num_threads(),
-            "the synchronization controller must cover every core"
-        );
         Self::with_memory(
             core_config,
             branch_config,
@@ -124,11 +201,11 @@ impl<S: InstructionStream> IntervalSimulator<S> {
         )
     }
 
-    /// Like [`IntervalSimulator::new`], but adopts an existing (typically
-    /// warm) memory hierarchy instead of building a cold one — the restore
-    /// path takes this so a checkpointed hierarchy is *moved* in rather
-    /// than a fresh multi-megabyte hierarchy being allocated and
-    /// immediately replaced.
+    /// Like [`Multicore::new`], but adopts an existing (typically warm)
+    /// memory hierarchy instead of building a cold one — the restore path
+    /// takes this so a checkpointed hierarchy is *moved* in rather than a
+    /// fresh multi-megabyte hierarchy being allocated and immediately
+    /// replaced.
     ///
     /// # Panics
     ///
@@ -136,9 +213,9 @@ impl<S: InstructionStream> IntervalSimulator<S> {
     /// disagree or any configuration is invalid.
     #[must_use]
     pub fn with_memory(
-        core_config: &IntervalCoreConfig,
+        core_config: &C::Config,
         branch_config: &BranchPredictorConfig,
-        streams: Vec<S>,
+        streams: Vec<C::Stream>,
         sync: SyncController,
         memory: MemoryHierarchy,
     ) -> Self {
@@ -155,66 +232,48 @@ impl<S: InstructionStream> IntervalSimulator<S> {
         let cores = streams
             .into_iter()
             .enumerate()
-            .map(|(i, s)| IntervalCore::new(i, core_config, branch_config, s))
+            .map(|(i, s)| C::new(i, core_config, branch_config, s))
             .collect();
-        IntervalSimulator {
+        Multicore {
             cores,
             mem: memory,
             sync,
-            multi_core_time: 0,
+            time: 0,
             host_seconds: 0.0,
         }
     }
 
-    /// Number of simulated cores.
-    #[must_use]
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// The multi-core simulated time reached so far.
     #[must_use]
-    pub fn multi_core_time(&self) -> u64 {
-        self.multi_core_time
+    pub fn machine_time(&self) -> u64 {
+        self.time
     }
 
     /// Whether every core has retired its entire stream.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.cores.iter().all(IntervalCore::is_done)
+        self.cores.iter().all(C::is_done)
     }
 
     /// Total instructions retired so far across all cores.
     #[must_use]
     pub fn total_retired(&self) -> u64 {
-        self.cores.iter().map(|c| c.stats().instructions).sum()
+        self.cores.iter().map(C::retired).sum()
     }
 
-    /// The simulated cores (read-only, for checkpointing).
-    #[must_use]
-    pub fn cores(&self) -> &[IntervalCore<S>] {
-        &self.cores
-    }
-
-    /// The shared memory hierarchy (read-only, for checkpointing).
+    /// The shared memory hierarchy.
     #[must_use]
     pub fn memory(&self) -> &MemoryHierarchy {
         &self.mem
     }
 
-    /// The shared synchronization controller (read-only, for checkpointing).
-    #[must_use]
-    pub fn sync_controller(&self) -> &SyncController {
-        &self.sync
-    }
-
     /// Runs the simulation to completion and returns the result.
-    pub fn run(&mut self) -> IntervalSimResult {
+    pub fn run(&mut self) -> SimResult<C::Stats> {
         self.run_with_limit(u64::MAX)
     }
 
     /// Runs the simulation until every core finished or `max_cycles` elapsed.
-    pub fn run_with_limit(&mut self, max_cycles: u64) -> IntervalSimResult {
+    pub fn run_with_limit(&mut self, max_cycles: u64) -> SimResult<C::Stats> {
         let start = HostTimer::start();
         self.advance(max_cycles, u64::MAX);
         self.host_seconds += start.elapsed_seconds();
@@ -235,7 +294,7 @@ impl<S: InstructionStream> IntervalSimulator<S> {
 
     fn advance(&mut self, max_cycles: u64, inst_target: u64) {
         let track = inst_target != u64::MAX;
-        if self.multi_core_time >= max_cycles || self.cores.iter().all(IntervalCore::is_done) {
+        if self.time >= max_cycles || self.is_done() {
             return;
         }
         if track && self.total_retired() >= inst_target {
@@ -243,38 +302,37 @@ impl<S: InstructionStream> IntervalSimulator<S> {
         }
         loop {
             for core in &mut self.cores {
-                core.step_cycle(self.multi_core_time, &mut self.mem, &mut self.sync);
+                core.step_cycle(self.time, &mut self.mem, &mut self.sync);
             }
-            // Event-driven skip: after stepping, every live core's per-core
-            // time is ahead of the multi-core time (it is paying for a miss
-            // event, or just advanced one cycle). No shared state evolves on
-            // its own between now and the earliest catch-up, so jumping
+            // Event-driven skip: no shared state evolves on its own between
+            // now and the earliest next event of a live core, so jumping
             // straight there is behaviour-identical to stepping empty cycles
             // — and it is what makes memory-bound interval runs fast. Blocked
-            // cores trail at `multi_time + 1`, so synchronization stalls are
-            // still stepped (and counted) cycle by cycle.
+            // interval cores trail at `time + 1`, so synchronization stalls
+            // are still stepped (and counted) cycle by cycle; detailed and
+            // one-IPC cores always ask for the next cycle.
             //
             // One pass over the cores serves the skip, the all-done check and
             // the retirement target — this loop header runs once per
-            // simulated event and was three separate core walks.
+            // simulated event.
             let mut next_event = u64::MAX;
             let mut all_done = true;
             let mut retired = 0u64;
             for core in &self.cores {
                 if !core.is_done() {
                     all_done = false;
-                    next_event = next_event.min(core.core_sim_time());
+                    next_event = next_event.min(core.next_event(self.time));
                 }
                 if track {
-                    retired += core.stats().instructions;
+                    retired += core.retired();
                 }
             }
-            self.multi_core_time = if next_event != u64::MAX && next_event > self.multi_core_time {
+            self.time = if next_event != u64::MAX && next_event > self.time {
                 next_event
             } else {
-                self.multi_core_time + 1
+                self.time + 1
             };
-            if self.multi_core_time >= max_cycles || all_done {
+            if self.time >= max_cycles || all_done {
                 return;
             }
             if track && retired >= inst_target {
@@ -283,33 +341,10 @@ impl<S: InstructionStream> IntervalSimulator<S> {
         }
     }
 
-    /// Installs checkpointed warm state into a freshly built simulator: the
-    /// transferred memory hierarchy (cache/TLB/DRAM warmth), the machine
-    /// clock, each core's resume point, and (when the outgoing model had
-    /// them) the warm branch-predictor tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transferred state does not cover every core.
-    pub fn restore_warm(
-        &mut self,
-        mem: MemoryHierarchy,
-        machine_time: u64,
-        per_core: &[iss_trace::CoreResume],
-        branch: Option<&[iss_branch::BranchUnit]>,
-    ) {
-        assert_eq!(
-            mem.num_cores(),
-            self.cores.len(),
-            "transferred hierarchy must cover every core"
-        );
-        self.mem = mem;
-        self.resume_cores(machine_time, per_core, branch);
-    }
-
-    /// The core-resume half of [`IntervalSimulator::restore_warm`], for
-    /// simulators built over an already-transferred hierarchy
-    /// ([`IntervalSimulator::with_memory`]).
+    /// Positions a machine built over an already-transferred hierarchy
+    /// ([`Multicore::with_memory`]) at a checkpoint: the machine clock, each
+    /// core's resume point and, when the outgoing model had them, the warm
+    /// branch-predictor tables.
     ///
     /// # Panics
     ///
@@ -317,33 +352,34 @@ impl<S: InstructionStream> IntervalSimulator<S> {
     pub fn resume_cores(
         &mut self,
         machine_time: u64,
-        per_core: &[iss_trace::CoreResume],
-        branch: Option<&[iss_branch::BranchUnit]>,
+        per_core: &[CoreResume],
+        branch: Option<Vec<BranchUnit>>,
     ) {
         assert_eq!(
             per_core.len(),
             self.cores.len(),
             "one resume point per core is required"
         );
-        self.multi_core_time = machine_time;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            core.resume_at(&per_core[i]);
-            if let Some(units) = branch {
-                core.install_branch_unit(units[i].clone());
-            }
+        self.time = machine_time;
+        for (core, resume) in self.cores.iter_mut().zip(per_core) {
+            core.resume_at(resume);
+        }
+        for (core, unit) in self.cores.iter_mut().zip(branch.into_iter().flatten()) {
+            core.install_branch_unit(unit);
         }
     }
 
     /// Consumes the simulator into its transferable warm state without
     /// cloning the memory hierarchy, the streams or the branch tables.
     #[must_use]
-    pub fn into_warm_parts(self) -> IntervalWarmParts<S> {
-        IntervalWarmParts {
-            machine_time: self.multi_core_time,
+    pub fn into_warm_parts(self) -> WarmParts<C::Stream> {
+        let now = self.time;
+        WarmParts {
+            machine_time: now,
             cores: self
                 .cores
                 .into_iter()
-                .map(IntervalCore::into_warm_parts)
+                .map(|c| c.into_warm_parts(now))
                 .collect(),
             memory: self.mem,
             sync: self.sync,
@@ -352,39 +388,33 @@ impl<S: InstructionStream> IntervalSimulator<S> {
 
     /// Builds the result for the current state (accumulated host time).
     #[must_use]
-    pub fn result(&self) -> IntervalSimResult {
-        let host_seconds = self.host_seconds;
-        let per_core: Vec<CoreResult> = self
+    pub fn result(&self) -> SimResult<C::Stats> {
+        let per_core: Vec<CoreResult<C::Stats>> = self
             .cores
             .iter()
-            .map(|c| {
-                let stats = c.stats();
-                CoreResult {
-                    core: c.core_id(),
-                    instructions: stats.instructions,
-                    cycles: if c.is_done() {
-                        stats.cycles
-                    } else {
-                        c.core_sim_time()
-                    },
-                    stats,
-                }
+            .map(|c| CoreResult {
+                core: c.core_id(),
+                instructions: c.retired(),
+                cycles: c.cycles(self.time),
+                stats: c.stats(),
             })
             .collect();
-        let total_instructions = per_core.iter().map(|c| c.instructions).sum();
-        let cycles = per_core.iter().map(|c| c.cycles).max().unwrap_or(0);
-        IntervalSimResult {
-            cycles,
+        SimResult {
+            cycles: per_core.iter().map(|c| c.cycles).max().unwrap_or(0),
+            total_instructions: per_core.iter().map(|c| c.instructions).sum(),
             per_core,
-            branch: self.cores.iter().map(IntervalCore::branch_stats).collect(),
+            branch: self
+                .cores
+                .iter()
+                .filter_map(|c| c.branch_unit().map(BranchUnit::stats))
+                .collect(),
             memory: self.mem.stats(),
-            host_seconds,
-            total_instructions,
+            host_seconds: self.host_seconds,
         }
     }
 }
 
-impl IntervalSimulator<SyntheticStream> {
+impl<C: SimCore<Stream = SyntheticStream>> Multicore<C> {
     /// Convenience constructor from a [`ThreadedWorkload`].
     ///
     /// # Panics
@@ -392,7 +422,7 @@ impl IntervalSimulator<SyntheticStream> {
     /// Panics if the workload's core count does not match `mem_config`.
     #[must_use]
     pub fn from_workload(
-        core_config: &IntervalCoreConfig,
+        core_config: &C::Config,
         branch_config: &BranchPredictorConfig,
         mem_config: &MemoryConfig,
         workload: ThreadedWorkload,
@@ -405,6 +435,7 @@ impl IntervalSimulator<SyntheticStream> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::IntervalCoreConfig;
     use iss_trace::catalog;
 
     fn baseline(cores: usize) -> (IntervalCoreConfig, BranchPredictorConfig, MemoryConfig) {

@@ -110,20 +110,21 @@ impl IntervalCoreStats {
     }
 }
 
-/// Final result for one core of a simulation run.
+/// Final result for one core of a simulation run; `St` is the core model's
+/// statistics type.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CoreResult {
+pub struct CoreResult<St> {
     /// Core index.
     pub core: usize,
     /// Instructions retired by this core.
     pub instructions: u64,
     /// Per-core cycle count at which this core finished its stream.
     pub cycles: u64,
-    /// Detailed interval statistics.
-    pub stats: IntervalCoreStats,
+    /// The core model's statistics.
+    pub stats: St,
 }
 
-impl CoreResult {
+impl<St> CoreResult<St> {
     /// Instructions per cycle of this core.
     #[must_use]
     pub fn ipc(&self) -> f64 {

@@ -79,34 +79,6 @@ proptest! {
         }
     }
 
-    /// End-to-end conservation: the interval simulator retires exactly the
-    /// instructions the workload contains, cycle counts are positive, and IPC
-    /// never exceeds the dispatch width — for any benchmark, seed and length.
-    #[test]
-    fn interval_simulation_conserves_instructions(
-        bench in prop_oneof![Just("gcc"), Just("mcf"), Just("gzip"), Just("swim")],
-        seed in 0u64..10_000,
-        len in 500u64..4_000,
-    ) {
-        let p = catalog::profile(bench).unwrap();
-        let w = ThreadedWorkload::single(&p, seed, len);
-        let mut sim = IntervalSimulator::from_workload(
-            &IntervalCoreConfig::hpca2010_baseline(),
-            &BranchPredictorConfig::hpca2010_baseline(),
-            &MemoryConfig::hpca2010_baseline(1),
-            w,
-        );
-        let r = sim.run_with_limit(50_000_000);
-        prop_assert_eq!(r.total_instructions, len);
-        prop_assert!(r.cycles > 0);
-        let ipc = r.per_core[0].ipc();
-        prop_assert!(ipc > 0.0 && ipc <= 4.0 + 1e-9, "IPC {ipc} out of range");
-        // Penalty accounting is internally consistent.
-        let s = r.per_core[0].stats;
-        prop_assert!(s.total_penalty() <= s.cycles);
-        prop_assert!(s.bandwidth_residual_penalty <= s.long_latency_penalty);
-    }
-
     /// Interval-model timing is monotone in the memory latency: a slower DRAM
     /// never yields fewer cycles.
     #[test]

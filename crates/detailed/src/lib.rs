@@ -44,9 +44,7 @@ pub mod oo_core;
 pub mod stats;
 
 pub use config::DetailedCoreConfig;
-pub use multicore::{
-    CoreWarmParts, DetailedSimResult, DetailedSimulator, OneIpcSimulator, WarmParts,
-};
+pub use multicore::{DetailedSimulator, OneIpcSimulator};
 pub use oneipc::OneIpcCore;
 pub use oo_core::OutOfOrderCore;
-pub use stats::{DetailedCoreResult, DetailedCoreStats};
+pub use stats::DetailedCoreStats;

@@ -8,8 +8,10 @@
 //! latency serially (no memory-level parallelism, no overlap), and branch
 //! mispredictions are ignored.
 
+use iss_branch::{BranchPredictorConfig, BranchUnit};
+use iss_interval::{CoreWarmParts, SimCore};
 use iss_mem::MemoryHierarchy;
-use iss_trace::{InstructionStream, SyncController, SyncOp, ThreadId};
+use iss_trace::{CoreResume, InstructionStream, SyncController, SyncOp, ThreadId};
 
 use crate::stats::DetailedCoreStats;
 
@@ -24,10 +26,14 @@ pub struct OneIpcCore<S> {
     done: bool,
 }
 
-impl<S: InstructionStream> OneIpcCore<S> {
-    /// Creates a one-IPC core fed by `stream`.
-    #[must_use]
-    pub fn new(core_id: ThreadId, stream: S) -> Self {
+impl<S: InstructionStream> SimCore for OneIpcCore<S> {
+    type Stream = S;
+    type Config = ();
+    type Stats = DetailedCoreStats;
+
+    /// Creates a one-IPC core fed by `stream`; the model has no
+    /// configuration and predicts no branches.
+    fn new(core_id: ThreadId, _config: &(), _branch: &BranchPredictorConfig, stream: S) -> Self {
         OneIpcCore {
             core_id,
             stream,
@@ -38,26 +44,8 @@ impl<S: InstructionStream> OneIpcCore<S> {
         }
     }
 
-    /// The core index.
-    #[must_use]
-    pub fn core_id(&self) -> ThreadId {
-        self.core_id
-    }
-
-    /// Whether the stream has been fully executed.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> DetailedCoreStats {
-        self.stats
-    }
-
     /// Simulates one cycle at global time `now`.
-    pub fn step_cycle(&mut self, now: u64, mem: &mut MemoryHierarchy, sync: &mut SyncController) {
+    fn step_cycle(&mut self, now: u64, mem: &mut MemoryHierarchy, sync: &mut SyncController) {
         if self.done || self.core_time > now {
             return;
         }
@@ -113,32 +101,42 @@ impl<S: InstructionStream> OneIpcCore<S> {
         self.core_time = now + latency;
     }
 
-    /// The per-core simulated time.
-    #[must_use]
-    pub fn core_time(&self) -> u64 {
-        self.core_time
+    /// The machine steps a one-IPC core every cycle.
+    fn next_event(&self, now: u64) -> u64 {
+        now + 1
     }
 
-    /// The instruction source feeding this core.
-    #[must_use]
-    pub fn stream(&self) -> &S {
-        &self.stream
+    fn is_done(&self) -> bool {
+        self.done
     }
 
-    /// The instruction (if any) fetched but not yet executed — a lock
-    /// acquire or join that could not proceed. At a checkpoint it must be
-    /// replayed to the incoming model.
-    #[must_use]
-    pub fn pending_insts(&self) -> Vec<iss_trace::DynInst> {
-        self.pending.iter().copied().collect()
+    fn core_id(&self) -> ThreadId {
+        self.core_id
     }
 
-    /// Consumes the core into its transferable warm state (the one-IPC
-    /// model predicts no branches, so no branch unit is carried).
-    #[must_use]
-    pub fn into_warm_parts(self) -> crate::multicore::CoreWarmParts<S> {
-        crate::multicore::CoreWarmParts {
-            resume: iss_trace::CoreResume {
+    fn stats(&self) -> DetailedCoreStats {
+        self.stats
+    }
+
+    fn retired(&self) -> u64 {
+        self.stats.instructions
+    }
+
+    /// An unfinished core reports the machine clock.
+    fn cycles(&self, now: u64) -> u64 {
+        if self.done {
+            self.stats.cycles
+        } else {
+            now
+        }
+    }
+
+    /// An unfinished core resumes at its own clock, which runs ahead of the
+    /// machine clock while a load's latency is paid. The pending instruction
+    /// is a lock acquire or join that could not proceed yet.
+    fn into_warm_parts(self, _now: u64) -> CoreWarmParts<S> {
+        CoreWarmParts {
+            resume: CoreResume {
                 time: if self.done {
                     self.stats.cycles
                 } else {
@@ -153,10 +151,7 @@ impl<S: InstructionStream> OneIpcCore<S> {
         }
     }
 
-    /// Positions a freshly built core at a checkpoint's resume point: its
-    /// clock, its retired-instruction base, and (for finished cores) the
-    /// final state.
-    pub fn resume_at(&mut self, resume: &iss_trace::CoreResume) {
+    fn resume_at(&mut self, resume: &CoreResume) {
         self.core_time = resume.time;
         self.stats.instructions = resume.instructions;
         if resume.done {
@@ -164,6 +159,14 @@ impl<S: InstructionStream> OneIpcCore<S> {
             self.stats.cycles = resume.time;
         }
     }
+
+    fn branch_unit(&self) -> Option<&BranchUnit> {
+        None
+    }
+
+    /// Warm branch state is dropped here and re-learned if a later swap
+    /// leaves this model.
+    fn install_branch_unit(&mut self, _unit: BranchUnit) {}
 }
 
 #[cfg(test)]
@@ -175,7 +178,7 @@ mod tests {
     fn run(name: &str, len: u64, mem_cfg: &MemoryConfig) -> DetailedCoreStats {
         let p = catalog::profile(name).unwrap();
         let stream = SyntheticStream::new(&p, 0, 5, len);
-        let mut core = OneIpcCore::new(0, stream);
+        let mut core = OneIpcCore::new(0, &(), &BranchPredictorConfig::hpca2010_baseline(), stream);
         let mut mem = MemoryHierarchy::new(mem_cfg);
         let mut sync = SyncController::new(1);
         let mut now = 0;

@@ -12,10 +12,12 @@
 
 use std::collections::VecDeque;
 
-use iss_branch::{BranchPredictorConfig, BranchStats, BranchUnit};
+use iss_branch::{BranchPredictorConfig, BranchUnit};
+use iss_interval::{CoreWarmParts, SimCore};
 use iss_mem::MemoryHierarchy;
 use iss_trace::{
-    DynInst, FxHashMap, InstructionStream, SyncController, SyncOp, ThreadId, NUM_ARCH_REGS,
+    CoreResume, DynInst, FxHashMap, InstructionStream, SyncController, SyncOp, ThreadId,
+    NUM_ARCH_REGS,
 };
 
 use crate::config::DetailedCoreConfig;
@@ -97,14 +99,17 @@ pub struct OutOfOrderCore<S> {
     done: bool,
 }
 
-impl<S: InstructionStream> OutOfOrderCore<S> {
+impl<S: InstructionStream> SimCore for OutOfOrderCore<S> {
+    type Stream = S;
+    type Config = DetailedCoreConfig;
+    type Stats = DetailedCoreStats;
+
     /// Creates a detailed core fed by `stream`.
     ///
     /// # Panics
     ///
     /// Panics if either configuration is invalid.
-    #[must_use]
-    pub fn new(
+    fn new(
         core_id: ThreadId,
         config: &DetailedCoreConfig,
         branch_config: &BranchPredictorConfig,
@@ -134,109 +139,10 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
         }
     }
 
-    /// The core index.
-    #[must_use]
-    pub fn core_id(&self) -> ThreadId {
-        self.core_id
-    }
-
-    /// Whether the core has committed its entire stream.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> DetailedCoreStats {
-        self.stats
-    }
-
-    /// Branch prediction statistics.
-    #[must_use]
-    pub fn branch_stats(&self) -> BranchStats {
-        self.branch_unit.stats()
-    }
-
-    /// Current reorder-buffer occupancy (for tests).
-    #[must_use]
-    pub fn rob_occupancy(&self) -> usize {
-        self.rob.len()
-    }
-
-    /// The branch-prediction front-end (for checkpointing its warm tables).
-    #[must_use]
-    pub fn branch_unit(&self) -> &BranchUnit {
-        &self.branch_unit
-    }
-
-    /// Replaces the branch front-end with `unit` (typically a warm snapshot
-    /// carried over from an outgoing model at a hybrid swap).
-    pub fn install_branch_unit(&mut self, unit: BranchUnit) {
-        self.branch_unit = unit;
-    }
-
-    /// The instruction source feeding this core.
-    #[must_use]
-    pub fn stream(&self) -> &S {
-        &self.stream
-    }
-
-    /// Instructions fetched from the stream but not yet committed, oldest
-    /// first: the ROB contents (dispatched, in flight) followed by the fetch
-    /// queue. At a checkpoint these must be replayed to the incoming model.
-    #[must_use]
-    pub fn pending_insts(&self) -> Vec<DynInst> {
-        self.rob
-            .iter()
-            .map(|e| e.inst)
-            .chain(self.fetch_queue.iter().map(|fe| fe.inst))
-            .collect()
-    }
-
-    /// Consumes the core into its transferable warm state. `now` is the
-    /// machine clock (the detailed model keeps no per-core clock for live
-    /// cores); the pending instructions are the same list
-    /// [`OutOfOrderCore::pending_insts`] reports. Nothing is cloned.
-    #[must_use]
-    pub fn into_warm_parts(self, now: u64) -> crate::multicore::CoreWarmParts<S> {
-        let pending: Vec<DynInst> = self
-            .rob
-            .iter()
-            .map(|e| e.inst)
-            .chain(self.fetch_queue.iter().map(|fe| fe.inst))
-            .collect();
-        crate::multicore::CoreWarmParts {
-            resume: iss_trace::CoreResume {
-                time: if self.done { self.stats.cycles } else { now },
-                instructions: self.stats.instructions,
-                done: self.done,
-            },
-            pending,
-            stream: self.stream,
-            branch: Some(self.branch_unit),
-        }
-    }
-
-    /// Positions a freshly built core at a checkpoint's resume point. The
-    /// core's fetch stage stays idle until the resume time is reached (the
-    /// outgoing model may have run this core ahead of the machine clock), and
-    /// the retired-instruction counter continues from the checkpoint base.
-    /// In-flight microarchitectural state (ROB/IQ/LSQ occupancy) restarts
-    /// empty; the replayed instructions refill it.
-    pub fn resume_at(&mut self, resume: &iss_trace::CoreResume) {
-        self.fetch_blocked_until = resume.time;
-        self.stats.instructions = resume.instructions;
-        if resume.done {
-            self.done = true;
-            self.stats.cycles = resume.time;
-        }
-    }
-
     /// Simulates one cycle at time `now`. Stages run commit → issue →
     /// dispatch → fetch so that an instruction needs at least one cycle per
     /// stage.
-    pub fn step_cycle(&mut self, now: u64, mem: &mut MemoryHierarchy, sync: &mut SyncController) {
+    fn step_cycle(&mut self, now: u64, mem: &mut MemoryHierarchy, sync: &mut SyncController) {
         if self.done {
             return;
         }
@@ -252,6 +158,80 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
         }
     }
 
+    /// The pipeline has work every cycle.
+    fn next_event(&self, now: u64) -> u64 {
+        now + 1
+    }
+
+    fn is_done(&self) -> bool {
+        self.done
+    }
+
+    fn core_id(&self) -> ThreadId {
+        self.core_id
+    }
+
+    fn stats(&self) -> DetailedCoreStats {
+        self.stats
+    }
+
+    fn retired(&self) -> u64 {
+        self.stats.instructions
+    }
+
+    /// The detailed model keeps no per-core clock for live cores: an
+    /// unfinished core reports the machine clock.
+    fn cycles(&self, now: u64) -> u64 {
+        if self.done {
+            self.stats.cycles
+        } else {
+            now
+        }
+    }
+
+    /// The pending instructions are the ROB contents (dispatched, in flight)
+    /// followed by the fetch queue.
+    fn into_warm_parts(self, now: u64) -> CoreWarmParts<S> {
+        CoreWarmParts {
+            resume: CoreResume {
+                time: self.cycles(now),
+                instructions: self.stats.instructions,
+                done: self.done,
+            },
+            pending: self
+                .rob
+                .iter()
+                .map(|e| e.inst)
+                .chain(self.fetch_queue.iter().map(|fe| fe.inst))
+                .collect(),
+            stream: self.stream,
+            branch: Some(self.branch_unit),
+        }
+    }
+
+    /// The core's fetch stage stays idle until the resume time is reached
+    /// (the outgoing model may have run this core ahead of the machine
+    /// clock). In-flight microarchitectural state (ROB/IQ/LSQ occupancy)
+    /// restarts empty; the replayed instructions refill it.
+    fn resume_at(&mut self, resume: &CoreResume) {
+        self.fetch_blocked_until = resume.time;
+        self.stats.instructions = resume.instructions;
+        if resume.done {
+            self.done = true;
+            self.stats.cycles = resume.time;
+        }
+    }
+
+    fn branch_unit(&self) -> Option<&BranchUnit> {
+        Some(&self.branch_unit)
+    }
+
+    fn install_branch_unit(&mut self, unit: BranchUnit) {
+        self.branch_unit = unit;
+    }
+}
+
+impl<S: InstructionStream> OutOfOrderCore<S> {
     fn commit(&mut self, now: u64) {
         let mut committed = 0;
         while committed < self.config.dispatch_width {

@@ -41,34 +41,10 @@ impl DetailedCoreStats {
     }
 }
 
-/// Final per-core result of a detailed simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DetailedCoreResult {
-    /// Core index.
-    pub core: usize,
-    /// Instructions committed by this core.
-    pub instructions: u64,
-    /// Cycle at which this core finished.
-    pub cycles: u64,
-    /// Detailed statistics.
-    pub stats: DetailedCoreStats,
-}
-
-impl DetailedCoreResult {
-    /// Instructions per cycle of this core.
-    #[must_use]
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.cycles as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iss_interval::CoreResult;
 
     #[test]
     fn ipc_is_instructions_over_cycles() {
@@ -78,7 +54,7 @@ mod tests {
             ..Default::default()
         };
         assert!((s.ipc() - 3.0).abs() < 1e-12);
-        let r = DetailedCoreResult {
+        let r = CoreResult {
             core: 0,
             instructions: 300,
             cycles: 100,

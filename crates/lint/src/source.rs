@@ -107,14 +107,6 @@ impl fmt::Display for Finding {
 }
 
 /// Crates holding simulator/model code: the full lint set applies.
-///
-/// `crates/simd-arch` is deliberately in neither tree list: it is the one
-/// crate in the workspace permitted to contain `unsafe` (runtime-dispatched
-/// `std::arch` intrinsics), which is incompatible with the
-/// `#![forbid(unsafe_code)]` attribute the model-crate lint requires.
-/// Confining the intrinsics there keeps every scanned crate's allowlist
-/// budget at zero; the crate still builds under `clippy -D warnings` and
-/// carries its own differential tests against scalar references.
 pub const MODEL_TREES: [&str; 7] = [
     "crates/trace",
     "crates/branch",

@@ -1,12 +1,12 @@
 //! The unified [`CpuModel`] abstraction over the three timing models.
 //!
-//! Before this module existed the interval, detailed and one-IPC simulators
-//! were three unrelated entry points; nothing could treat "the timing model"
-//! as a value. [`CpuModel`] makes the abstraction level a first-class dial:
-//! any model can be stepped one interval at a time, checkpointed, and a
-//! *different* model can be restored from the checkpoint — which is what the
-//! [`hybrid`](crate::hybrid) swap controller exploits to trade accuracy for
-//! simulated MIPS *during* a run.
+//! The interval, detailed and one-IPC simulators are one multi-core machine
+//! ([`iss_interval::Multicore`]) over three per-core timing models.
+//! [`AnyMachine`] holds whichever of the three a run uses and is the one
+//! [`CpuModel`]: any model can be stepped one interval at a time,
+//! checkpointed, and a *different* model can be restored from the
+//! checkpoint — which is what the [`hybrid`](crate::hybrid) swap controller
+//! exploits to trade accuracy for simulated MIPS *during* a run.
 //!
 //! A [`ModelCheckpoint`] carries two kinds of state:
 //!
@@ -26,7 +26,7 @@
 
 use iss_branch::BranchUnit;
 use iss_detailed::{DetailedSimulator, OneIpcSimulator};
-use iss_interval::IntervalSimulator;
+use iss_interval::{IntervalSimulator, Multicore, SimResult, WarmParts};
 use iss_mem::{MemoryHierarchy, MemoryStats};
 use iss_trace::{CheckpointStream, CoreResume, SyncController, ThreadedWorkload};
 
@@ -55,9 +55,9 @@ pub struct ModelCheckpoint {
     /// Lock/barrier/finished state of the workload's threads.
     pub sync: SyncController,
     /// Deep copy of the producing machine, for exact same-model resume.
-    /// Absent in lean checkpoints ([`CpuModel::checkpoint_lean`]), which the
-    /// hybrid swap path takes — a swap restores into a *different* model, so
-    /// it never consults the exact copy and need not pay for it.
+    /// Absent in lean checkpoints ([`AnyMachine::into_lean_checkpoint`]),
+    /// which the hybrid swap path takes — a swap restores into a *different*
+    /// model, so it never consults the exact copy and need not pay for it.
     exact: Option<Box<AnyMachine>>,
 }
 
@@ -119,219 +119,15 @@ pub trait CpuModel {
     fn memory_stats(&self) -> MemoryStats;
 
     /// Captures the transferable architectural state only (no exact
-    /// same-model resume copy) — the cheap checkpoint a cross-model swap
-    /// takes.
+    /// same-model resume copy), leaving the machine running. A caller that
+    /// owns the machine takes [`AnyMachine::into_lean_checkpoint`] instead,
+    /// which copies nothing.
     fn checkpoint_lean(&self) -> ModelCheckpoint;
 
     /// Captures the full machine state (see [`ModelCheckpoint`]): the
     /// transferable state plus an exact copy of the producing machine, so a
     /// same-model [`AnyMachine::restore`] is a true identity.
     fn checkpoint(&self) -> ModelCheckpoint;
-}
-
-impl CpuModel for IntervalSimulator<CheckpointStream> {
-    fn kind(&self) -> BaseModel {
-        BaseModel::Interval
-    }
-
-    fn is_done(&self) -> bool {
-        IntervalSimulator::is_done(self)
-    }
-
-    fn retired_instructions(&self) -> u64 {
-        self.total_retired()
-    }
-
-    fn machine_time(&self) -> u64 {
-        self.multi_core_time()
-    }
-
-    fn step_interval(&mut self, insts: u64) {
-        IntervalSimulator::step_interval(self, insts);
-    }
-
-    fn run_to_completion(&mut self) {
-        let _ = self.run();
-    }
-
-    fn memory_stats(&self) -> MemoryStats {
-        self.memory().stats()
-    }
-
-    fn checkpoint_lean(&self) -> ModelCheckpoint {
-        let per_core: Vec<CoreResume> = self
-            .cores()
-            .iter()
-            .map(|c| CoreResume {
-                time: if c.is_done() {
-                    c.stats().cycles
-                } else {
-                    c.core_sim_time()
-                },
-                instructions: c.stats().instructions,
-                done: c.is_done(),
-            })
-            .collect();
-        ModelCheckpoint {
-            from: BaseModel::Interval,
-            machine_time: self.multi_core_time(),
-            per_core,
-            streams: self
-                .cores()
-                .iter()
-                .map(|c| CheckpointStream::resuming(c.pending_insts(), c.stream()))
-                .collect(),
-            branch: Some(
-                self.cores()
-                    .iter()
-                    .map(|c| c.branch_unit().snapshot())
-                    .collect(),
-            ),
-            memory: self.memory().clone(),
-            sync: self.sync_controller().clone(),
-            exact: None,
-        }
-    }
-
-    fn checkpoint(&self) -> ModelCheckpoint {
-        let mut ckpt = self.checkpoint_lean();
-        ckpt.exact = Some(Box::new(AnyMachine::Interval(self.clone())));
-        ckpt
-    }
-}
-
-impl CpuModel for DetailedSimulator<CheckpointStream> {
-    fn kind(&self) -> BaseModel {
-        BaseModel::Detailed
-    }
-
-    fn is_done(&self) -> bool {
-        DetailedSimulator::is_done(self)
-    }
-
-    fn retired_instructions(&self) -> u64 {
-        self.total_retired()
-    }
-
-    fn machine_time(&self) -> u64 {
-        self.cycle()
-    }
-
-    fn step_interval(&mut self, insts: u64) {
-        DetailedSimulator::step_interval(self, insts);
-    }
-
-    fn run_to_completion(&mut self) {
-        let _ = self.run();
-    }
-
-    fn memory_stats(&self) -> MemoryStats {
-        self.memory().stats()
-    }
-
-    fn checkpoint_lean(&self) -> ModelCheckpoint {
-        let cycle = self.cycle();
-        let per_core: Vec<CoreResume> = self
-            .cores()
-            .iter()
-            .map(|c| CoreResume {
-                time: if c.is_done() { c.stats().cycles } else { cycle },
-                instructions: c.stats().instructions,
-                done: c.is_done(),
-            })
-            .collect();
-        ModelCheckpoint {
-            from: BaseModel::Detailed,
-            machine_time: cycle,
-            per_core,
-            streams: self
-                .cores()
-                .iter()
-                .map(|c| CheckpointStream::resuming(c.pending_insts(), c.stream()))
-                .collect(),
-            branch: Some(
-                self.cores()
-                    .iter()
-                    .map(|c| c.branch_unit().snapshot())
-                    .collect(),
-            ),
-            memory: self.memory().clone(),
-            sync: self.sync_controller().clone(),
-            exact: None,
-        }
-    }
-
-    fn checkpoint(&self) -> ModelCheckpoint {
-        let mut ckpt = self.checkpoint_lean();
-        ckpt.exact = Some(Box::new(AnyMachine::Detailed(self.clone())));
-        ckpt
-    }
-}
-
-impl CpuModel for OneIpcSimulator<CheckpointStream> {
-    fn kind(&self) -> BaseModel {
-        BaseModel::OneIpc
-    }
-
-    fn is_done(&self) -> bool {
-        OneIpcSimulator::is_done(self)
-    }
-
-    fn retired_instructions(&self) -> u64 {
-        self.total_retired()
-    }
-
-    fn machine_time(&self) -> u64 {
-        self.cycle()
-    }
-
-    fn step_interval(&mut self, insts: u64) {
-        OneIpcSimulator::step_interval(self, insts);
-    }
-
-    fn run_to_completion(&mut self) {
-        let _ = self.run();
-    }
-
-    fn memory_stats(&self) -> MemoryStats {
-        self.memory().stats()
-    }
-
-    fn checkpoint_lean(&self) -> ModelCheckpoint {
-        let per_core: Vec<CoreResume> = self
-            .cores()
-            .iter()
-            .map(|c| CoreResume {
-                time: if c.is_done() {
-                    c.stats().cycles
-                } else {
-                    c.core_time()
-                },
-                instructions: c.stats().instructions,
-                done: c.is_done(),
-            })
-            .collect();
-        ModelCheckpoint {
-            from: BaseModel::OneIpc,
-            machine_time: self.cycle(),
-            per_core,
-            streams: self
-                .cores()
-                .iter()
-                .map(|c| CheckpointStream::resuming(c.pending_insts(), c.stream()))
-                .collect(),
-            branch: None,
-            memory: self.memory().clone(),
-            sync: self.sync_controller().clone(),
-            exact: None,
-        }
-    }
-
-    fn checkpoint(&self) -> ModelCheckpoint {
-        let mut ckpt = self.checkpoint_lean();
-        ckpt.exact = Some(Box::new(AnyMachine::OneIpc(self.clone())));
-        ckpt
-    }
 }
 
 /// A whole simulated machine under any of the three base models — the value
@@ -348,41 +144,53 @@ pub enum AnyMachine {
     OneIpc(OneIpcSimulator<CheckpointStream>),
 }
 
+/// Evaluates `$body` with `$sim` bound to the machine inside whichever
+/// variant `$machine` holds.
+macro_rules! each {
+    ($machine:expr, $sim:ident => $body:expr) => {
+        match $machine {
+            AnyMachine::Interval($sim) => $body,
+            AnyMachine::Detailed($sim) => $body,
+            AnyMachine::OneIpc($sim) => $body,
+        }
+    };
+}
+
 impl AnyMachine {
     /// Builds a fresh machine of `kind` for `workload` on `config`.
     #[must_use]
     pub fn build(kind: BaseModel, config: &SystemConfig, workload: ThreadedWorkload) -> Self {
         let (streams, sync) = workload.into_parts();
         let streams = streams.into_iter().map(CheckpointStream::fresh).collect();
-        Self::from_parts(kind, config, streams, sync)
+        let memory = MemoryHierarchy::new(&config.memory);
+        Self::with_memory(kind, config, streams, sync, memory)
     }
 
-    /// Builds a machine of `kind` from explicit per-core streams and
-    /// synchronization state (the restore path).
-    #[must_use]
-    pub fn from_parts(
+    fn with_memory(
         kind: BaseModel,
         config: &SystemConfig,
         streams: Vec<CheckpointStream>,
         sync: SyncController,
+        memory: MemoryHierarchy,
     ) -> Self {
+        let branch = &config.branch;
         match kind {
-            BaseModel::Interval => AnyMachine::Interval(IntervalSimulator::new(
+            BaseModel::Interval => AnyMachine::Interval(Multicore::with_memory(
                 &config.interval_core,
-                &config.branch,
-                &config.memory,
+                branch,
                 streams,
                 sync,
+                memory,
             )),
-            BaseModel::Detailed => AnyMachine::Detailed(DetailedSimulator::new(
+            BaseModel::Detailed => AnyMachine::Detailed(Multicore::with_memory(
                 &config.detailed_core,
-                &config.branch,
-                &config.memory,
+                branch,
                 streams,
                 sync,
+                memory,
             )),
             BaseModel::OneIpc => {
-                AnyMachine::OneIpc(OneIpcSimulator::new(&config.memory, streams, sync))
+                AnyMachine::OneIpc(Multicore::with_memory(&(), branch, streams, sync, memory))
             }
         }
     }
@@ -391,110 +199,11 @@ impl AnyMachine {
     /// memory hierarchy, the streams or the branch tables — the cheap
     /// transition a caller that owns the machine takes (the sampled-run
     /// controller at every timed→functional boundary, the hybrid swap loop
-    /// at every swap). Produces exactly the state [`CpuModel::checkpoint_lean`]
-    /// captures, minus the copies.
+    /// at every swap).
     #[must_use]
     pub fn into_lean_checkpoint(self) -> ModelCheckpoint {
-        fn assemble(
-            cores: impl IntoIterator<
-                Item = (
-                    CoreResume,
-                    Vec<iss_trace::DynInst>,
-                    CheckpointStream,
-                    Option<BranchUnit>,
-                ),
-            >,
-        ) -> (
-            Vec<CoreResume>,
-            Vec<CheckpointStream>,
-            Vec<Option<BranchUnit>>,
-        ) {
-            let mut per_core = Vec::new();
-            let mut streams = Vec::new();
-            let mut branch = Vec::new();
-            for (resume, pending, stream, unit) in cores {
-                per_core.push(resume);
-                streams.push(CheckpointStream::resuming_owned(pending, stream));
-                branch.push(unit);
-            }
-            (per_core, streams, branch)
-        }
-        let (from, machine_time, per_core, streams, branch, memory, sync) = match self {
-            AnyMachine::Interval(sim) => {
-                let parts = sim.into_warm_parts();
-                let (per_core, streams, branch) = assemble(
-                    parts
-                        .cores
-                        .into_iter()
-                        .map(|c| (c.resume, c.pending, c.stream, Some(c.branch))),
-                );
-                (
-                    BaseModel::Interval,
-                    parts.machine_time,
-                    per_core,
-                    streams,
-                    Some(
-                        branch
-                            .into_iter()
-                            .map(|b| b.expect("interval cores predict branches"))
-                            .collect(),
-                    ),
-                    parts.memory,
-                    parts.sync,
-                )
-            }
-            AnyMachine::Detailed(sim) => {
-                let parts = sim.into_warm_parts();
-                let (per_core, streams, branch) = assemble(
-                    parts
-                        .cores
-                        .into_iter()
-                        .map(|c| (c.resume, c.pending, c.stream, c.branch)),
-                );
-                (
-                    BaseModel::Detailed,
-                    parts.machine_time,
-                    per_core,
-                    streams,
-                    Some(
-                        branch
-                            .into_iter()
-                            .map(|b| b.expect("detailed cores predict branches"))
-                            .collect(),
-                    ),
-                    parts.memory,
-                    parts.sync,
-                )
-            }
-            AnyMachine::OneIpc(sim) => {
-                let parts = sim.into_warm_parts();
-                let (per_core, streams, _) = assemble(
-                    parts
-                        .cores
-                        .into_iter()
-                        .map(|c| (c.resume, c.pending, c.stream, c.branch)),
-                );
-                (
-                    BaseModel::OneIpc,
-                    parts.machine_time,
-                    per_core,
-                    streams,
-                    None,
-                    parts.memory,
-                    parts.sync,
-                )
-            }
-        };
-        ModelCheckpoint {
-            from,
-            machine_time,
-            per_core,
-            streams,
-            branch,
-            memory,
-            sync,
-            exact: None,
-        }
+        let from = self.kind();
+        each!(self, sim => lean_checkpoint(from, sim.into_warm_parts()))
     }
 
     /// Restores a machine of `kind` from a checkpoint. Same-model restores
@@ -510,42 +219,12 @@ impl AnyMachine {
             }
         }
         // The checkpoint's warm hierarchy is *moved* into the incoming
-        // machine (`with_memory`); building the machine cold and swapping
-        // the hierarchy afterwards would allocate and immediately discard a
-        // multi-megabyte cache array per restore — real money when sampled
-        // simulation restores at every measured unit.
-        let mut machine = match kind {
-            BaseModel::Interval => AnyMachine::Interval(IntervalSimulator::with_memory(
-                &config.interval_core,
-                &config.branch,
-                ckpt.streams,
-                ckpt.sync,
-                ckpt.memory,
-            )),
-            BaseModel::Detailed => AnyMachine::Detailed(DetailedSimulator::with_memory(
-                &config.detailed_core,
-                &config.branch,
-                ckpt.streams,
-                ckpt.sync,
-                ckpt.memory,
-            )),
-            BaseModel::OneIpc => AnyMachine::OneIpc(OneIpcSimulator::with_memory(
-                ckpt.streams,
-                ckpt.sync,
-                ckpt.memory,
-            )),
-        };
-        match &mut machine {
-            AnyMachine::Interval(sim) => {
-                sim.resume_cores(ckpt.machine_time, &ckpt.per_core, ckpt.branch.as_deref());
-            }
-            AnyMachine::Detailed(sim) => {
-                sim.resume_cores(ckpt.machine_time, &ckpt.per_core, ckpt.branch.as_deref());
-            }
-            AnyMachine::OneIpc(sim) => {
-                sim.resume_cores(ckpt.machine_time, &ckpt.per_core);
-            }
-        }
+        // machine; building the machine cold and swapping the hierarchy
+        // afterwards would allocate and immediately discard a multi-megabyte
+        // cache array per restore — real money when sampled simulation
+        // restores at every measured unit.
+        let mut machine = Self::with_memory(kind, config, ckpt.streams, ckpt.sync, ckpt.memory);
+        each!(&mut machine, sim => sim.resume_cores(ckpt.machine_time, &ckpt.per_core, ckpt.branch));
         machine
     }
 
@@ -554,144 +233,99 @@ impl AnyMachine {
     /// with the hybrid spec, whatever model happens to be active at the end).
     #[must_use]
     pub fn summary(&self, model: CoreModel, workload_label: String) -> SimSummary {
-        let (cycles, per_core, total_instructions, host_seconds, memory) = match self {
-            AnyMachine::Interval(sim) => {
-                let r = sim.result();
-                (
-                    r.cycles,
-                    r.per_core
-                        .iter()
-                        .map(|c| CoreSummary {
-                            core: c.core,
-                            instructions: c.instructions,
-                            cycles: c.cycles,
-                        })
-                        .collect(),
-                    r.total_instructions,
-                    r.host_seconds,
-                    r.memory,
-                )
-            }
-            AnyMachine::Detailed(sim) => {
-                let r = sim.result();
-                (
-                    r.cycles,
-                    r.per_core
-                        .iter()
-                        .map(|c| CoreSummary {
-                            core: c.core,
-                            instructions: c.instructions,
-                            cycles: c.cycles,
-                        })
-                        .collect(),
-                    r.total_instructions,
-                    r.host_seconds,
-                    r.memory,
-                )
-            }
-            AnyMachine::OneIpc(sim) => {
-                let r = sim.result();
-                (
-                    r.cycles,
-                    r.per_core
-                        .iter()
-                        .map(|c| CoreSummary {
-                            core: c.core,
-                            instructions: c.instructions,
-                            cycles: c.cycles,
-                        })
-                        .collect(),
-                    r.total_instructions,
-                    r.host_seconds,
-                    r.memory,
-                )
-            }
-        };
-        SimSummary {
-            model,
-            workload: workload_label,
-            cycles,
-            per_core,
-            total_instructions,
-            host_seconds,
-            memory,
-            swaps: 0,
-            sampling: None,
-        }
+        each!(self, sim => summarize(sim.result(), model, workload_label))
+    }
+}
+
+/// Assembles a lean checkpoint from a consumed machine: each core's unretired
+/// instructions are queued in front of its stream, and the branch tables
+/// travel only when every core had them.
+fn lean_checkpoint(from: BaseModel, parts: WarmParts<CheckpointStream>) -> ModelCheckpoint {
+    let mut per_core = Vec::with_capacity(parts.cores.len());
+    let mut streams = Vec::with_capacity(parts.cores.len());
+    let mut branch = Vec::with_capacity(parts.cores.len());
+    for core in parts.cores {
+        per_core.push(core.resume);
+        streams.push(CheckpointStream::resuming_owned(core.pending, core.stream));
+        branch.push(core.branch);
+    }
+    ModelCheckpoint {
+        from,
+        machine_time: parts.machine_time,
+        per_core,
+        streams,
+        branch: branch.into_iter().collect(),
+        memory: parts.memory,
+        sync: parts.sync,
+        exact: None,
+    }
+}
+
+fn summarize<St>(r: SimResult<St>, model: CoreModel, workload: String) -> SimSummary {
+    SimSummary {
+        model,
+        workload,
+        cycles: r.cycles,
+        per_core: r
+            .per_core
+            .iter()
+            .map(|c| CoreSummary {
+                core: c.core,
+                instructions: c.instructions,
+                cycles: c.cycles,
+            })
+            .collect(),
+        total_instructions: r.total_instructions,
+        host_seconds: r.host_seconds,
+        memory: r.memory,
+        swaps: 0,
+        sampling: None,
     }
 }
 
 impl CpuModel for AnyMachine {
     fn kind(&self) -> BaseModel {
         match self {
-            AnyMachine::Interval(s) => s.kind(),
-            AnyMachine::Detailed(s) => s.kind(),
-            AnyMachine::OneIpc(s) => s.kind(),
+            AnyMachine::Interval(_) => BaseModel::Interval,
+            AnyMachine::Detailed(_) => BaseModel::Detailed,
+            AnyMachine::OneIpc(_) => BaseModel::OneIpc,
         }
     }
 
     fn is_done(&self) -> bool {
-        match self {
-            AnyMachine::Interval(s) => CpuModel::is_done(s),
-            AnyMachine::Detailed(s) => CpuModel::is_done(s),
-            AnyMachine::OneIpc(s) => CpuModel::is_done(s),
-        }
+        each!(self, sim => sim.is_done())
     }
 
     fn retired_instructions(&self) -> u64 {
-        match self {
-            AnyMachine::Interval(s) => s.retired_instructions(),
-            AnyMachine::Detailed(s) => s.retired_instructions(),
-            AnyMachine::OneIpc(s) => s.retired_instructions(),
-        }
+        each!(self, sim => sim.total_retired())
     }
 
     fn machine_time(&self) -> u64 {
-        match self {
-            AnyMachine::Interval(s) => CpuModel::machine_time(s),
-            AnyMachine::Detailed(s) => CpuModel::machine_time(s),
-            AnyMachine::OneIpc(s) => CpuModel::machine_time(s),
-        }
+        each!(self, sim => sim.machine_time())
     }
 
     fn step_interval(&mut self, insts: u64) {
-        match self {
-            AnyMachine::Interval(s) => CpuModel::step_interval(s, insts),
-            AnyMachine::Detailed(s) => CpuModel::step_interval(s, insts),
-            AnyMachine::OneIpc(s) => CpuModel::step_interval(s, insts),
-        }
+        each!(self, sim => sim.step_interval(insts));
     }
 
     fn run_to_completion(&mut self) {
-        match self {
-            AnyMachine::Interval(s) => s.run_to_completion(),
-            AnyMachine::Detailed(s) => s.run_to_completion(),
-            AnyMachine::OneIpc(s) => s.run_to_completion(),
-        }
+        each!(self, sim => {
+            sim.run();
+        });
     }
 
     fn memory_stats(&self) -> MemoryStats {
-        match self {
-            AnyMachine::Interval(s) => s.memory_stats(),
-            AnyMachine::Detailed(s) => s.memory_stats(),
-            AnyMachine::OneIpc(s) => s.memory_stats(),
-        }
+        each!(self, sim => sim.memory().stats())
     }
 
     fn checkpoint_lean(&self) -> ModelCheckpoint {
-        match self {
-            AnyMachine::Interval(s) => s.checkpoint_lean(),
-            AnyMachine::Detailed(s) => s.checkpoint_lean(),
-            AnyMachine::OneIpc(s) => s.checkpoint_lean(),
-        }
+        self.clone().into_lean_checkpoint()
     }
 
     fn checkpoint(&self) -> ModelCheckpoint {
-        match self {
-            AnyMachine::Interval(s) => s.checkpoint(),
-            AnyMachine::Detailed(s) => s.checkpoint(),
-            AnyMachine::OneIpc(s) => s.checkpoint(),
-        }
+        let mut ckpt = self.checkpoint_lean();
+        ckpt.exact = Some(Box::new(self.clone()));
+        ckpt
     }
 }
 
@@ -724,15 +358,22 @@ mod tests {
     fn stepped_run_matches_uninterrupted_run() {
         let config = SystemConfig::hpca2010_baseline(1);
         let spec = WorkloadSpec::single("mcf", 5_000);
-        let mut whole = AnyMachine::build(BaseModel::Interval, &config, spec.build(3).unwrap());
-        whole.run_to_completion();
-        let mut stepped = AnyMachine::build(BaseModel::Interval, &config, spec.build(3).unwrap());
-        while !stepped.is_done() {
-            stepped.step_interval(700);
+        for kind in [BaseModel::Interval, BaseModel::Detailed, BaseModel::OneIpc] {
+            let mut whole = AnyMachine::build(kind, &config, spec.build(3).unwrap());
+            whole.run_to_completion();
+            let mut stepped = AnyMachine::build(kind, &config, spec.build(3).unwrap());
+            while !stepped.is_done() {
+                stepped.step_interval(700);
+            }
+            let a = whole.summary(kind.into(), "mcf".into());
+            let b = stepped.summary(kind.into(), "mcf".into());
+            assert_eq!(
+                a.canonical_record(),
+                b.canonical_record(),
+                "{}",
+                kind.name()
+            );
         }
-        let a = whole.summary(crate::runner::CoreModel::Interval, "mcf".into());
-        let b = stepped.summary(crate::runner::CoreModel::Interval, "mcf".into());
-        assert_eq!(a.canonical_record(), b.canonical_record());
     }
 
     #[test]

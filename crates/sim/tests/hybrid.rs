@@ -43,20 +43,24 @@ fn checkpoint_restore_is_an_identity_for_each_model() {
 fn checkpoint_restore_is_an_identity_on_multicore_workloads() {
     let config = SystemConfig::hpca2010_baseline(2);
     let spec = WorkloadSpec::multithreaded("fluidanimate", 2, 30_000);
-    let mut original = machine(BaseModel::Interval, &spec, &config, 5);
-    original.step_interval(9_000);
-    let ckpt = original.checkpoint();
-    let mut restored = AnyMachine::restore(BaseModel::Interval, &config, ckpt);
-    original.run_to_completion();
-    restored.run_to_completion();
-    assert_eq!(
-        original
-            .summary(CoreModel::Interval, spec.label())
-            .canonical_record(),
-        restored
-            .summary(CoreModel::Interval, spec.label())
-            .canonical_record()
-    );
+    for kind in [BaseModel::Interval, BaseModel::Detailed, BaseModel::OneIpc] {
+        let mut original = machine(kind, &spec, &config, 5);
+        original.step_interval(9_000);
+        let ckpt = original.checkpoint();
+        let mut restored = AnyMachine::restore(kind, &config, ckpt);
+        original.run_to_completion();
+        restored.run_to_completion();
+        assert_eq!(
+            original
+                .summary(kind.into(), spec.label())
+                .canonical_record(),
+            restored
+                .summary(kind.into(), spec.label())
+                .canonical_record(),
+            "same-model restore must be exact for {}",
+            kind.name()
+        );
+    }
 }
 
 /// Cross-model restore preserves the functional execution: no instruction is

@@ -18,11 +18,9 @@
 //! do not exist: equality scans OR-fold a whole lane into one "any match?"
 //! bit and only then locate the lane (one well-predicted branch per
 //! [`LANE_WIDTH`] elements), and extremum scans use a conditional-move
-//! fold. Long `u64` scans additionally dispatch to the runtime-detected
-//! `std::arch` backend in `iss-simd-arch` — the one crate allowed to hold
-//! `unsafe` intrinsics — when the host has AVX-512; short slices stay on
-//! the portable path, which wins there even on AVX-512 hosts because the
-//! backend call cannot be inlined across its `#[target_feature]` boundary.
+//! fold. There is no `std::arch` backend: a runtime-detected AVX-512 one
+//! was measured against this portable layer and did not speed up the
+//! end-to-end warming path, so it was removed.
 //!
 //! Every kernel is *exact*: its result is defined by the scalar reference
 //! loop it replaces (first match, first minimum, …), never by "whatever the
@@ -44,16 +42,6 @@
 
 /// Number of 64-bit lanes the slice kernels process per main-loop step.
 pub const LANE_WIDTH: usize = 8;
-
-/// Slice length at which the `u64` kernels switch to the runtime-detected
-/// `iss-simd-arch` backend (when the host supports it).
-///
-/// Below this the portable loops win: the backend sits behind a function
-/// call that LLVM cannot inline across the `#[target_feature]` boundary,
-/// and an 8-way cache set fits in one portable lane step anyway. At 32+
-/// elements (the TLB page and stamp columns are 48-64) the vector compare
-/// and min/max reductions amortize the call several times over.
-pub const ARCH_MIN_LEN: usize = 32;
 
 /// Eight 64-bit unsigned lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,7 +220,7 @@ impl Mask8 {
 /// Index of the **first** element equal to `needle`, exactly as
 /// `xs.iter().position(|&x| x == needle)` would return it.
 ///
-/// Three length regimes, each the measured winner on its inputs:
+/// Two length regimes, each the measured winner on its inputs:
 ///
 /// * **One lane or less** (a cache set's tag column): plain scalar
 ///   early-exit scan. The simulator's probes overwhelmingly hit the
@@ -240,20 +228,15 @@ impl Mask8 {
 ///   the way they already occupy — so the data-dependent exit is
 ///   well-predicted and beats any fold that must always touch all eight
 ///   lanes (measured ~3× on the all-hit L2 probe row).
-/// * **Up to [`ARCH_MIN_LEN`]**: the main loop OR-folds a whole lane of
-///   equality tests into one "any match?" bit and only branches on that
-///   aggregate, then rescans the hit chunk back-to-front with
+/// * **Longer slices** (TLB page columns): the main loop OR-folds a whole
+///   lane of equality tests into one "any match?" bit and only branches on
+///   that aggregate, then rescans the hit chunk back-to-front with
 ///   conditional moves so the *first* matching lane wins.
-/// * **[`ARCH_MIN_LEN`] and beyond** (TLB page columns): the
-///   `iss-simd-arch` vector backend when the host supports it.
 #[inline]
 #[must_use]
 pub fn find_eq(xs: &[u64], needle: u64) -> Option<usize> {
     if xs.len() <= LANE_WIDTH {
         return xs.iter().position(|&x| x == needle);
-    }
-    if xs.len() >= ARCH_MIN_LEN && iss_simd_arch::available() {
-        return iss_simd_arch::find_eq(xs, needle);
     }
     let mut chunks = xs.chunks_exact(LANE_WIDTH);
     let mut base = 0usize;
@@ -287,9 +270,7 @@ pub fn find_eq(xs: &[u64], needle: u64) -> Option<usize> {
 /// Short slices (a cache set's stamp column) use a strict-compare
 /// conditional-move fold; longer ones run two passes — a branchless
 /// per-lane-column reduction to the extremal *value*, then [`find_eq`] to
-/// its first occurrence, which is by definition the first minimum — and
-/// dispatch to the `iss-simd-arch` backend at [`ARCH_MIN_LEN`] when the
-/// host supports it.
+/// its first occurrence, which is by definition the first minimum.
 #[inline]
 #[must_use]
 pub fn min_index(xs: &[u64]) -> Option<usize> {
@@ -309,13 +290,6 @@ pub fn max_index(xs: &[u64]) -> Option<usize> {
 /// Shared first-extremum scan: `maximize` flips the comparison.
 #[inline]
 fn select_index(xs: &[u64], maximize: bool) -> Option<usize> {
-    if xs.len() >= ARCH_MIN_LEN && iss_simd_arch::available() {
-        return if maximize {
-            iss_simd_arch::max_index(xs)
-        } else {
-            iss_simd_arch::min_index(xs)
-        };
-    }
     let (&first, rest) = xs.split_first()?;
     if xs.len() <= LANE_WIDTH {
         // Strict compare keeps the earliest index; compiles to cmov.

@@ -3,10 +3,9 @@
 //!
 //! The kernels' documented contract is *exact* scalar equivalence — first
 //! match, first minimum, strict counts — across every length regime the
-//! dispatch logic distinguishes (scalar early-exit at one lane or less, the
-//! portable chunked fold, and the runtime-detected `iss-simd-arch` backend
-//! beyond its minimum length). Lengths here are drawn from `0..100`, which
-//! straddles all three regimes plus the empty slice and every
+//! dispatch logic distinguishes (scalar early-exit at one lane or less, and
+//! the portable chunked fold). Lengths here are drawn from `0..100`, which
+//! straddles both regimes plus the empty slice and every
 //! non-multiple-of-`LANE_WIDTH` tail; values are drawn from a narrow range
 //! so duplicates (and therefore tie-breaking) occur constantly.
 

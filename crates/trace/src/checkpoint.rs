@@ -53,22 +53,9 @@ impl CheckpointStream {
 
     /// Builds the stream an incoming model resumes from: `unretired` are the
     /// instructions the outgoing model had fetched but not retired (oldest
-    /// first), and `current` is the outgoing model's stream as it stands —
-    /// its own un-replayed prefix (if any) followed by the generator.
-    #[must_use]
-    pub fn resuming(unretired: Vec<DynInst>, current: &CheckpointStream) -> Self {
-        let mut replay: VecDeque<DynInst> = unretired.into();
-        replay.extend(current.replay.iter().copied());
-        CheckpointStream {
-            replay,
-            inner: current.inner.clone(),
-        }
-    }
-
-    /// Owned variant of [`CheckpointStream::resuming`]: prepends `unretired`
-    /// to a stream the caller already owns, without cloning the generator.
-    /// This is the clone-free path a sampled run takes when it deconstructs
-    /// a timing model it owns at a functional-unit boundary.
+    /// first), prepended to `current`, the outgoing model's stream as it
+    /// stands (its own un-replayed prefix, if any, followed by the
+    /// generator). The stream is moved, so the generator is never cloned.
     #[must_use]
     pub fn resuming_owned(unretired: Vec<DynInst>, mut current: CheckpointStream) -> Self {
         for inst in unretired.into_iter().rev() {
@@ -105,6 +92,17 @@ mod tests {
     use super::*;
     use crate::catalog;
 
+    /// The cloning reference for [`CheckpointStream::resuming_owned`]: the
+    /// resumed stream built from a borrowed outgoing stream.
+    fn resuming(unretired: Vec<DynInst>, current: &CheckpointStream) -> CheckpointStream {
+        let mut replay: VecDeque<DynInst> = unretired.into();
+        replay.extend(current.replay.iter().copied());
+        CheckpointStream {
+            replay,
+            inner: current.inner.clone(),
+        }
+    }
+
     fn collect(s: &mut impl InstructionStream) -> Vec<DynInst> {
         let mut v = Vec::new();
         while let Some(i) = s.next_inst() {
@@ -136,7 +134,7 @@ mod tests {
             consumed.push(s.next_inst().unwrap());
         }
         let unretired = consumed[60..].to_vec();
-        let mut resumed = CheckpointStream::resuming(unretired, &s);
+        let mut resumed = CheckpointStream::resuming_owned(unretired, s);
         assert_eq!(resumed.replay_len(), 40);
         assert_eq!(resumed.remaining_hint(), Some(940));
         let tail = collect(&mut resumed);
@@ -153,7 +151,7 @@ mod tests {
             consumed.push(s.next_inst().unwrap());
         }
         let unretired = consumed[90..].to_vec();
-        let cloned = CheckpointStream::resuming(unretired.clone(), &s);
+        let cloned = resuming(unretired.clone(), &s);
         let owned = CheckpointStream::resuming_owned(unretired, s);
         assert_eq!(collect(&mut { cloned }), collect(&mut { owned }));
     }
@@ -170,14 +168,14 @@ mod tests {
             consumed.push(s.next_inst().unwrap());
         }
         // First swap: 10 unretired.
-        let mut second = CheckpointStream::resuming(consumed[40..].to_vec(), &s);
+        let mut second = CheckpointStream::resuming_owned(consumed[40..].to_vec(), s);
         // Drain 3 of the replayed instructions, then swap again with 2 more
         // unretired in front of the remaining 7.
         let mut replayed = Vec::new();
         for _ in 0..3 {
             replayed.push(second.next_inst().unwrap());
         }
-        let third = CheckpointStream::resuming(replayed[1..].to_vec(), &second);
+        let third = CheckpointStream::resuming_owned(replayed[1..].to_vec(), second);
         let tail = collect(&mut { third });
         assert_eq!(&reference[41..], &tail[..]);
     }

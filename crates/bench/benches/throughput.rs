@@ -1,40 +1,18 @@
-//! Hot-loop throughput bench: simulated instructions per host second for
-//! each core model, plus the batch engine running a small sweep. This is the
-//! bench behind the `BENCH_interval.json` MIPS numbers — the quantity the
-//! zero-allocation work on the per-instruction path moves.
+//! Throughput benches that `perf` does not cover: the batch engine running
+//! a small sweep at 1, 2 and 4 workers, and the batched structure-of-arrays
+//! kernels behind functional warming, isolated so a kernel-level
+//! regression is visible separately from end-to-end MIPS.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use iss_branch::BranchUnit;
-use iss_mem::tlb::TlbConfig;
-use iss_mem::{Cache, CacheConfig, LineState, MemoryHierarchy, Tlb};
+use iss_bench::kernels::{decode, harvest, lane_kernels, HARVEST_BENCHMARK};
+use iss_mem::MemoryHierarchy;
 use iss_sim::batch::{run_batch_with_threads, SimJob};
 use iss_sim::config::SystemConfig;
-use iss_sim::runner::{run, CoreModel};
+use iss_sim::runner::CoreModel;
 use iss_sim::workload::WorkloadSpec;
-use iss_trace::{
-    catalog, fast_forward_batched, geo_classify, geo_classify_head, geo_threshold_table,
-    BranchInfo, CheckpointStream, CoreResume, InstBatch, GEO_U_MIN,
-};
 
 const BUDGET: u64 = 20_000;
-
-fn model_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("throughput");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(BUDGET));
-    let config = SystemConfig::hpca2010_baseline(1);
-    for benchmark in ["gcc", "mcf"] {
-        let spec = WorkloadSpec::single(benchmark, BUDGET);
-        for model in [CoreModel::Interval, CoreModel::Detailed, CoreModel::OneIpc] {
-            group.bench_with_input(
-                BenchmarkId::new(benchmark, model.name()),
-                &model,
-                |b, &model| b.iter(|| run(model, &config, &spec, 42)),
-            );
-        }
-    }
-    group.finish();
-}
+const SEED: u64 = 42;
 
 fn batch_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_engine");
@@ -47,7 +25,7 @@ fn batch_engine(c: &mut Criterion) {
                 CoreModel::Interval,
                 config,
                 WorkloadSpec::single(b, BUDGET),
-                42,
+                SEED,
             )
         })
         .collect();
@@ -62,199 +40,60 @@ fn batch_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// One harvested warming batch: clones of the structure-of-arrays columns
-/// `fast_forward_batched` produced, replayable against fresh kernel state.
-struct Cols {
-    pc: Vec<u64>,
-    mem_pos: Vec<u32>,
-    mem_addr: Vec<u64>,
-    mem_store: Vec<bool>,
-    br_pc: Vec<u64>,
-    br_info: Vec<BranchInfo>,
-}
-
-/// Decodes one benchmark front to back at batch 64, keeping every batch's
-/// columns — realistic input for the cache-probe and branch-update kernels.
-fn harvest_columns(benchmark: &str) -> Vec<Cols> {
-    let workload = WorkloadSpec::single(benchmark, BUDGET)
-        .build(42)
-        .expect("catalog workload builds");
-    let (raw, mut sync) = workload.into_parts();
-    let mut streams: Vec<CheckpointStream> = raw.into_iter().map(CheckpointStream::fresh).collect();
-    let mut per_core = vec![
-        CoreResume {
-            time: 0,
-            instructions: 0,
-            done: false,
-        };
-        streams.len()
-    ];
-    let mut batch = InstBatch::with_capacity(64);
-    let mut cols = Vec::new();
-    fast_forward_batched(
-        &mut streams,
-        &mut sync,
-        &mut per_core,
-        u64::MAX,
-        &mut batch,
-        &mut |_, b| {
-            cols.push(Cols {
-                pc: b.pc.clone(),
-                mem_pos: b.mem_pos.clone(),
-                mem_addr: b.mem_addr.clone(),
-                mem_store: b.mem_store.clone(),
-                br_pc: b.br_pc.clone(),
-                br_info: b.br_info.clone(),
-            });
-        },
-    );
-    cols
-}
-
-/// The batched structure-of-arrays kernels behind functional warming,
-/// isolated so a kernel-level regression is visible separately from
-/// end-to-end MIPS: SoA decode (stream generation into `InstBatch`
-/// columns), the hierarchy's batched cache/TLB probe, and the branch unit's
-/// batched table update.
+/// The warming path's stages on one benchmark's harvested columns: SoA
+/// decode (stream generation into `InstBatch` columns) and the hierarchy's
+/// batched cache/TLB probe, then the four lane kernels `perf` also times
+/// (tag compare, TLB batch, threshold scan, branch-unit update).
 fn batch_kernels(c: &mut Criterion) {
     let config = SystemConfig::hpca2010_baseline(1);
-    let cols = harvest_columns("mcf");
-    let total: u64 = cols.iter().map(|col| col.pc.len() as u64).sum();
+    let columns = harvest(HARVEST_BENCHMARK, BUDGET, SEED);
+    let total: u64 = columns.iter().map(|col| col.pc.len() as u64).sum();
 
     let mut group = c.benchmark_group("batch_kernels");
     group.sample_size(10);
     group.throughput(Throughput::Elements(total));
 
-    group.bench_function(BenchmarkId::new("soa_decode", "mcf"), |b| {
+    group.bench_function(BenchmarkId::new("soa_decode", HARVEST_BENCHMARK), |b| {
         b.iter(|| {
-            let workload = WorkloadSpec::single("mcf", BUDGET)
-                .build(42)
-                .expect("catalog workload builds");
-            let (raw, mut sync) = workload.into_parts();
-            let mut streams: Vec<CheckpointStream> =
-                raw.into_iter().map(CheckpointStream::fresh).collect();
-            let mut per_core = vec![
-                CoreResume {
-                    time: 0,
-                    instructions: 0,
-                    done: false,
-                };
-                streams.len()
-            ];
-            let mut batch = InstBatch::with_capacity(64);
-            fast_forward_batched(
-                &mut streams,
-                &mut sync,
-                &mut per_core,
-                u64::MAX,
-                &mut batch,
-                &mut |_, b| {
-                    std::hint::black_box(b.len());
-                },
-            )
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("cache_probe_batch", "mcf"), |b| {
-        let mut memory = MemoryHierarchy::new(&config.memory);
-        memory.set_warming(true);
-        b.iter(|| {
-            let mut last_iline = u64::MAX;
-            let mut now = 0u64;
-            for col in &cols {
-                memory.warm_access_batch(
-                    0,
-                    &col.pc,
-                    &col.mem_pos,
-                    &col.mem_addr,
-                    &col.mem_store,
-                    6,
-                    &mut last_iline,
-                    now,
-                );
-                now += col.pc.len() as u64;
-            }
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("branch_update_batch", "mcf"), |b| {
-        let mut unit = BranchUnit::new(&config.branch);
-        b.iter(|| {
-            for col in &cols {
-                unit.update_batch(&col.br_pc, &col.br_info);
-            }
-        })
-    });
-
-    // Per-kernel rows below isolate the individual lane kernels the rows
-    // above compose, so a vectorization regression in one kernel is visible
-    // without untangling the full warming pass.
-    let mem_accesses: u64 = cols.iter().map(|col| col.mem_addr.len() as u64).sum();
-
-    group.throughput(Throughput::Elements(mem_accesses));
-    group.bench_function(BenchmarkId::new("tag_compare", "mcf"), |b| {
-        // L2 geometry (8 ways): the widest set-major tag compare in the
-        // hierarchy. Pre-inserting every harvested line makes the timed loop
-        // pure lookups (hits and capacity misses), which is the kernel the
-        // warming path leans on between insert-driven batch cuts.
-        let mut cache = Cache::new(&CacheConfig::l2_4m());
-        for col in &cols {
-            for &addr in &col.mem_addr {
-                cache.insert(addr, LineState::Exclusive);
-            }
-        }
-        let mut states = Vec::new();
-        b.iter(|| {
-            for col in &cols {
-                cache.access_batch(&col.mem_addr, &mut states);
-                std::hint::black_box(states.len());
-            }
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("tlb_access_batch", "mcf"), |b| {
-        let mut tlb = Tlb::new(&TlbConfig::default_dtlb());
-        let mut latencies = Vec::new();
-        b.iter(|| {
-            for col in &cols {
-                tlb.access_batch(&col.mem_addr, &mut latencies);
-                std::hint::black_box(latencies.len());
-            }
-        })
-    });
-
-    const DRAWS: usize = 1 << 16;
-    group.throughput(Throughput::Elements(DRAWS as u64));
-    group.bench_function(BenchmarkId::new("threshold_scan", "mcf"), |b| {
-        // The generator's geometric dependence-distance draw: classify a
-        // block of clamped uniforms against the 64-entry inverse-CDF table,
-        // exactly as `SyntheticStream::pick_src` does once per generated
-        // instruction.
-        let profile = catalog::spec_profile("mcf").expect("mcf is in the catalog");
-        let table = geo_threshold_table(profile.dep_distance_mean);
-        let head = geo_classify_head(profile.dep_distance_mean);
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let draws: Vec<f64> = (0..DRAWS)
-            .map(|_| {
-                // xorshift64*, mapped to a uniform in [0, 1) like the
-                // stream's RNG, then clamped like the pick_src draw.
-                state ^= state >> 12;
-                state ^= state << 25;
-                state ^= state >> 27;
-                let bits = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
-                ((bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)).max(GEO_U_MIN)
+            decode(HARVEST_BENCHMARK, BUDGET, SEED, &mut |batch| {
+                std::hint::black_box(batch.len());
             })
-            .collect();
-        b.iter(|| {
-            let mut acc = 0usize;
-            for &u in &draws {
-                acc += geo_classify(&table, head, u);
-            }
-            std::hint::black_box(acc)
         })
     });
+
+    group.bench_function(
+        BenchmarkId::new("cache_probe_batch", HARVEST_BENCHMARK),
+        |b| {
+            let mut memory = MemoryHierarchy::new(&config.memory);
+            memory.set_warming(true);
+            b.iter(|| {
+                let mut last_iline = u64::MAX;
+                let mut now = 0u64;
+                for col in &columns {
+                    memory.warm_access_batch(
+                        0,
+                        &col.pc,
+                        &col.mem_pos,
+                        &col.mem_addr,
+                        &col.mem_store,
+                        6,
+                        &mut last_iline,
+                        now,
+                    );
+                    now += col.pc.len() as u64;
+                }
+            })
+        },
+    );
+
+    for mut kernel in lane_kernels(&columns, &config) {
+        group.throughput(Throughput::Elements(kernel.ops));
+        group.bench_function(BenchmarkId::new(kernel.name, HARVEST_BENCHMARK), |b| {
+            b.iter(&mut kernel.run)
+        });
+    }
     group.finish();
 }
 
-criterion_group!(benches, model_throughput, batch_engine, batch_kernels);
+criterion_group!(benches, batch_engine, batch_kernels);
 criterion_main!(benches);

@@ -1,77 +1,66 @@
 //! Machine-readable performance trajectory of the simulator itself.
 //!
-//! Runs a fixed instruction budget per core model (single-threaded, so the
-//! number reported is the hot-loop speed, not the batch engine's), times the
-//! built-in figure sweeps through the parallel batch engine, and emits
-//! `BENCH_interval.json` with:
+//! Measures, single-threaded at the `ISS_EXPERIMENT_SCALE` budget (`quick`
+//! by default) and in interleaved rounds ([`ROUNDS`]), and writes an
+//! `iss-bench-perf/v2` file ([`iss_bench::gates::render_perf`]) with:
 //!
-//! * simulated MIPS per core model (single-thread),
-//! * a `warming` row: functional-warming throughput of the batched
-//!   structure-of-arrays path (`fast_forward_batched` +
-//!   `warm_access_batch` + `update_batch`), the speed sampled simulation
-//!   is Amdahl-bound on,
-//! * the throughput of a tiny fixed reference kernel (pure integer work,
-//!   no simulator code) — the perf gate divides every MIPS number by it so
-//!   a slow or noisy host cancels out of the baseline comparison,
-//! * a `kernels` array: the four isolated lane kernels of the hot loops
-//!   (set-major tag compare, batched TLB translate, geometric threshold
-//!   scan, batched branch update) in MOPS on harvested columns — the perf
-//!   gate pins each as a host-normalized per-kernel floor,
-//! * the interval-vs-detailed simulation speedup,
-//! * wall-clock seconds per built-in figure sweep (these scale with
-//!   `ISS_THREADS`).
+//! * simulated MIPS per core model over the SPEC quick set, each row a
+//!   one-model benchmark sweep through the scenario engine on one worker,
+//! * a `warming` row: the sampled runner's own functional-warming loop
+//!   ([`iss_sim::sampling::warm_functionally`]) with no timing model
+//!   attached, the speed sampled simulation is Amdahl-bound on,
+//! * a `kernels` array: the four lane kernels of [`iss_bench::kernels`] in
+//!   MOPS on harvested columns,
+//! * the host kernel's speed ([`iss_sim::host_time::host_kernel_mops`]),
+//!   which `perf_gate` divides every rate by,
+//! * the interval-over-detailed speedup.
 //!
-//! Every measurement runs through the generic scenario engine: each model's
-//! throughput row is a one-model benchmark sweep executed on a single
-//! worker, summed over its unified records.
-//!
-//! Usage: `perf [output-path] [--no-figures]`; the output path defaults to
-//! `ISS_BENCH_OUT` or `BENCH_interval.json`. The instruction budget follows
-//! `ISS_EXPERIMENT_SCALE` (`quick` by default).
+//! Usage: `perf [output-path]`; the path defaults to `BENCH_interval.json`.
 
-use iss_sim::host_time::HostTimer;
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
-use iss_bench::{PARSEC_QUICK, SPEC_QUICK};
-use iss_branch::BranchUnit;
-use iss_mem::tlb::TlbConfig;
-use iss_mem::{Cache, CacheConfig, LineState, MemoryHierarchy, Tlb};
-use iss_sim::env::{BENCH_OUT, EXPERIMENT_SCALE, THREADS};
-use iss_sim::experiments::{builtin, default_sampling_specs, ExperimentScale};
+use iss_bench::gates::{render_perf, PerfFile, PerfRow};
+use iss_bench::kernels::{harvest, lane_kernels, HARVEST_BENCHMARK, WARM_BATCH};
+use iss_bench::{EXPERIMENT_SCALE, SPEC_QUICK};
+use iss_sim::experiments::{default_sampling_specs, ExperimentScale};
+use iss_sim::host_time::{host_kernel_mops, HostTimer};
 use iss_sim::runner::CoreModel;
+use iss_sim::sampling::warm_functionally;
 use iss_sim::scenario::{ScenarioSpec, SweepSpec};
 use iss_sim::{SystemConfig, WorkloadSpec};
-use iss_trace::{
-    catalog, fast_forward_batched, geo_classify, geo_classify_head, geo_threshold_table,
-    BranchInfo, CheckpointStream, CoreResume, InstBatch, GEO_U_MIN,
-};
 
-/// Single-thread throughput of one measured hot loop over the SPEC quick
-/// set (a core model, or the batched functional-warming path).
-struct ModelThroughput {
-    name: String,
-    instructions: u64,
-    host_seconds: f64,
+/// Measurement rounds. Each round times the host kernel and then every
+/// row once, and each quantity keeps its fastest round. A shared host
+/// alternates fast and slow phases that last from a fraction of a second
+/// to a few seconds; interleaving spreads every quantity over the same
+/// phases, so the fastest rounds of a row and of the host kernel both come
+/// from fast phases and their ratio stays put.
+const ROUNDS: usize = 20;
+
+/// Passes over the harvested columns per kernel sample: a few million
+/// kernel operations.
+const KERNEL_PASSES: u64 = 32;
+
+/// Lookups per host-kernel run (median of three runs per round).
+const HOST_KERNEL_ITERS: u64 = 1 << 20;
+
+/// One measured row: a name and a sample that returns the work it did and
+/// the host seconds it took.
+type Row<'a> = (String, Box<dyn FnMut() -> (u64, f64) + 'a>);
+
+/// A row whose host seconds are the wall-clock of `run`, which returns the
+/// work it did.
+fn timed<'a>(name: &str, mut run: impl FnMut() -> u64 + 'a) -> Row<'a> {
+    let sample = move || {
+        let start = HostTimer::start();
+        let work = run();
+        (work, start.elapsed_seconds())
+    };
+    (name.to_string(), Box::new(sample))
 }
 
-impl ModelThroughput {
-    fn mips(&self) -> f64 {
-        if self.host_seconds <= 0.0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.host_seconds / 1e6
-        }
-    }
-}
-
-/// Timing repetitions per model; the fastest run is kept. Shared CI
-/// runners have noisy neighbours, so a single sample can absorb a
-/// scheduler stall and masquerade as a real regression — the minimum
-/// over a few runs is a much more stable estimate of hot-loop speed.
-const MEASUREMENT_RUNS: usize = 3;
-
-fn measure_model(model: CoreModel, scale: ExperimentScale) -> ModelThroughput {
+/// The row of `model`: one-model sweep over the SPEC quick set on one
+/// worker, summed over its records (simulated instructions and the host
+/// seconds the records report).
+fn model_row<'a>(model: CoreModel, scale: ExperimentScale) -> Row<'a> {
     let mut base = ScenarioSpec::new(
         WorkloadSpec::single(SPEC_QUICK[0], scale.spec_length),
         scale.seed,
@@ -79,485 +68,130 @@ fn measure_model(model: CoreModel, scale: ExperimentScale) -> ModelThroughput {
     base.model = model;
     let mut sweep = SweepSpec::new("perf", base);
     sweep.benchmarks = SPEC_QUICK.iter().map(|b| (*b).to_string()).collect();
-    // One worker: this is the hot-loop MIPS figure, not batch scaling, and a
-    // single worker keeps the per-run wall clocks free of host contention.
-    let mut best: Option<ModelThroughput> = None;
-    for _ in 0..MEASUREMENT_RUNS {
+    let sample = move || {
         let records = sweep
             .run_with_threads(1)
             .unwrap_or_else(|e| panic!("perf sweep failed: {e}"));
-        let run = ModelThroughput {
-            name: model.name(),
-            instructions: records.iter().map(|r| r.instructions).sum(),
-            host_seconds: records.iter().map(|r| r.host_seconds).sum(),
-        };
-        if best
-            .as_ref()
-            .is_none_or(|b| run.host_seconds < b.host_seconds)
-        {
-            best = Some(run);
-        }
-    }
-    best.unwrap_or_else(|| panic!("perf measured no runs for {}", model.name()))
-}
-
-/// Fetch-batching grain of the warming path (64-byte i-cache lines) and the
-/// default structure-of-arrays batch size — the same values the sampled
-/// runner uses.
-const IFETCH_LINE_SHIFT: u32 = 6;
-const WARM_BATCH: usize = 64;
-
-/// Throughput of the batched functional-warming path itself: every SPEC
-/// quick benchmark is fast-forwarded front to back through
-/// `fast_forward_batched`, warming the memory hierarchy and branch unit
-/// exactly as a sampled run's functional units do, with no timing model
-/// attached. This is the speed sampled simulation is Amdahl-bound on.
-fn measure_warming(scale: ExperimentScale) -> ModelThroughput {
-    let config = SystemConfig::hpca2010_baseline(1);
-    let mut best: Option<ModelThroughput> = None;
-    for _ in 0..MEASUREMENT_RUNS {
-        let start = HostTimer::start();
-        let mut instructions = 0u64;
-        for benchmark in SPEC_QUICK {
-            let workload = WorkloadSpec::single(benchmark, scale.spec_length)
-                .build(scale.seed)
-                .unwrap_or_else(|e| panic!("warming workload failed: {e}"));
-            let num_cores = workload.num_cores();
-            let (raw_streams, mut sync) = workload.into_parts();
-            let mut streams: Vec<CheckpointStream> = raw_streams
-                .into_iter()
-                .map(CheckpointStream::fresh)
-                .collect();
-            let mut per_core = vec![
-                CoreResume {
-                    time: 0,
-                    instructions: 0,
-                    done: false,
-                };
-                num_cores
-            ];
-            let mut memory = MemoryHierarchy::new(&config.memory);
-            memory.set_warming(true);
-            let mut branch: Vec<BranchUnit> = (0..num_cores)
-                .map(|_| BranchUnit::new(&config.branch))
-                .collect();
-            let mut batch = InstBatch::with_capacity(WARM_BATCH);
-            let mut last_iline = vec![u64::MAX; num_cores];
-            let mut now = 0u64;
-            loop {
-                let consumed = fast_forward_batched(
-                    &mut streams,
-                    &mut sync,
-                    &mut per_core,
-                    u64::MAX,
-                    &mut batch,
-                    &mut |core, b: &InstBatch| {
-                        memory.warm_access_batch(
-                            core,
-                            &b.pc,
-                            &b.mem_pos,
-                            &b.mem_addr,
-                            &b.mem_store,
-                            IFETCH_LINE_SHIFT,
-                            &mut last_iline[core],
-                            now,
-                        );
-                        branch[core].update_batch(&b.br_pc, &b.br_info);
-                        now += b.len() as u64;
-                    },
-                );
-                instructions += consumed;
-                if consumed == 0 {
-                    break;
-                }
-            }
-        }
-        let run = ModelThroughput {
-            name: "warming".to_string(),
-            instructions,
-            host_seconds: start.elapsed_seconds(),
-        };
-        if best
-            .as_ref()
-            .is_none_or(|b| run.host_seconds < b.host_seconds)
-        {
-            best = Some(run);
-        }
-    }
-    best.unwrap_or_else(|| panic!("perf measured no warming runs"))
-}
-
-/// Throughput of one isolated batch kernel on harvested columns.
-struct KernelThroughput {
-    name: &'static str,
-    ops: u64,
-    host_seconds: f64,
-}
-
-impl KernelThroughput {
-    fn mops(&self) -> f64 {
-        if self.host_seconds <= 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / self.host_seconds / 1e6
-        }
-    }
-}
-
-/// Passes over the harvested columns per kernel timing run: enough work
-/// (a few million kernel operations) that one scheduler hiccup cannot
-/// dominate the measurement.
-const KERNEL_PASSES: u64 = 32;
-
-/// Measures the four lane kernels behind the warming and interval hot
-/// loops in isolation, on the same realistic columns the `batch_kernels`
-/// criterion group uses: one benchmark decoded front to back at the
-/// warming batch size, its structure-of-arrays columns retained and
-/// replayed against fresh kernel state. The JSON rows these produce are
-/// what `perf_gate` pins as host-normalized per-kernel floors.
-fn measure_kernels(scale: ExperimentScale) -> Vec<KernelThroughput> {
-    // Harvest mcf's columns — the workload with the richest mix of memory
-    // and branch traffic in the quick set.
-    let config = SystemConfig::hpca2010_baseline(1);
-    let workload = WorkloadSpec::single("mcf", scale.spec_length)
-        .build(scale.seed)
-        .unwrap_or_else(|e| panic!("kernel harvest workload failed: {e}"));
-    let (raw, mut sync) = workload.into_parts();
-    let mut streams: Vec<CheckpointStream> = raw.into_iter().map(CheckpointStream::fresh).collect();
-    let mut per_core = vec![
-        CoreResume {
-            time: 0,
-            instructions: 0,
-            done: false,
-        };
-        streams.len()
-    ];
-    let mut batch = InstBatch::with_capacity(WARM_BATCH);
-    let mut mem_addr: Vec<Vec<u64>> = Vec::new();
-    let mut branches: Vec<(Vec<u64>, Vec<BranchInfo>)> = Vec::new();
-    fast_forward_batched(
-        &mut streams,
-        &mut sync,
-        &mut per_core,
-        u64::MAX,
-        &mut batch,
-        &mut |_, b: &InstBatch| {
-            mem_addr.push(b.mem_addr.clone());
-            branches.push((b.br_pc.clone(), b.br_info.clone()));
-        },
-    );
-    let accesses: u64 = mem_addr.iter().map(|c| c.len() as u64).sum();
-    let branch_ops: u64 = branches.iter().map(|(p, _)| p.len() as u64).sum();
-
-    // Best-of-N timing of `passes` replays of one closure.
-    let time_kernel = |name: &'static str, ops: u64, run: &mut dyn FnMut()| {
-        let mut best = f64::INFINITY;
-        for _ in 0..MEASUREMENT_RUNS {
-            let start = HostTimer::start();
-            for _ in 0..KERNEL_PASSES {
-                run();
-            }
-            best = best.min(start.elapsed_seconds());
-        }
-        KernelThroughput {
-            name,
-            ops: ops * KERNEL_PASSES,
-            host_seconds: best,
-        }
+        (
+            records.iter().map(|r| r.instructions).sum(),
+            records.iter().map(|r| r.host_seconds).sum(),
+        )
     };
+    (model.name(), Box::new(sample))
+}
 
-    let mut kernels = Vec::new();
-
-    // Set-major tag compare: the widest cache in the hierarchy (the L2),
-    // pre-populated so the timed loop is pure lookups.
-    let mut l2 = Cache::new(&CacheConfig::l2_4m());
-    for col in &mem_addr {
-        for &a in col {
-            l2.insert(a, LineState::Exclusive);
-        }
-    }
-    let mut states = Vec::new();
-    kernels.push(time_kernel("tag_compare", accesses, &mut || {
-        for col in &mem_addr {
-            l2.access_batch(col, &mut states);
-            std::hint::black_box(states.len());
-        }
-    }));
-
-    // Batched TLB translate over the same address columns.
-    let mut tlb = Tlb::new(&TlbConfig::default_dtlb());
-    let mut latencies = Vec::new();
-    kernels.push(time_kernel("tlb_access_batch", accesses, &mut || {
-        for col in &mem_addr {
-            tlb.access_batch(col, &mut latencies);
-            std::hint::black_box(latencies.len());
-        }
-    }));
-
-    // The generator's geometric dependence-distance classify, on clamped
-    // uniforms like `SyntheticStream::pick_src` draws.
-    const DRAWS: usize = 1 << 16;
-    let profile = catalog::spec_profile("mcf").unwrap_or_else(|| panic!("mcf is in the catalog"));
-    let table = geo_threshold_table(profile.dep_distance_mean);
-    let head = geo_classify_head(profile.dep_distance_mean);
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let draws: Vec<f64> = (0..DRAWS)
-        .map(|_| {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let bits = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
-            ((bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)).max(GEO_U_MIN)
+/// Runs [`ROUNDS`] rounds; returns the fastest host-kernel speed and the
+/// fastest sample of each row.
+fn measure(rows: &mut [Row]) -> (f64, Vec<PerfRow>) {
+    let mut fastest: Vec<PerfRow> = rows
+        .iter()
+        .map(|(name, _)| PerfRow {
+            name: name.clone(),
+            work: 0,
+            host_seconds: f64::INFINITY,
         })
         .collect();
-    kernels.push(time_kernel("threshold_scan", DRAWS as u64, &mut || {
-        let mut acc = 0usize;
-        for &u in &draws {
-            acc += geo_classify(&table, head, u);
+    let mut host_kernel = 0.0f64;
+    for _ in 0..ROUNDS {
+        host_kernel = host_kernel.max(host_kernel_mops(HOST_KERNEL_ITERS));
+        for (best, (_, sample)) in fastest.iter_mut().zip(rows.iter_mut()) {
+            let (work, host_seconds) = sample();
+            if host_seconds < best.host_seconds {
+                best.work = work;
+                best.host_seconds = host_seconds;
+            }
         }
-        std::hint::black_box(acc);
-    }));
-
-    // Batched branch-unit update over the harvested branch columns.
-    let config_branch = config.branch;
-    let mut unit = BranchUnit::new(&config_branch);
-    kernels.push(time_kernel("branch_update_batch", branch_ops, &mut || {
-        for (pcs, infos) in &branches {
-            unit.update_batch(pcs, infos);
-        }
-    }));
-
-    kernels
-}
-
-/// Iterations of the fixed reference kernel — sized for tens of
-/// milliseconds per run, long enough to average over scheduler jitter.
-const REFERENCE_ITERS: u64 = 1 << 26;
-
-/// Throughput (million operations per second) of a tiny fixed integer
-/// kernel that exercises no simulator code: an xorshift64* chain whose
-/// result feeds `black_box` so it cannot be folded away. The kernel is
-/// pinned — the same operations forever — so its speed varies only with
-/// the host; the perf gate divides every simulated-MIPS number by it to
-/// cancel host speed and load out of the baseline comparison.
-fn measure_reference_kernel() -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..MEASUREMENT_RUNS {
-        let start = HostTimer::start();
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for _ in 0..REFERENCE_ITERS {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-        }
-        std::hint::black_box(x);
-        best = best.min(start.elapsed_seconds());
     }
-    if best <= 0.0 {
-        return 0.0;
-    }
-    REFERENCE_ITERS as f64 / best / 1e6
-}
-
-/// Wall-clock of one built-in sweep (runs through `run_batch`, so this is
-/// the number that drops when `ISS_THREADS` rises).
-struct DriverTiming {
-    name: &'static str,
-    seconds: f64,
-    rows: usize,
-}
-
-/// Times the `name` built-in at `scale`, cut down to `benchmarks` (and to
-/// `cores` when non-empty). Wall-clock frontiers pass `threads = Some(1)`.
-fn time_driver(
-    name: &'static str,
-    benchmarks: &[&str],
-    cores: &[usize],
-    threads: Option<usize>,
-    scale: ExperimentScale,
-) -> DriverTiming {
-    let mut sweep = builtin(name, scale).unwrap_or_else(|| panic!("unknown builtin {name}"));
-    sweep.benchmarks = benchmarks.iter().map(|b| (*b).to_string()).collect();
-    if !cores.is_empty() {
-        sweep.cores = cores.to_vec();
-    }
-    let start = HostTimer::start();
-    let records = match threads {
-        Some(threads) => sweep.run_with_threads(threads),
-        None => sweep.run(),
-    }
-    .unwrap_or_else(|e| panic!("perf driver {name} failed: {e}"));
-    DriverTiming {
-        name,
-        seconds: start.elapsed_seconds(),
-        rows: records.len(),
-    }
-}
-
-fn time_drivers(scale: ExperimentScale) -> Vec<DriverTiming> {
-    let spec2 = &SPEC_QUICK[..2];
-    let parsec2 = &PARSEC_QUICK[..2];
-    vec![
-        time_driver("fig4-dispatch", &SPEC_QUICK, &[], None, scale),
-        time_driver("fig5", &SPEC_QUICK, &[], None, scale),
-        time_driver("fig6", spec2, &[1, 2, 4], None, scale),
-        time_driver("fig7", parsec2, &[1, 2, 4], None, scale),
-        time_driver("fig8", parsec2, &[], None, scale),
-        time_driver("fig9", spec2, &[1, 4], None, scale),
-        time_driver("fig10", parsec2, &[1, 4], None, scale),
-        time_driver("ablation", &SPEC_QUICK, &[], None, scale),
-        time_driver("sampling", spec2, &[], Some(1), scale),
-    ]
-}
-
-fn render_json(
-    scale: ExperimentScale,
-    threads: usize,
-    reference_mops: f64,
-    models: &[ModelThroughput],
-    kernels: &[KernelThroughput],
-    speedup: f64,
-    drivers: &[DriverTiming],
-) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    let _ = writeln!(j, "  \"schema\": \"iss-bench-perf/v1\",");
-    let _ = writeln!(
-        j,
-        "  \"scale\": {{\"spec_length\": {}, \"parsec_length\": {}, \"seed\": {}}},",
-        scale.spec_length, scale.parsec_length, scale.seed
-    );
-    let _ = writeln!(j, "  \"threads\": {threads},");
-    let _ = writeln!(j, "  \"reference_kernel_mops\": {reference_mops:.3},");
-    j.push_str("  \"models\": [\n");
-    for (i, m) in models.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"model\": \"{}\", \"instructions\": {}, \"host_seconds\": {:.6}, \"simulated_mips\": {:.3}}}{}",
-            m.name,
-            m.instructions,
-            m.host_seconds,
-            m.mips(),
-            if i + 1 < models.len() { "," } else { "" }
-        );
-    }
-    j.push_str("  ],\n");
-    j.push_str("  \"kernels\": [\n");
-    for (i, k) in kernels.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"kernel\": \"{}\", \"ops\": {}, \"host_seconds\": {:.6}, \"mops\": {:.3}}}{}",
-            k.name,
-            k.ops,
-            k.host_seconds,
-            k.mops(),
-            if i + 1 < kernels.len() { "," } else { "" }
-        );
-    }
-    j.push_str("  ],\n");
-    let _ = writeln!(j, "  \"interval_over_detailed_speedup\": {speedup:.3},");
-    j.push_str("  \"drivers\": [\n");
-    for (i, d) in drivers.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"name\": \"{}\", \"seconds\": {:.6}, \"rows\": {}}}{}",
-            d.name,
-            d.seconds,
-            d.rows,
-            if i + 1 < drivers.len() { "," } else { "" }
-        );
-    }
-    j.push_str("  ]\n}\n");
-    j
+    (host_kernel, fastest)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let no_figures = args.iter().any(|a| a == "--no-figures");
+    let mut args = std::env::args().skip(1);
     let out_path = args
-        .iter()
-        .skip(1)
-        .find(|a| !a.starts_with("--"))
-        .map_or_else(|| BENCH_OUT.get(), PathBuf::from);
-
+        .next()
+        .unwrap_or_else(|| "BENCH_interval.json".to_string());
+    if out_path.starts_with('-') || args.next().is_some() {
+        eprintln!("usage: perf [output-path]");
+        std::process::exit(2);
+    }
     let scale = EXPERIMENT_SCALE.get();
-    let threads = THREADS.get();
+    let config = SystemConfig::hpca2010_baseline(1);
+    let columns = harvest(HARVEST_BENCHMARK, scale.spec_length, scale.seed);
 
     println!(
-        "perf — simulator throughput (spec budget {} instructions/benchmark)",
+        "perf — simulator throughput (spec budget {} instructions/benchmark, {ROUNDS} rounds)",
         scale.spec_length
     );
-    // The sampled model's MIPS row uses the acceptance-point spec of the
-    // default sweep, so the perf gate pins the configuration the sampling
-    // figure headlines.
+    // The sampled model's row uses the acceptance-point spec of the default
+    // sweep, so the gate pins the configuration the sampling figure
+    // headlines.
     let sampled = CoreModel::Sampled(default_sampling_specs(scale)[0]);
-    let mut models: Vec<ModelThroughput> = [
+    let mut rows: Vec<Row> = [
         CoreModel::Interval,
         CoreModel::Detailed,
         CoreModel::OneIpc,
         sampled,
     ]
     .into_iter()
-    .map(|m| measure_model(m, scale))
+    .map(|m| model_row(m, scale))
     .collect();
-    models.push(measure_warming(scale));
-    let kernels = measure_kernels(scale);
-    let reference_mops = measure_reference_kernel();
-    for m in &models {
+    rows.push(timed("warming", || {
+        SPEC_QUICK
+            .iter()
+            .map(|b| {
+                let workload = WorkloadSpec::single(b, scale.spec_length)
+                    .build(scale.seed)
+                    .unwrap_or_else(|e| panic!("warming workload failed: {e}"));
+                warm_functionally(&config, workload, WARM_BATCH)
+            })
+            .sum()
+    }));
+    let model_count = rows.len();
+    rows.extend(lane_kernels(&columns, &config).into_iter().map(|mut k| {
+        timed(k.name, move || {
+            for _ in 0..KERNEL_PASSES {
+                (k.run)();
+            }
+            k.ops * KERNEL_PASSES
+        })
+    }));
+
+    let (host_kernel_mops, mut models) = measure(&mut rows);
+    let kernels = models.split_off(model_count);
+    let file = PerfFile {
+        scale,
+        host_kernel_mops,
+        models,
+        kernels,
+    };
+    for m in &file.models {
         println!(
             "{:<10} {:>12} instructions {:>10.3}s {:>10.2} simulated MIPS",
             m.name,
-            m.instructions,
+            m.work,
             m.host_seconds,
-            m.mips()
+            m.rate()
         );
     }
-    for k in &kernels {
+    for k in &file.kernels {
         println!(
             "kernel {:<20} {:>12} ops {:>10.3}s {:>10.1} MOPS",
             k.name,
-            k.ops,
+            k.work,
             k.host_seconds,
-            k.mops()
+            k.rate()
         );
     }
-    println!("reference kernel: {reference_mops:.0} MOPS (host speed normalizer)");
-    let interval = models
-        .iter()
-        .find(|m| m.name == "interval")
-        .expect("interval model measured");
-    let detailed = models
-        .iter()
-        .find(|m| m.name == "detailed")
-        .expect("detailed model measured");
-    let speedup = if interval.host_seconds > 0.0 {
-        detailed.host_seconds / interval.host_seconds
-    } else {
-        0.0
-    };
-    println!("interval over detailed speedup: {speedup:.1}x");
-
-    let drivers = if no_figures {
-        Vec::new()
-    } else {
-        println!("timing built-in sweeps with {threads} worker thread(s)...");
-        let drivers = time_drivers(scale);
-        for d in &drivers {
-            println!("{:<14} {:>10.3}s {:>5} rows", d.name, d.seconds, d.rows);
-        }
-        drivers
-    };
-
-    let json = render_json(
-        scale,
-        threads,
-        reference_mops,
-        &models,
-        &kernels,
-        speedup,
-        &drivers,
+    println!(
+        "host kernel: {:.1} MOPS (host speed normalizer)",
+        file.host_kernel_mops
     );
-    let shown = out_path.display();
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {shown}: {e}"));
-    println!("wrote {shown}");
+    println!(
+        "interval over detailed speedup: {:.1}x",
+        file.interval_over_detailed_speedup()
+    );
+
+    std::fs::write(&out_path, render_perf(&file))
+        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    println!("wrote {out_path}");
 }

@@ -10,21 +10,21 @@
 //!   fails the build and forces the author to regenerate the golden file
 //!   deliberately (`accuracy_gate --write`).
 //! * `ci/BENCH_baseline.json` — a committed `perf` run. The perf gate fails
-//!   when any model's simulated MIPS regresses by more than the allowed
-//!   fraction against it. Host speed varies between machines, which is why
-//!   this gate tolerates a generous margin (default 25%) rather than an
-//!   exact match.
+//!   when any model's simulated MIPS or any lane kernel's MOPS, divided by
+//!   its run's host-kernel speed, regresses by more than
+//!   [`MAX_REGRESSION`] (25%) against it. Host speed varies between
+//!   machines and between a shared host's phases, which is why the gate
+//!   normalizes and tolerates a generous margin rather than an exact match.
 //!
 //! The vendored `serde` is a no-op marker with no serializer backend, so
 //! both files are written by hand here (one object per line inside the
-//! `rows` / `models` arrays) and read back through the workspace's one
+//! `rows` / `models` / `kernels` arrays) and read back through the workspace's one
 //! JSON reader, [`iss_sim::jsonval`]. The parsers are pure functions over
 //! text so the gate logic — including "injected drift must fail" — is
 //! unit-tested directly.
 
 use std::fmt::Write as _;
 
-pub use iss_lint::ModelMips;
 use iss_sim::experiments::{builtin, ExperimentScale};
 use iss_sim::jsonval::{self, Json};
 use iss_sim::report;
@@ -69,6 +69,31 @@ fn num_of(obj: &Json, key: &str) -> Option<f64> {
     obj.get(key)?.as_f64()
 }
 
+/// Writes the `"scale"` line of a golden or perf file.
+fn render_scale(j: &mut String, scale: ExperimentScale) {
+    let _ = writeln!(
+        j,
+        "  \"scale\": {{\"spec_length\": {}, \"parsec_length\": {}, \"seed\": {}}},",
+        scale.spec_length, scale.parsec_length, scale.seed
+    );
+}
+
+/// Reads the `"scale"` object of a golden or perf file.
+fn parse_scale(doc: &Json) -> Result<ExperimentScale, String> {
+    let scale = doc.get("scale").ok_or("missing scale")?;
+    let length = |key: &str| {
+        scale
+            .get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("malformed scale: {key}"))
+    };
+    Ok(ExperimentScale {
+        spec_length: length("spec_length")?,
+        parsec_length: length("parsec_length")?,
+        seed: length("seed")?,
+    })
+}
+
 /// Renders a golden-accuracy file.
 #[must_use]
 pub fn render_golden_accuracy(
@@ -78,11 +103,7 @@ pub fn render_golden_accuracy(
 ) -> String {
     let mut j = String::new();
     j.push_str("{\n  \"schema\": \"iss-accuracy-golden/v1\",\n");
-    let _ = writeln!(
-        j,
-        "  \"scale\": {{\"spec_length\": {}, \"parsec_length\": {}, \"seed\": {}}},",
-        scale.spec_length, scale.parsec_length, scale.seed
-    );
+    render_scale(&mut j, scale);
     let _ = writeln!(j, "  \"tolerance\": {tolerance:.4},");
     j.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -131,19 +152,8 @@ pub fn parse_golden_accuracy(text: &str) -> Result<GoldenAccuracy, String> {
                 .to_string(),
         );
     }
-    let scale = doc.get("scale").ok_or("missing scale")?;
-    let length = |key: &str| {
-        scale
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("malformed scale: {key}"))
-    };
     Ok(GoldenAccuracy {
-        scale: ExperimentScale {
-            spec_length: length("spec_length")?,
-            parsec_length: length("parsec_length")?,
-            seed: length("seed")?,
-        },
+        scale: parse_scale(&doc)?,
         tolerance: num_of(&doc, "tolerance").ok_or("missing tolerance")?,
         rows,
     })
@@ -295,196 +305,195 @@ fn cpi_error_rows(records: &[Record], variant_prefix: &str, figure_prefix: &str)
 // Perf baseline gate
 // ---------------------------------------------------------------------------
 
-/// Parses the `reference_kernel_mops` entry of a perf file: the throughput
-/// of the fixed host-speed calibration kernel, or `None` for files written
-/// before the kernel existed.
-#[must_use]
-pub fn parse_reference_kernel(text: &str) -> Option<f64> {
-    num_of(&jsonval::parse(text).ok()?, "reference_kernel_mops").filter(|&m| m > 0.0)
+/// Largest regression of a host-normalized rate the perf gate tolerates.
+pub const MAX_REGRESSION: f64 = 0.25;
+
+/// One measured row of a perf file: the simulated instructions of a core
+/// model (or of the warming path), or the operations of a lane kernel,
+/// over the host seconds they took.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerfRow {
+    /// Model (`interval`, `warming`, ...) or kernel (`tag_compare`, ...).
+    pub name: String,
+    /// Instructions simulated, or kernel operations run.
+    pub work: u64,
+    /// Host seconds the work took.
+    pub host_seconds: f64,
 }
 
-/// Parses the `models` entries of a `BENCH_interval.json` perf file.
+impl PerfRow {
+    /// Millions of work units per host second: simulated MIPS for a
+    /// model, MOPS for a kernel.
+    #[must_use]
+    pub fn rate(&self) -> f64 {
+        if self.host_seconds <= 0.0 {
+            0.0
+        } else {
+            self.work as f64 / self.host_seconds / 1e6
+        }
+    }
+}
+
+/// A `perf` run: `BENCH_interval.json`, or the committed baseline
+/// `ci/BENCH_baseline.json`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerfFile {
+    /// Experiment scale the run measured at.
+    pub scale: ExperimentScale,
+    /// Host speed during the run, from
+    /// [`iss_sim::host_time::host_kernel_mops`]: every rate is divided by
+    /// it before two runs are compared.
+    pub host_kernel_mops: f64,
+    /// Single-thread throughput per core model, plus the `warming` row.
+    pub models: Vec<PerfRow>,
+    /// Throughput per lane kernel ([`crate::kernels`]).
+    pub kernels: Vec<PerfRow>,
+}
+
+impl PerfFile {
+    /// Host-time ratio of the detailed to the interval model, the paper's
+    /// headline speedup; `0` when either row is missing.
+    #[must_use]
+    pub fn interval_over_detailed_speedup(&self) -> f64 {
+        let seconds = |name: &str| {
+            self.models
+                .iter()
+                .find(|m| m.name == name)
+                .map(|m| m.host_seconds)
+        };
+        match (seconds("interval"), seconds("detailed")) {
+            (Some(i), Some(d)) if i > 0.0 => d / i,
+            _ => 0.0,
+        }
+    }
+}
+
+/// Keys of a model row and of a kernel row: name, work, derived rate.
+type RowKeys = (&'static str, &'static str, &'static str);
+const MODEL_KEYS: RowKeys = ("model", "instructions", "simulated_mips");
+const KERNEL_KEYS: RowKeys = ("kernel", "ops", "mops");
+
+/// Renders a perf file; [`parse_perf`] reads it back.
+#[must_use]
+pub fn render_perf(file: &PerfFile) -> String {
+    let mut j = String::new();
+    j.push_str("{\n  \"schema\": \"iss-bench-perf/v2\",\n");
+    render_scale(&mut j, file.scale);
+    let _ = writeln!(j, "  \"host_kernel_mops\": {:.3},", file.host_kernel_mops);
+    for (section, (name_key, work_key, rate_key), rows) in [
+        ("models", MODEL_KEYS, &file.models),
+        ("kernels", KERNEL_KEYS, &file.kernels),
+    ] {
+        let _ = writeln!(j, "  \"{section}\": [");
+        for (i, r) in rows.iter().enumerate() {
+            let _ = writeln!(
+                j,
+                "    {{\"{name_key}\": \"{}\", \"{work_key}\": {}, \"host_seconds\": {:.6}, \"{rate_key}\": {:.3}}}{}",
+                r.name,
+                r.work,
+                r.host_seconds,
+                r.rate(),
+                if i + 1 < rows.len() { "," } else { "" }
+            );
+        }
+        j.push_str("  ],\n");
+    }
+    let _ = writeln!(
+        j,
+        "  \"interval_over_detailed_speedup\": {:.3}\n}}",
+        file.interval_over_detailed_speedup()
+    );
+    j
+}
+
+/// Parses a perf file.
 ///
 /// # Errors
 ///
-/// Returns a message when the schema marker is missing or no model entry
-/// parses.
-pub fn parse_perf_models(text: &str) -> Result<Vec<ModelMips>, String> {
-    if !text.contains("iss-bench-perf/v1") {
-        return Err("not an iss-bench-perf/v1 file".to_string());
+/// Returns a message when the text is not an `iss-bench-perf/v2` file, the
+/// host-kernel speed is missing or not positive, `models` or `kernels` is
+/// missing or empty, or a row lacks a field.
+pub fn parse_perf(text: &str) -> Result<PerfFile, String> {
+    if !text.contains("iss-bench-perf/v2") {
+        return Err("not an iss-bench-perf/v2 file".to_string());
     }
-    ModelMips::parse(text)
-}
-
-/// Diffs a fresh perf run against the committed baseline. A model regresses
-/// when its simulated MIPS falls below `(1 - max_regression)` of the
-/// baseline; missing models are violations too. Speedups never fail the
-/// gate.
-///
-/// `baseline_ref` / `fresh_ref` are the two runs' reference-kernel
-/// throughputs (MOPS of the same fixed integer kernel on each host). When
-/// both are present, every MIPS number is divided by its run's kernel speed
-/// before comparison, so a host that is uniformly slower (or noisier) than
-/// the baseline machine cancels out and the margin gates *simulator*
-/// regressions only. When either is missing (a pre-calibration baseline
-/// file), the comparison falls back to raw MIPS.
-#[must_use]
-pub fn diff_perf(
-    baseline: &[ModelMips],
-    fresh: &[ModelMips],
-    baseline_ref: Option<f64>,
-    fresh_ref: Option<f64>,
-    max_regression: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    // Same vacuous-pass hardening as the accuracy gate: comparing against
-    // (or with) nothing is a failure, not a pass.
-    if baseline.is_empty() {
-        violations.push(
-            "perf baseline is empty — the gate would pass vacuously; regenerate it with the `perf` binary"
-                .to_string(),
-        );
-    }
-    if fresh.is_empty() {
-        violations.push(
-            "fresh perf run has no model entries — the gate would pass vacuously".to_string(),
-        );
-    }
-    let (base_div, fresh_div, normalized) = match (baseline_ref, fresh_ref) {
-        (Some(b), Some(f)) if b > 0.0 && f > 0.0 => (b, f, true),
-        _ => (1.0, 1.0, false),
-    };
-    for b in baseline {
-        match fresh.iter().find(|f| f.model == b.model) {
-            None => violations.push(format!(
-                "{}: present in the baseline but missing from the fresh run",
-                b.model
-            )),
-            Some(f) => {
-                let base_norm = b.simulated_mips / base_div;
-                let fresh_norm = f.simulated_mips / fresh_div;
-                let floor = base_norm * (1.0 - max_regression);
-                if fresh_norm < floor {
-                    let unit = if normalized {
-                        "normalized MIPS (MIPS per kernel MOPS)"
-                    } else {
-                        "simulated MIPS"
-                    };
-                    violations.push(format!(
-                        "{}: {:.4} {unit} is below the allowed floor {:.4} \
-                         (baseline {:.4}, max regression {:.0}%)",
-                        b.model,
-                        fresh_norm,
-                        floor,
-                        base_norm,
-                        max_regression * 100.0
-                    ));
-                }
-            }
-        }
-    }
-    violations
-}
-
-/// Throughput entry of one isolated batch kernel in a perf file.
-///
-/// These are the lane kernels behind the warming and interval hot loops
-/// (set-major tag compare, batched TLB translate, the geometric threshold
-/// scan, batched branch update), measured in million operations per second
-/// on realistic harvested columns. The perf gate pins each one the same
-/// way it pins the model MIPS rows: as a host-normalized ratio against the
-/// committed baseline, so a vectorized kernel cannot quietly rot back to
-/// scalar speed without failing CI.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelMops {
-    /// Kernel name (`tag_compare`, `tlb_access_batch`, `threshold_scan`,
-    /// `branch_update_batch`).
-    pub kernel: String,
-    /// Million kernel operations per host second.
-    pub mops: f64,
-}
-
-/// Parses the `kernels` entries of a perf file. Files written before the
-/// kernel rows existed have none; the empty list is the back-compat signal
-/// [`diff_kernels`] keys on. Text that is not JSON has no rows either
-/// ([`parse_perf_models`] reports it), and a malformed entry is skipped.
-#[must_use]
-pub fn parse_perf_kernels(text: &str) -> Vec<KernelMops> {
-    let Ok(doc) = jsonval::parse(text) else {
-        return Vec::new();
-    };
-    array(&doc, "kernels")
-        .iter()
-        .filter_map(|k| {
-            Some(KernelMops {
-                kernel: str_of(k, "kernel")?,
-                mops: num_of(k, "mops")?,
+    let doc = jsonval::parse(text)?;
+    let host_kernel_mops = num_of(&doc, "host_kernel_mops")
+        .filter(|m| m.is_finite() && *m > 0.0)
+        .ok_or("missing or non-positive host_kernel_mops")?;
+    let rows = |section: &str, (name_key, work_key, _): RowKeys| {
+        let rows = array(&doc, section)
+            .iter()
+            .map(|r| {
+                Ok(PerfRow {
+                    name: str_of(r, name_key)
+                        .ok_or(format!("{section} row without `{name_key}`"))?,
+                    work: r
+                        .get(work_key)
+                        .and_then(Json::as_u64)
+                        .ok_or(format!("{section} row without `{work_key}`"))?,
+                    host_seconds: num_of(r, "host_seconds")
+                        .ok_or(format!("{section} row without `host_seconds`"))?,
+                })
             })
-        })
-        .collect()
+            .collect::<Result<Vec<_>, String>>()?;
+        if rows.is_empty() {
+            return Err(format!("no {section} rows"));
+        }
+        Ok(rows)
+    };
+    Ok(PerfFile {
+        scale: parse_scale(&doc)?,
+        host_kernel_mops,
+        models: rows("models", MODEL_KEYS)?,
+        kernels: rows("kernels", KERNEL_KEYS)?,
+    })
 }
 
-/// Diffs a fresh run's kernel throughputs against the committed baseline,
-/// with the same host normalization as [`diff_perf`]: when both runs carry
-/// a reference-kernel entry, each kernel's MOPS is divided by its run's
-/// reference MOPS, so the floor is a ratio of simulator-kernel speed to
-/// host speed rather than a raw number some slower machine could never
-/// meet.
-///
-/// A baseline with no kernel entries predates the kernel rows: nothing is
-/// pinned and the diff is empty (refreshing the baseline starts enforcing
-/// the floors). A baseline *with* kernels against a fresh run without them
-/// is a violation — losing the measurement would silently retire the gate.
+/// Diffs a fresh perf run against the committed baseline. Every rate is
+/// divided by its run's host-kernel MOPS first, so a uniformly slow or
+/// loaded host cancels out and the margin gates simulator regressions
+/// only. A model or kernel regresses when its normalized rate falls below
+/// `1 - MAX_REGRESSION` of the baseline's; a row the fresh run lacks and
+/// an empty section on either side are violations too. Speedups never
+/// fail the gate.
 #[must_use]
-pub fn diff_kernels(
-    baseline: &[KernelMops],
-    fresh: &[KernelMops],
-    baseline_ref: Option<f64>,
-    fresh_ref: Option<f64>,
-    max_regression: f64,
-) -> Vec<String> {
-    if baseline.is_empty() {
-        return Vec::new();
-    }
+pub fn diff_perf(baseline: &PerfFile, fresh: &PerfFile) -> Vec<String> {
     let mut violations = Vec::new();
-    if fresh.is_empty() {
-        violations.push(format!(
-            "baseline pins {} kernel floor(s) but the fresh run measured no kernels — \
-             the kernel gate would pass vacuously",
-            baseline.len()
-        ));
-    }
-    let (base_div, fresh_div, normalized) = match (baseline_ref, fresh_ref) {
-        (Some(b), Some(f)) if b > 0.0 && f > 0.0 => (b, f, true),
-        _ => (1.0, 1.0, false),
-    };
-    for b in baseline {
-        match fresh.iter().find(|f| f.kernel == b.kernel) {
-            None if fresh.is_empty() => {} // already reported above
-            None => violations.push(format!(
-                "kernel {}: present in the baseline but missing from the fresh run",
-                b.kernel
-            )),
-            Some(f) => {
-                let base_norm = b.mops / base_div;
-                let fresh_norm = f.mops / fresh_div;
-                let floor = base_norm * (1.0 - max_regression);
-                if fresh_norm < floor {
-                    let unit = if normalized {
-                        "normalized MOPS (kernel MOPS per reference MOPS)"
-                    } else {
-                        "MOPS"
-                    };
-                    violations.push(format!(
-                        "kernel {}: {:.4} {unit} is below the allowed floor {:.4} \
-                         (baseline {:.4}, max regression {:.0}%)",
-                        b.kernel,
-                        fresh_norm,
-                        floor,
-                        base_norm,
-                        max_regression * 100.0
-                    ));
-                }
+    for (section, label, base_rows, fresh_rows) in [
+        ("model", "", &baseline.models, &fresh.models),
+        ("kernel", "kernel ", &baseline.kernels, &fresh.kernels),
+    ] {
+        // Comparing against (or with) nothing is a failure, not a pass.
+        if base_rows.is_empty() {
+            violations.push(format!(
+                "perf baseline has no {section} rows — the gate would pass vacuously; \
+                 regenerate it with the `perf` binary"
+            ));
+        }
+        if fresh_rows.is_empty() {
+            violations.push(format!(
+                "fresh perf run has no {section} rows — the gate would pass vacuously"
+            ));
+        }
+        for b in base_rows {
+            let Some(f) = fresh_rows.iter().find(|f| f.name == b.name) else {
+                violations.push(format!(
+                    "{label}{}: present in the baseline but missing from the fresh run",
+                    b.name
+                ));
+                continue;
+            };
+            let base_norm = b.rate() / baseline.host_kernel_mops;
+            let fresh_norm = f.rate() / fresh.host_kernel_mops;
+            let floor = base_norm * (1.0 - MAX_REGRESSION);
+            if fresh_norm < floor {
+                violations.push(format!(
+                    "{label}{}: {fresh_norm:.5} normalized (rate per host-kernel MOPS) is below \
+                     the allowed floor {floor:.5} (baseline {base_norm:.5}, max regression {:.0}%)",
+                    b.name,
+                    MAX_REGRESSION * 100.0
+                ));
             }
         }
     }
@@ -605,43 +614,87 @@ mod tests {
         assert!(violations.iter().any(|v| v.contains("vacuously")));
     }
 
+    /// Rows at the given rates (millions per host second), one second each.
+    fn rows(rates: &[(&str, f64)]) -> Vec<PerfRow> {
+        rates
+            .iter()
+            .map(|&(name, rate)| PerfRow {
+                name: name.into(),
+                work: (rate * 1e6).round() as u64,
+                host_seconds: 1.0,
+            })
+            .collect()
+    }
+
+    fn perf(host_kernel_mops: f64, models: &[(&str, f64)], kernels: &[(&str, f64)]) -> PerfFile {
+        PerfFile {
+            scale: ExperimentScale::quick(),
+            host_kernel_mops,
+            models: rows(models),
+            kernels: rows(kernels),
+        }
+    }
+
+    const KERNELS: [(&str, f64); 2] = [("tag_compare", 350.0), ("threshold_scan", 290.0)];
+
+    const PERF_TEXT: &str = "{\n  \"schema\": \"iss-bench-perf/v2\",\n  \
+        \"scale\": {\"spec_length\": 100000, \"parsec_length\": 200000, \"seed\": 42},\n  \
+        \"host_kernel_mops\": 812.503,\n  \"models\": [\n    \
+        {\"model\": \"interval\", \"instructions\": 120000, \
+        \"host_seconds\": 0.021, \"simulated_mips\": 5.714},\n    \
+        {\"model\": \"detailed\", \"instructions\": 120000, \
+        \"host_seconds\": 0.135, \"simulated_mips\": 0.889}\n  ],\n  \"kernels\": [\n    \
+        {\"kernel\": \"tag_compare\", \"ops\": 2996000, \
+        \"host_seconds\": 0.009, \"mops\": 332.889},\n    \
+        {\"kernel\": \"tlb_access_batch\", \"ops\": 2996000, \
+        \"host_seconds\": 0.017, \"mops\": 176.235}\n  ],\n  \
+        \"interval_over_detailed_speedup\": 6.429\n}\n";
+
     #[test]
     fn perf_file_parses_model_mips() {
-        let text = "{\n  \"schema\": \"iss-bench-perf/v1\",\n  \"models\": [\n    \
-                    {\"model\": \"interval\", \"instructions\": 120000, \
-                    \"host_seconds\": 0.021, \"simulated_mips\": 5.71},\n    \
-                    {\"model\": \"detailed\", \"instructions\": 120000, \
-                    \"host_seconds\": 0.134, \"simulated_mips\": 0.89}\n  ]\n}\n";
-        let models = parse_perf_models(text).unwrap();
+        let models = parse_perf(PERF_TEXT).unwrap().models;
         assert_eq!(models.len(), 2);
-        assert_eq!(models[0].model, "interval");
-        assert!((models[1].simulated_mips - 0.89).abs() < 1e-9);
+        assert_eq!(models[0].name, "interval");
+        assert!((models[1].rate() - 120_000.0 / 0.135 / 1e6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn perf_file_round_trips_through_render_and_parse() {
+        let file = PerfFile {
+            scale: ExperimentScale::quick(),
+            host_kernel_mops: 97.125,
+            models: vec![
+                PerfRow {
+                    name: "interval".into(),
+                    work: 600_000,
+                    host_seconds: 0.105_123,
+                },
+                PerfRow {
+                    name: "detailed".into(),
+                    work: 600_000,
+                    host_seconds: 0.734_5,
+                },
+            ],
+            kernels: vec![PerfRow {
+                name: "branch_update_batch".into(),
+                work: 1_474_560,
+                host_seconds: 0.011_2,
+            }],
+        };
+        let text = render_perf(&file);
+        assert_eq!(parse_perf(&text).unwrap(), file);
+        // The lint's cost estimate reads the same file for its model rates.
+        let mips = iss_lint::ModelMips::parse(&text).unwrap();
+        assert_eq!(mips.len(), 2);
+        assert!((mips[0].simulated_mips - file.models[0].rate()).abs() < 1e-3);
     }
 
     #[test]
     fn injected_perf_regression_fails_the_gate() {
-        let baseline = vec![
-            ModelMips {
-                model: "interval".into(),
-                simulated_mips: 5.6,
-            },
-            ModelMips {
-                model: "detailed".into(),
-                simulated_mips: 0.9,
-            },
-        ];
+        let baseline = perf(800.0, &[("interval", 5.6), ("detailed", 0.9)], &KERNELS);
         // Interval regresses by 50%: violation. Detailed speeds up: fine.
-        let fresh = vec![
-            ModelMips {
-                model: "interval".into(),
-                simulated_mips: 2.8,
-            },
-            ModelMips {
-                model: "detailed".into(),
-                simulated_mips: 1.2,
-            },
-        ];
-        let violations = diff_perf(&baseline, &fresh, None, None, 0.25);
+        let fresh = perf(800.0, &[("interval", 2.8), ("detailed", 1.2)], &KERNELS);
+        let violations = diff_perf(&baseline, &fresh);
         assert_eq!(violations.len(), 1);
         assert!(
             violations[0].starts_with("interval:"),
@@ -651,18 +704,13 @@ mod tests {
 
     #[test]
     fn perf_within_margin_and_missing_model_behave() {
-        let baseline = vec![ModelMips {
-            model: "one-ipc".into(),
-            simulated_mips: 8.0,
-        }];
-        let ok = vec![ModelMips {
-            model: "one-ipc".into(),
-            simulated_mips: 6.5, // ~19% down, within the 25% margin
-        }];
-        assert!(diff_perf(&baseline, &ok, None, None, 0.25).is_empty());
+        let baseline = perf(800.0, &[("one-ipc", 8.0)], &KERNELS);
+        // ~19% down, within the 25% margin.
+        let ok = perf(800.0, &[("one-ipc", 6.5)], &KERNELS);
+        assert!(diff_perf(&baseline, &ok).is_empty());
         // Empty fresh run: one vacuous-pass violation plus the missing
         // model.
-        let violations = diff_perf(&baseline, &[], None, None, 0.25);
+        let violations = diff_perf(&baseline, &perf(800.0, &[], &KERNELS));
         assert_eq!(violations.len(), 2);
         assert!(violations.iter().any(|v| v.contains("vacuously")));
         assert!(violations.iter().any(|v| v.contains("missing")));
@@ -670,77 +718,81 @@ mod tests {
 
     #[test]
     fn empty_perf_baseline_fails_the_gate() {
-        let fresh = vec![ModelMips {
-            model: "interval".into(),
-            simulated_mips: 5.0,
-        }];
-        let violations = diff_perf(&[], &fresh, None, None, 0.25);
+        let fresh = perf(800.0, &[("interval", 5.0)], &KERNELS);
+        let violations = diff_perf(&perf(800.0, &[], &KERNELS), &fresh);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("vacuously"), "got: {violations:?}");
     }
 
     #[test]
-    fn reference_kernel_parses_and_rejects_degenerate_values() {
-        let text = "{\n  \"schema\": \"iss-bench-perf/v1\",\n  \
-                    \"reference_kernel_mops\": 812.503\n}\n";
-        let mops = parse_reference_kernel(text).unwrap();
+    fn host_kernel_parses_and_rejects_degenerate_values() {
+        let mops = parse_perf(PERF_TEXT).unwrap().host_kernel_mops;
         assert!((mops - 812.503).abs() < 1e-9);
-        assert_eq!(parse_reference_kernel("{\"schema\": \"x\"}"), None);
-        let zero = "{\n  \"reference_kernel_mops\": 0.000\n}\n";
-        assert_eq!(parse_reference_kernel(zero), None);
+        for degenerate in ["0.000", "-3.5"] {
+            let text = PERF_TEXT.replace("812.503", degenerate);
+            let err = parse_perf(&text).unwrap_err();
+            assert!(err.contains("host_kernel_mops"), "got: {err}");
+        }
+        // A file without the field (such as an iss-bench-perf/v1 file
+        // carrying the retired xorshift reference kernel) does not parse.
+        let v1 = PERF_TEXT
+            .replace("perf/v2", "perf/v1")
+            .replace("host_kernel_mops", "reference_kernel_mops");
+        assert!(parse_perf(&v1).is_err());
+        let unmarked = PERF_TEXT.replace("host_kernel_mops", "reference_kernel_mops");
+        assert!(parse_perf(&unmarked)
+            .unwrap_err()
+            .contains("host_kernel_mops"));
     }
 
     #[test]
     fn kernel_normalization_cancels_a_uniformly_slow_host() {
-        let baseline = vec![ModelMips {
-            model: "interval".into(),
-            simulated_mips: 10.0,
-        }];
-        // The fresh host runs everything at 40% speed — a raw comparison
-        // would flag a 60% "regression", but the reference kernel slowed
-        // down identically, so the normalized gate passes.
-        let fresh = vec![ModelMips {
-            model: "interval".into(),
-            simulated_mips: 4.0,
-        }];
-        assert!(!diff_perf(&baseline, &fresh, None, None, 0.25).is_empty());
-        assert!(diff_perf(&baseline, &fresh, Some(1000.0), Some(400.0), 0.25).is_empty());
-    }
-
-    fn kernel_rows() -> Vec<KernelMops> {
-        vec![
-            KernelMops {
-                kernel: "tag_compare".into(),
-                mops: 350.0,
-            },
-            KernelMops {
-                kernel: "threshold_scan".into(),
-                mops: 290.0,
-            },
-        ]
+        let baseline = perf(1000.0, &[("interval", 10.0)], &KERNELS);
+        // The fresh host runs everything at 40% speed, the host kernel
+        // included, so the normalized gate passes; the same rate on a host
+        // that did not slow down is a real regression.
+        let slow_host = perf(
+            400.0,
+            &[("interval", 4.0)],
+            &[("tag_compare", 140.0), ("threshold_scan", 116.0)],
+        );
+        assert!(diff_perf(&baseline, &slow_host).is_empty());
+        let same_host = PerfFile {
+            host_kernel_mops: 1000.0,
+            ..slow_host
+        };
+        assert!(!diff_perf(&baseline, &same_host).is_empty());
     }
 
     #[test]
-    fn perf_file_parses_kernel_rows_and_tolerates_their_absence() {
-        let text = "{\n  \"schema\": \"iss-bench-perf/v1\",\n  \"kernels\": [\n    \
-                    {\"kernel\": \"tag_compare\", \"ops\": 2996000, \
-                    \"host_seconds\": 0.009, \"mops\": 351.2},\n    \
-                    {\"kernel\": \"tlb_access_batch\", \"ops\": 2996000, \
-                    \"host_seconds\": 0.017, \"mops\": 176.4}\n  ]\n}\n";
-        let kernels = parse_perf_kernels(text);
+    fn perf_file_parses_kernel_rows_and_rejects_their_absence() {
+        let kernels = parse_perf(PERF_TEXT).unwrap().kernels;
         assert_eq!(kernels.len(), 2);
-        assert_eq!(kernels[0].kernel, "tag_compare");
-        assert!((kernels[1].mops - 176.4).abs() < 1e-9);
-        // Pre-kernel files simply have no rows — not a parse error.
-        assert!(parse_perf_kernels("{\n  \"schema\": \"iss-bench-perf/v1\"\n}\n").is_empty());
+        assert_eq!(kernels[0].name, "tag_compare");
+        assert!((kernels[1].rate() - 2_996_000.0 / 0.017 / 1e6).abs() < 1e-9);
+        // A file without kernel rows, or with an empty list, does not parse.
+        let cut = PERF_TEXT.find("  \"kernels\"").unwrap();
+        let end = PERF_TEXT.find("  \"interval_over").unwrap();
+        let without = format!("{}{}", &PERF_TEXT[..cut], &PERF_TEXT[end..]);
+        assert!(parse_perf(&without).unwrap_err().contains("kernels"));
+        let empty = format!(
+            "{}  \"kernels\": [],\n{}",
+            &PERF_TEXT[..cut],
+            &PERF_TEXT[end..]
+        );
+        assert!(parse_perf(&empty).unwrap_err().contains("kernels"));
     }
 
     #[test]
     fn injected_kernel_regression_fails_the_gate() {
-        let baseline = kernel_rows();
-        let mut fresh = kernel_rows();
-        fresh[1].mops = 140.0; // threshold_scan lost half its speed
-        let violations = diff_kernels(&baseline, &fresh, Some(800.0), Some(800.0), 0.25);
+        let baseline = perf(800.0, &[("interval", 5.0)], &KERNELS);
+        // threshold_scan lost half its speed.
+        let fresh = perf(
+            800.0,
+            &[("interval", 5.0)],
+            &[("tag_compare", 350.0), ("threshold_scan", 140.0)],
+        );
+        let violations = diff_perf(&baseline, &fresh);
         assert_eq!(violations.len(), 1);
         assert!(
             violations[0].contains("threshold_scan"),
@@ -751,33 +803,31 @@ mod tests {
 
     #[test]
     fn kernel_gate_normalizes_host_speed_like_the_model_gate() {
-        let baseline = kernel_rows();
-        // Uniformly 40%-speed host: raw comparison would flag both kernels,
-        // the normalized one passes because the reference kernel slowed
-        // identically.
-        let fresh: Vec<KernelMops> = kernel_rows()
-            .into_iter()
-            .map(|k| KernelMops {
-                mops: k.mops * 0.4,
-                ..k
-            })
-            .collect();
-        assert!(!diff_kernels(&baseline, &fresh, None, None, 0.25).is_empty());
-        assert!(diff_kernels(&baseline, &fresh, Some(1000.0), Some(400.0), 0.25).is_empty());
+        let baseline = perf(1000.0, &[("interval", 5.0)], &KERNELS);
+        // Uniformly 40%-speed host: both kernels pass because the host
+        // kernel slowed identically; on an unslowed host both would fail.
+        let slow: Vec<(&str, f64)> = KERNELS.iter().map(|&(k, m)| (k, m * 0.4)).collect();
+        assert!(diff_perf(&baseline, &perf(400.0, &[("interval", 2.0)], &slow)).is_empty());
+        let violations = diff_perf(&baseline, &perf(1000.0, &[("interval", 5.0)], &slow));
+        assert_eq!(violations.len(), 2, "got: {violations:?}");
     }
 
     #[test]
-    fn pre_kernel_baseline_skips_but_lost_measurement_fails() {
-        // Baseline without kernel rows: nothing pinned, gate is silent.
-        assert!(diff_kernels(&[], &kernel_rows(), Some(800.0), Some(800.0), 0.25).is_empty());
-        // Baseline with rows but a fresh run without them: loud failure,
-        // not a vacuous pass.
-        let violations = diff_kernels(&kernel_rows(), &[], Some(800.0), Some(800.0), 0.25);
+    fn lost_kernel_measurement_fails_the_gate() {
+        let models = [("interval", 5.0)];
+        // A fresh run without kernels: loud failure, not a vacuous pass.
+        let violations = diff_perf(&perf(800.0, &models, &KERNELS), &perf(800.0, &models, &[]));
+        assert!(
+            violations.iter().any(|v| v.contains("vacuously")),
+            "got: {violations:?}"
+        );
+        // A baseline without kernels pins nothing and fails the same way.
+        let violations = diff_perf(&perf(800.0, &models, &[]), &perf(800.0, &models, &KERNELS));
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("vacuously"), "got: {violations:?}");
         // A single dropped kernel is flagged by name.
-        let partial = vec![kernel_rows().remove(0)];
-        let violations = diff_kernels(&kernel_rows(), &partial, Some(800.0), Some(800.0), 0.25);
+        let partial = perf(800.0, &models, &KERNELS[..1]);
+        let violations = diff_perf(&perf(800.0, &models, &KERNELS), &partial);
         assert_eq!(violations.len(), 1);
         assert!(
             violations[0].contains("threshold_scan") && violations[0].contains("missing"),
@@ -787,23 +837,12 @@ mod tests {
 
     #[test]
     fn kernel_normalization_still_gates_real_regressions() {
-        let baseline = vec![ModelMips {
-            model: "interval".into(),
-            simulated_mips: 10.0,
-        }];
         // Same host speed (equal kernel MOPS) but the simulator itself lost
         // half its throughput: normalization must not absolve it.
-        let fresh = vec![ModelMips {
-            model: "interval".into(),
-            simulated_mips: 5.0,
-        }];
-        let violations = diff_perf(&baseline, &fresh, Some(800.0), Some(800.0), 0.25);
+        let baseline = perf(800.0, &[("interval", 10.0)], &KERNELS);
+        let fresh = perf(800.0, &[("interval", 5.0)], &KERNELS);
+        let violations = diff_perf(&baseline, &fresh);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("normalized"), "got: {violations:?}");
-        // A pre-calibration baseline (no kernel entry) falls back to the
-        // raw comparison rather than passing vacuously.
-        let raw = diff_perf(&baseline, &fresh, None, Some(800.0), 0.25);
-        assert_eq!(raw.len(), 1);
-        assert!(raw[0].contains("simulated MIPS"), "got: {raw:?}");
     }
 }

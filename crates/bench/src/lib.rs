@@ -7,9 +7,8 @@
 //! under `examples/scenarios/` (see [`iss_sim::experiments::builtin`]);
 //! `table1` prints the Table 1 configuration. The gate binaries
 //! (`accuracy_gate`, `perf`, `perf_gate`) pin accuracy and speed in CI
-//! ([`gates`]), and the Criterion benches under `benches/` measure the
-//! host-side cost of interval vs detailed simulation (the quantity behind
-//! Figures 9 and 10).
+//! ([`gates`]); `perf` and the `throughput` Criterion bench share the lane
+//! kernels of [`kernels`].
 //!
 //! The instruction budget of the built-in sweeps is controlled by the
 //! `ISS_EXPERIMENT_SCALE` environment variable: `quick` (default for CI
@@ -20,6 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod gates;
+pub mod kernels;
 
 // The scale knob lives in the shared `iss_sim::env` table; re-exported here
 // so every bench binary (and downstream user) reaches it through one path

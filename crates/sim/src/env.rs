@@ -131,17 +131,6 @@ pub const EXPERIMENT_SCALE: Knob<ExperimentScale> = Knob {
     parser: scale,
 };
 
-/// `ISS_BENCH_OUT`: output path of the `perf` binary (a positional
-/// argument overrides it).
-pub const BENCH_OUT: Knob<PathBuf> = Knob {
-    var: "ISS_BENCH_OUT",
-    flag: None,
-    accepts: "a file path",
-    default: "`BENCH_interval.json`",
-    fallback: || PathBuf::from("BENCH_interval.json"),
-    parser: path,
-};
-
 /// `ISS_WARM_BATCH`: functional-warming batch size of the
 /// structure-of-arrays hot path in sampled runs.
 ///
@@ -255,10 +244,9 @@ impl<T> Entry for Knob<T> {
 }
 
 /// Every knob, in the order of the README's environment table.
-const TABLE: [&dyn Entry; 11] = [
+const TABLE: [&dyn Entry; 10] = [
     &THREADS,
     &EXPERIMENT_SCALE,
-    &BENCH_OUT,
     &WARM_BATCH,
     &SHARDS,
     &SHARD_RETRIES,
@@ -669,7 +657,6 @@ mod tests {
             assert!(err.contains("`/tmp/cache-\u{fffd}`"), "got: {err}");
         }
         assert_eq!(CACHE_DIR.parse(Some(raw)), Ok(PathBuf::from(raw)));
-        assert_eq!(BENCH_OUT.parse(Some(raw)), Ok(PathBuf::from(raw)));
     }
 
     #[test]

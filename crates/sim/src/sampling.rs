@@ -406,12 +406,12 @@ struct FunctionalState {
 }
 
 impl FunctionalState {
-    fn fresh(
-        config: &SystemConfig,
-        streams: Vec<CheckpointStream>,
-        sync: SyncController,
-        warm_batch: usize,
-    ) -> Self {
+    fn fresh(config: &SystemConfig, workload: ThreadedWorkload, warm_batch: usize) -> Self {
+        let (raw_streams, sync) = workload.into_parts();
+        let streams: Vec<CheckpointStream> = raw_streams
+            .into_iter()
+            .map(CheckpointStream::fresh)
+            .collect();
         let num_cores = streams.len();
         let mut memory = MemoryHierarchy::new(&config.memory);
         memory.set_warming(true);
@@ -552,6 +552,32 @@ fn probe(machine: &AnyMachine, spec: SamplingSpec) -> (u64, u64, u64, Vec<(u64, 
     (s.cycles, s.total_instructions, latency, per_core)
 }
 
+/// Functionally warms `workload` front to back, with no timing model
+/// attached, through the same state and batched fast-forward loop a
+/// sampled run warms with between its measured units; returns the
+/// instructions consumed. This is the path sampled simulation is
+/// Amdahl-bound on, and `perf`'s `warming` row times it.
+///
+/// # Panics
+///
+/// Panics when `warm_batch` is zero.
+#[must_use]
+pub fn warm_functionally(
+    config: &SystemConfig,
+    workload: ThreadedWorkload,
+    warm_batch: usize,
+) -> u64 {
+    let mut state = FunctionalState::fresh(config, workload, warm_batch);
+    let mut instructions = 0;
+    loop {
+        let consumed = state.advance(u64::MAX);
+        if consumed == 0 {
+            return instructions;
+        }
+        instructions += consumed;
+    }
+}
+
 /// Runs `workload` under the sampling spec and returns the
 /// model-independent summary (tagged `CoreModel::Sampled(spec)`, with the
 /// statistical estimate attached and the functional→timed transitions
@@ -596,16 +622,7 @@ pub fn run_sampled_with_batch(
         .unwrap_or_else(|e| panic!("invalid sampling spec: {e}"));
     let start = HostTimer::start();
     let num_cores = workload.num_cores();
-    let (raw_streams, sync) = workload.into_parts();
-    let mut phase = Phase::Functional(FunctionalState::fresh(
-        config,
-        raw_streams
-            .into_iter()
-            .map(CheckpointStream::fresh)
-            .collect(),
-        sync,
-        warm_batch,
-    ));
+    let mut phase = Phase::Functional(FunctionalState::fresh(config, workload, warm_batch));
 
     let mut unit: u64 = 0;
     let mut swaps: u64 = 0;

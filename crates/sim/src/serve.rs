@@ -621,56 +621,68 @@ fn snapshot_stats(shared: &Arc<Shared>) -> ServeStats {
     }
 }
 
+/// One `stats` field: a counter, or a seconds figure.
+enum StatsField {
+    Count(fn(&mut ServeStats) -> &mut u64),
+    Seconds(fn(&mut ServeStats) -> &mut f64),
+}
+
+/// The `stats` line's fields in wire order: the one list both
+/// [`render_stats_line`] and [`stats_from_json`] walk.
+const STATS_FIELDS: [(&str, StatsField); 13] = [
+    ("requests", StatsField::Count(|s| &mut s.requests)),
+    ("jobs", StatsField::Count(|s| &mut s.jobs)),
+    ("hits", StatsField::Count(|s| &mut s.hits)),
+    ("misses", StatsField::Count(|s| &mut s.misses)),
+    ("coalesced", StatsField::Count(|s| &mut s.coalesced)),
+    ("failures", StatsField::Count(|s| &mut s.failures)),
+    ("busy_seconds", StatsField::Seconds(|s| &mut s.busy_seconds)),
+    (
+        "uptime_seconds",
+        StatsField::Seconds(|s| &mut s.uptime_seconds),
+    ),
+    ("workers", StatsField::Count(|s| &mut s.workers)),
+    ("entries", StatsField::Count(|s| &mut s.entries)),
+    ("store_bytes", StatsField::Count(|s| &mut s.store_bytes)),
+    ("evictions", StatsField::Count(|s| &mut s.evictions)),
+    (
+        "dropped_corrupt",
+        StatsField::Count(|s| &mut s.dropped_corrupt),
+    ),
+];
+
 fn render_stats_line(stats: &ServeStats) -> String {
-    format!(
-        "{{\"event\": \"stats\", \"requests\": {}, \"jobs\": {}, \"hits\": {}, \
-         \"misses\": {}, \"coalesced\": {}, \"failures\": {}, \"busy_seconds\": {}, \
-         \"uptime_seconds\": {}, \"workers\": {}, \"entries\": {}, \"store_bytes\": {}, \
-         \"evictions\": {}, \"dropped_corrupt\": {}}}",
-        stats.requests,
-        stats.jobs,
-        stats.hits,
-        stats.misses,
-        stats.coalesced,
-        stats.failures,
-        stats.busy_seconds,
-        stats.uptime_seconds,
-        stats.workers,
-        stats.entries,
-        stats.store_bytes,
-        stats.evictions,
-        stats.dropped_corrupt
-    )
+    let mut stats = *stats;
+    let mut line = String::from("{\"event\": \"stats\"");
+    for (name, field) in &STATS_FIELDS {
+        let value = match field {
+            StatsField::Count(get) => get(&mut stats).to_string(),
+            StatsField::Seconds(get) => get(&mut stats).to_string(),
+        };
+        line.push_str(&format!(", \"{name}\": {value}"));
+    }
+    line.push('}');
+    line
 }
 
 fn stats_from_json(value: &Json) -> Result<ServeStats, String> {
-    let u = |key: &str| -> Result<u64, String> {
-        value
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("stats field `{key}` must be a non-negative integer"))
-    };
-    let f = |key: &str| -> Result<f64, String> {
-        value
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("stats field `{key}` must be a number"))
-    };
-    Ok(ServeStats {
-        requests: u("requests")?,
-        jobs: u("jobs")?,
-        hits: u("hits")?,
-        misses: u("misses")?,
-        coalesced: u("coalesced")?,
-        failures: u("failures")?,
-        busy_seconds: f("busy_seconds")?,
-        uptime_seconds: f("uptime_seconds")?,
-        workers: u("workers")?,
-        entries: u("entries")?,
-        store_bytes: u("store_bytes")?,
-        evictions: u("evictions")?,
-        dropped_corrupt: u("dropped_corrupt")?,
-    })
+    let mut stats = ServeStats::default();
+    for (name, field) in &STATS_FIELDS {
+        let raw = value.get(name);
+        match field {
+            StatsField::Count(get) => {
+                *get(&mut stats) = raw.and_then(Json::as_u64).ok_or_else(|| {
+                    format!("stats field `{name}` must be a non-negative integer")
+                })?;
+            }
+            StatsField::Seconds(get) => {
+                *get(&mut stats) = raw
+                    .and_then(Json::as_f64)
+                    .ok_or_else(|| format!("stats field `{name}` must be a number"))?;
+            }
+        }
+    }
+    Ok(stats)
 }
 
 /// A line-protocol client for an `iss serve` instance — the piece the
@@ -827,5 +839,49 @@ impl Client {
             Some("shutdown") => Ok(()),
             other => Err(format!("unexpected shutdown response {other:?}")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample_stats() -> ServeStats {
+        ServeStats {
+            requests: 1,
+            jobs: 2,
+            hits: 3,
+            misses: 4,
+            coalesced: 5,
+            failures: 6,
+            busy_seconds: 0.25,
+            uptime_seconds: 1.5,
+            workers: 7,
+            entries: 8,
+            store_bytes: 9,
+            evictions: 10,
+            dropped_corrupt: 11,
+        }
+    }
+
+    #[test]
+    fn stats_line_is_pinned_field_for_field() {
+        assert_eq!(
+            render_stats_line(&sample_stats()),
+            "{\"event\": \"stats\", \"requests\": 1, \"jobs\": 2, \"hits\": 3, \
+             \"misses\": 4, \"coalesced\": 5, \"failures\": 6, \"busy_seconds\": 0.25, \
+             \"uptime_seconds\": 1.5, \"workers\": 7, \"entries\": 8, \"store_bytes\": 9, \
+             \"evictions\": 10, \"dropped_corrupt\": 11}"
+        );
+    }
+
+    #[test]
+    fn stats_line_round_trips_and_rejects_a_missing_field() {
+        let line = render_stats_line(&sample_stats());
+        let parsed = stats_from_json(&jsonval::parse(&line).unwrap()).unwrap();
+        assert_eq!(parsed, sample_stats());
+        let cut = line.replace("\"evictions\": 10, ", "");
+        let err = stats_from_json(&jsonval::parse(&cut).unwrap()).unwrap_err();
+        assert!(err.contains("`evictions`"), "got: {err}");
     }
 }

@@ -14,7 +14,8 @@
 //! The type is deliberately minimal: start a timer, read elapsed seconds.
 //! There is no way to obtain an absolute timestamp, compare timers, or
 //! branch on the clock — an elapsed reading is a reporting quantity, not
-//! an input.
+//! an input. Next to it sits [`host_kernel_mops`], the one host-speed
+//! kernel that elapsed readings are normalized by.
 //!
 //! ```
 //! use iss_trace::host_time::HostTimer;
@@ -49,9 +50,88 @@ impl HostTimer {
     }
 }
 
+/// Sets and ways of the host kernel's cache: 1 MiB of tags and 512 KiB of
+/// stamps, about the size of the simulator's own hot tables.
+const KERNEL_SETS: usize = 1 << 14;
+const KERNEL_WAYS: usize = 8;
+
+/// Throughput of a fixed single-threaded cache-lookup kernel, million
+/// lookups per second, median of three runs of `iters` lookups: the host
+/// speed that host-normalized throughput figures are divided by.
+///
+/// The kernel runs no simulator code, so a change to the simulator cannot
+/// move it, but it does what the simulator's hot loops do: data-dependent
+/// branches and loads over a table larger than a core's private caches.
+/// On a shared host that matters: when neighbours slow the machine down, a
+/// tight ALU chain barely notices, while this kernel and the simulator
+/// slow down together.
+#[must_use]
+pub fn host_kernel_mops(iters: u64) -> f64 {
+    let mut tags = vec![u64::MAX; KERNEL_SETS * KERNEL_WAYS];
+    let mut stamps = vec![0u32; KERNEL_SETS * KERNEL_WAYS];
+    let mut times = [0.0f64; 3];
+    for time in &mut times {
+        let timer = HostTimer::start();
+        std::hint::black_box(cache_lookup_hits(&mut tags, &mut stamps, iters));
+        *time = timer.elapsed_seconds();
+    }
+    times.sort_by(f64::total_cmp);
+    iters as f64 / times[1] / 1e6
+}
+
+/// One run of [`host_kernel_mops`]: `iters` lookups into an 8-way LRU tag
+/// table (`tags`, with `stamps` for recency), mostly the next line and one
+/// access in eight a pseudo-random jump. Returns the hit count, which pins
+/// the kernel's work.
+fn cache_lookup_hits(tags: &mut [u64], stamps: &mut [u32], iters: u64) -> u64 {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut line = 0u64;
+    let mut hits = 0u64;
+    for i in 0..iters {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        line = if x.is_multiple_of(8) {
+            (x >> 20) % (1 << 22)
+        } else {
+            line + 1
+        };
+        let base = (line as usize % KERNEL_SETS) * KERNEL_WAYS;
+        let tag = line / KERNEL_SETS as u64;
+        let set = &mut tags[base..base + KERNEL_WAYS];
+        let stamp = &mut stamps[base..base + KERNEL_WAYS];
+        let way = match set.iter().position(|&t| t == tag) {
+            Some(way) => {
+                hits += 1;
+                way
+            }
+            None => {
+                let lru =
+                    (1..KERNEL_WAYS).fold(0, |lru, w| if stamp[w] < stamp[lru] { w } else { lru });
+                set[lru] = tag;
+                lru
+            }
+        };
+        stamp[way] = i as u32;
+    }
+    hits
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn host_kernel_work_is_pinned() {
+        // The hit count fixes what the kernel does (2^18 lookups overflow
+        // the table, so LRU eviction is covered too). If a rewrite changes
+        // it, every host-normalized floor rescales: re-baseline on purpose.
+        let mut tags = vec![u64::MAX; KERNEL_SETS * KERNEL_WAYS];
+        let mut stamps = vec![0u32; KERNEL_SETS * KERNEL_WAYS];
+        assert_eq!(cache_lookup_hits(&mut tags, &mut stamps, 1 << 18), 5763);
+        let mops = host_kernel_mops(1 << 12);
+        assert!(mops.is_finite() && mops > 0.0, "got {mops}");
+    }
 
     #[test]
     fn elapsed_is_monotonic_and_nonnegative() {

@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! iss run <spec.toml | builtin-name> [--threads N] [--reference VARIANT]
-//!                                    [--json PATH]
-//!                                    [--shard K/N | --jobs I,J,...]
-//! iss sweep <spec.toml | builtin-name> [--shards N] [--checkpoint PATH]
-//!                                      [--resume] [--json PATH] [--jsonl PATH]
+//!                                    [--json PATH] [--jobs I,J,...]
+//! iss sweep <spec.toml | builtin-name> [--shards N] [--cache-dir DIR]
+//!                                      [--json PATH] [--jsonl PATH]
 //! iss serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR]
 //!           [--cache-max-mb N] [--evict]
 //! iss validate <spec.toml | directory>...
@@ -22,15 +21,18 @@
 //! shape adds the figure views: STP/ANTT when a homogeneous multiprogram
 //! workload spans several copy counts, normalized execution time for
 //! multithreaded workloads, and the best point within 5% CPI error when
-//! the sweep has hybrid or sampled variants. With
-//! `--shard K/N` or `--jobs I,J,...` it instead becomes the *child* of a
-//! sharded sweep: it runs the selected expansion-order jobs serially and
-//! streams one `Record` JSON line per job to stdout (no tables).
+//! the sweep has hybrid or sampled variants. With `--jobs I,J,...` it
+//! instead becomes the *child* of a sharded sweep: it runs the selected
+//! expansion-order jobs serially and streams one `Record` JSON line per job
+//! to stdout (no tables).
 //! `sweep` is the fault-tolerant supervisor over those children: it
 //! partitions the job list across `--shards` child processes, contains
 //! crashes/panics/wedges/malformed output (retry with capped backoff,
 //! bisect to the poison job, quarantine it as a structured failure row),
-//! keeps a resumable write-ahead checkpoint, and merges deterministically.
+//! and merges deterministically. Finished records persist in the same
+//! result store `serve` keeps (`--cache-dir` / `ISS_CACHE_DIR`, bounded by
+//! `ISS_CACHE_MAX_MB`): points the store holds are never re-run, so an
+//! interrupted sweep resumes by simply running it again.
 //! Knobs: `ISS_SHARDS`, `ISS_SHARD_RETRIES`, `ISS_JOB_TIMEOUT_MS`, and
 //! the test hook `ISS_FAULT_INJECT=<panic|exit|stall>:<job>`.
 //! `validate` parses and expands specs without simulating anything — every
@@ -68,16 +70,16 @@ use iss_sim::env::{
 use iss_sim::experiments::{builtin, BUILTINS};
 use iss_sim::report;
 use iss_sim::scenario::{render_records_json, render_records_jsonl};
-use iss_sim::shard::{run_shard_jobs, run_sharded_sweep, shard_job_indices, ShardOptions};
-use iss_sim::{CoreModel, SweepSpec, WorkloadSpec};
+use iss_sim::shard::{run_shard_jobs, run_sharded_sweep, ShardOptions};
+use iss_sim::{CoreModel, ResultStore, SweepSpec, WorkloadSpec};
 
 const DEFAULT_SCENARIO_DIR: &str = "examples/scenarios";
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  iss run <spec.toml | builtin> [--threads N] [--reference VARIANT] \
-         [--json PATH] [--shard K/N | --jobs I,J,...]\n  iss sweep <spec.toml | builtin> \
-         [--shards N] [--checkpoint PATH] [--resume] [--json PATH] [--jsonl PATH]\n  \
+         [--json PATH] [--jobs I,J,...]\n  iss sweep <spec.toml | builtin> \
+         [--shards N] [--cache-dir DIR] [--json PATH] [--jsonl PATH]\n  \
          iss serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR] \
          [--cache-max-mb N] [--evict]\n  \
          iss validate <spec.toml | directory>...\n  iss lint <spec.toml | \
@@ -178,15 +180,6 @@ fn load(target: &str) -> Result<SweepSpec, String> {
     }
 }
 
-/// Parses a `--shard K/N` operand.
-fn parse_shard_of(value: &str) -> Result<(usize, usize), String> {
-    let err = || format!("--shard needs the form K/N (e.g. 0/4), got `{value}`");
-    let (k, n) = value.split_once('/').ok_or_else(err)?;
-    let k = k.trim().parse::<usize>().map_err(|_| err())?;
-    let n = n.trim().parse::<usize>().map_err(|_| err())?;
-    Ok((k, n))
-}
-
 /// Parses a `--jobs I,J,...` operand.
 fn parse_job_list(value: &str) -> Result<Vec<usize>, String> {
     value
@@ -204,7 +197,6 @@ fn run(args: &[String]) -> ExitCode {
     let mut threads: Option<String> = None;
     let mut reference = None;
     let mut json_path: Option<PathBuf> = None;
-    let mut shard_of: Option<(usize, usize)> = None;
     let mut job_list: Option<Vec<usize>> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -227,17 +219,6 @@ fn run(args: &[String]) -> ExitCode {
                 Some(v) => json_path = Some(PathBuf::from(v)),
                 None => {
                     eprintln!("iss run: --json needs an output path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--shard" => match it.next().map(|v| parse_shard_of(v)) {
-                Some(Ok(pair)) => shard_of = Some(pair),
-                Some(Err(e)) => {
-                    eprintln!("iss run: {e}");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("iss run: --shard needs a K/N operand");
                     return ExitCode::FAILURE;
                 }
             },
@@ -264,10 +245,6 @@ fn run(args: &[String]) -> ExitCode {
     let Some(target) = target else {
         return usage();
     };
-    if shard_of.is_some() && job_list.is_some() {
-        eprintln!("iss run: --shard and --jobs are mutually exclusive");
-        return ExitCode::FAILURE;
-    }
     let sweep = match load(&target) {
         Ok(sweep) => sweep,
         Err(e) => {
@@ -284,17 +261,7 @@ fn run(args: &[String]) -> ExitCode {
     };
     // Child mode of a sharded sweep: run the selected jobs serially and
     // stream one Record JSON line per job — no tables, no summaries.
-    if shard_of.is_some() || job_list.is_some() {
-        let indices = match shard_of {
-            Some((k, n)) => match shard_job_indices(points.len(), k, n) {
-                Ok(indices) => indices,
-                Err(e) => {
-                    eprintln!("iss run: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => job_list.unwrap_or_default(),
-        };
+    if let Some(indices) = job_list {
         let mut stdout = std::io::stdout().lock();
         return match run_shard_jobs(&sweep, &indices, &mut stdout) {
             Ok(()) => ExitCode::SUCCESS,
@@ -502,13 +469,13 @@ fn serve(args: &[String]) -> ExitCode {
 
 /// The fault-tolerant sharded supervisor: partitions the sweep's job list
 /// across child `iss run --jobs ...` processes, contains child deaths, and
-/// merges deterministically. Exits 0 even when jobs were quarantined — the
+/// merges deterministically, answering every point the result store already
+/// holds without a child. Exits 0 even when jobs were quarantined — the
 /// quarantine rows *are* the report; only spec/infrastructure defects fail.
 fn sweep(args: &[String]) -> ExitCode {
     let mut target = None;
     let mut shards: Option<String> = None;
-    let mut checkpoint: Option<PathBuf> = None;
-    let mut resume = false;
+    let mut cache_dir: Option<String> = None;
     let mut json_path: Option<PathBuf> = None;
     let mut jsonl_path: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -521,14 +488,13 @@ fn sweep(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--checkpoint" => match it.next() {
-                Some(v) => checkpoint = Some(PathBuf::from(v)),
+            "--cache-dir" => match it.next() {
+                Some(v) => cache_dir = Some(v.clone()),
                 None => {
-                    eprintln!("iss sweep: --checkpoint needs a path");
+                    eprintln!("iss sweep: --cache-dir needs {}", CACHE_DIR.accepts);
                     return ExitCode::FAILURE;
                 }
             },
-            "--resume" => resume = true,
             "--json" => match it.next() {
                 Some(v) => json_path = Some(PathBuf::from(v)),
                 None => {
@@ -578,9 +544,16 @@ fn sweep(args: &[String]) -> ExitCode {
     };
     options.retries = SHARD_RETRIES.get();
     options.job_timeout_ms = JOB_TIMEOUT_MS.get();
-    options.checkpoint =
-        Some(checkpoint.unwrap_or_else(|| PathBuf::from(format!("iss-sweep-{}.ckpt", sweep.name))));
-    options.resume = resume;
+    let opened = CACHE_DIR.resolve(cache_dir.as_deref()).and_then(|dir| {
+        ResultStore::open(&dir, Some(CACHE_MAX_MB.get() << 20)).map(|store| (dir, store))
+    });
+    let (cache_dir, mut store) = match opened {
+        Ok(opened) => opened,
+        Err(e) => {
+            eprintln!("iss sweep: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let exe = match std::env::current_exe() {
         Ok(exe) => exe,
         Err(e) => {
@@ -589,10 +562,11 @@ fn sweep(args: &[String]) -> ExitCode {
         }
     };
     println!(
-        "sharded sweep `{}`: {} job(s) across {} shard(s)",
+        "sharded sweep `{}`: {} job(s) across {} shard(s), result store at {}",
         sweep.name,
         points.len(),
-        options.shards
+        options.shards,
+        cache_dir.display()
     );
     let mut launcher = |task: &iss_sim::ShardTask| {
         let list: Vec<String> = task.jobs.iter().map(usize::to_string).collect();
@@ -603,7 +577,7 @@ fn sweep(args: &[String]) -> ExitCode {
             .arg(list.join(","));
         cmd
     };
-    let outcome = match run_sharded_sweep(&sweep, &options, &mut launcher) {
+    let outcome = match run_sharded_sweep(&sweep, &options, &mut store, &mut launcher) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("iss sweep: {e}");
@@ -630,11 +604,11 @@ fn sweep(args: &[String]) -> ExitCode {
         println!("\nwrote {}", path.display());
     }
     println!(
-        "\nsweep complete: {} record(s), {} quarantined, {} resumed from checkpoint, \
+        "\nsweep complete: {} record(s), {} quarantined, {} from the result store, \
          {} child dispatch(es)",
         outcome.records.len(),
         outcome.quarantined,
-        outcome.resumed,
+        outcome.cached,
         outcome.dispatches
     );
     ExitCode::SUCCESS

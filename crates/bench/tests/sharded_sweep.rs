@@ -4,7 +4,8 @@
 //!
 //! Fault variables are set **per child Command**, never via
 //! `std::env::set_var`, so parallel test threads cannot contaminate each
-//! other.
+//! other. Every run gets its own `--cache-dir` unless it means to resume:
+//! a shared result store would answer later runs without any child.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -67,8 +68,8 @@ fn stdout_of(output: &Output) -> String {
     String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
-/// Runs the unfaulted single-shard sweep and returns its records — the
-/// reference every fault schedule must reproduce.
+/// Runs the unfaulted single-shard sweep on the `ref-cache` store and
+/// returns its records — the reference every fault schedule must reproduce.
 fn reference_records(dir: &Path) -> Vec<Record> {
     let output = iss(
         dir,
@@ -77,8 +78,8 @@ fn reference_records(dir: &Path) -> Vec<Record> {
             "tiny.toml",
             "--shards",
             "1",
-            "--checkpoint",
-            "ref.ckpt",
+            "--cache-dir",
+            "ref-cache",
             "--jsonl",
             "ref.jsonl",
         ],
@@ -100,7 +101,7 @@ fn multi_shard_merge_matches_the_single_shard_run() {
     let reference = reference_records(&dir);
     assert_eq!(reference.len(), TINY_JOBS);
     for shards in ["2", "3"] {
-        let ckpt = format!("s{shards}.ckpt");
+        let cache = format!("s{shards}-cache");
         let out = format!("s{shards}.jsonl");
         let output = iss(
             &dir,
@@ -109,14 +110,18 @@ fn multi_shard_merge_matches_the_single_shard_run() {
                 "tiny.toml",
                 "--shards",
                 shards,
-                "--checkpoint",
-                &ckpt,
+                "--cache-dir",
+                &cache,
                 "--jsonl",
                 &out,
             ],
             &[],
         );
         assert!(output.status.success(), "{shards}-shard sweep failed");
+        assert!(
+            stdout_of(&output).contains("0 from the result store"),
+            "a fresh store answers nothing"
+        );
         assert_eq!(
             canonical(&records_from(&dir, &out)),
             canonical(&reference),
@@ -147,8 +152,8 @@ fn injected_process_deaths_quarantine_only_the_poison_job() {
                 "tiny.toml",
                 "--shards",
                 "2",
-                "--checkpoint",
-                &format!("fault-{kind}.ckpt"),
+                "--cache-dir",
+                &format!("fault-{kind}-cache"),
                 "--jsonl",
                 &out,
             ],
@@ -181,6 +186,11 @@ fn injected_process_deaths_quarantine_only_the_poison_job() {
             stdout_of(&output).contains("1 quarantined"),
             "summary must count the quarantined job"
         );
+        assert_eq!(
+            entry_files(&dir.join(format!("fault-{kind}-cache"))).len(),
+            TINY_JOBS - 1,
+            "a quarantined record is never stored"
+        );
     }
 }
 
@@ -197,8 +207,8 @@ fn an_injected_stall_times_out_and_quarantines_the_stalled_job() {
             "tiny.toml",
             "--shards",
             "2",
-            "--checkpoint",
-            "stall.ckpt",
+            "--cache-dir",
+            "stall-cache",
             "--jsonl",
             "stall.jsonl",
         ],
@@ -231,74 +241,91 @@ fn an_injected_stall_times_out_and_quarantines_the_stalled_job() {
     }
 }
 
-/// `--resume` replays the intact checkpoint prefix — torn trailing line
-/// included — and re-executes only the jobs that are missing from it.
+/// The result store's entry files, sorted.
+fn entry_files(cache: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(cache)
+        .expect("list cache dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("entry-"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Re-running a sweep whose store lost two entries and holds a torn third
+/// re-dispatches exactly those three jobs; the other records come back from
+/// the store byte for byte, and a further re-run launches no child.
 #[test]
-fn a_resumed_sweep_reuses_the_checkpoint_and_reruns_the_rest() {
+fn a_resumed_sweep_reuses_the_result_store_and_reruns_the_rest() {
     let dir = workdir("resume");
     let reference = reference_records(&dir);
-    // Keep the header plus two record lines, then simulate a crash mid-write
-    // with a torn third record.
-    let full = std::fs::read_to_string(dir.join("ref.ckpt")).expect("read checkpoint");
-    let lines: Vec<&str> = full.lines().collect();
-    assert_eq!(lines.len(), 1 + TINY_JOBS, "header plus one line per job");
-    let torn = &lines[3][..lines[3].len() / 2];
-    let truncated = format!("{}\n{}\n{}\n{torn}", lines[0], lines[1], lines[2]);
-    std::fs::write(dir.join("torn.ckpt"), truncated).expect("write torn checkpoint");
-    let output = iss(
-        &dir,
-        &[
-            "sweep",
-            "tiny.toml",
-            "--shards",
-            "2",
-            "--checkpoint",
-            "torn.ckpt",
-            "--resume",
-            "--jsonl",
-            "resumed.jsonl",
-        ],
-        &[],
-    );
-    assert!(
-        output.status.success(),
-        "resume failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    assert!(
-        stdout_of(&output).contains("2 resumed from checkpoint"),
-        "exactly the two intact records are resumed:\n{}",
+    let entries = entry_files(&dir.join("ref-cache"));
+    assert_eq!(entries.len(), TINY_JOBS, "one entry per job");
+    // Which job each entry holds, by the point digest in its record.
+    let job_of = |path: &Path| -> usize {
+        let text = std::fs::read_to_string(path).expect("read entry");
+        reference
+            .iter()
+            .position(|r| text.contains(&format!("\"point_digest\": \"{}\"", r.digest)))
+            .expect("entry belongs to a reference job")
+    };
+    let mut damaged: Vec<usize> = entries[..3].iter().map(|p| job_of(p)).collect();
+    damaged.sort_unstable();
+    std::fs::remove_file(&entries[0]).expect("delete entry");
+    std::fs::remove_file(&entries[1]).expect("delete entry");
+    let text = std::fs::read_to_string(&entries[2]).expect("read entry");
+    std::fs::write(&entries[2], &text[..text.len() / 2]).expect("tear entry");
+
+    let rerun = |out: &str| {
+        let output = iss(
+            &dir,
+            &[
+                "sweep",
+                "tiny.toml",
+                "--shards",
+                "2",
+                "--cache-dir",
+                "ref-cache",
+                "--jsonl",
+                out,
+            ],
+            &[],
+        );
+        assert!(
+            output.status.success(),
+            "re-run failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
         stdout_of(&output)
+    };
+    let stdout = rerun("resumed.jsonl");
+    assert!(
+        stdout.contains("3 from the result store, 2 child dispatch(es)"),
+        "the three intact records come from the store:\n{stdout}"
     );
+    let resumed = records_from(&dir, "resumed.jsonl");
     assert_eq!(
-        canonical(&records_from(&dir, "resumed.jsonl")),
+        canonical(&resumed),
         canonical(&reference),
         "resumed merge diverged from the reference"
     );
-}
+    // Stored records keep the timing of the run that produced them, so the
+    // fresh timings mark exactly the re-dispatched jobs.
+    for (i, (record, wanted)) in resumed.iter().zip(&reference).enumerate() {
+        if damaged.binary_search(&i).is_err() {
+            assert_eq!(record, wanted, "job {i} must come from the store");
+        }
+    }
+    assert_eq!(entry_files(&dir.join("ref-cache")).len(), TINY_JOBS);
 
-/// Resuming against a checkpoint from a different sweep is refused loudly
-/// instead of silently merging foreign records.
-#[test]
-fn a_foreign_checkpoint_is_refused() {
-    let dir = workdir("foreign");
-    let _ = reference_records(&dir);
-    let full = std::fs::read_to_string(dir.join("ref.ckpt")).expect("read checkpoint");
-    let header = full.lines().next().expect("checkpoint header");
-    let marker = "\"digest\": \"";
-    let start = header.find(marker).expect("digest field") + marker.len();
-    let end = start + header[start..].find('"').expect("closing quote");
-    let tampered = format!("{}beefbeefbeefbeef{}\n", &header[..start], &header[end..]);
-    std::fs::write(dir.join("bad.ckpt"), tampered).expect("write tampered checkpoint");
-    let output = iss(
-        &dir,
-        &["sweep", "tiny.toml", "--checkpoint", "bad.ckpt", "--resume"],
-        &[],
-    );
-    assert!(!output.status.success(), "tampered checkpoint must fail");
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let stdout = rerun("again.jsonl");
     assert!(
-        stderr.contains("different sweep"),
-        "error names the mismatch: {stderr}"
+        stdout.contains("6 from the result store, 0 child dispatch(es)"),
+        "a repeated sweep launches no child:\n{stdout}"
     );
+    assert_eq!(records_from(&dir, "again.jsonl"), resumed);
 }

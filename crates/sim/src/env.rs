@@ -203,8 +203,8 @@ pub const SERVE_WORKERS: Knob<usize> = Knob {
     parser: positive,
 };
 
-/// `ISS_CACHE_DIR`: result-store directory of `iss serve` (`--cache-dir`),
-/// relative to the server's working directory unless absolute.
+/// `ISS_CACHE_DIR`: result-store directory of `iss serve` and `iss sweep`
+/// (`--cache-dir`), relative to the working directory unless absolute.
 pub const CACHE_DIR: Knob<PathBuf> = Knob {
     var: "ISS_CACHE_DIR",
     flag: Some("--cache-dir"),

@@ -58,9 +58,6 @@ pub use runner::{run, BaseModel, CoreModel, CoreSummary, SimSummary};
 pub use sampling::{run_sampled, run_sampled_with_batch, SamplingEstimate, SamplingSpec};
 pub use scenario::{MachineSpec, Record, ScenarioSpec, SweepSpec};
 pub use serve::{Client, RunOutcome, ServeOptions, ServeStats, Server};
-pub use shard::{
-    run_shard_jobs, run_sharded_sweep, shard_job_indices, sweep_digest, ShardOptions, ShardTask,
-    ShardedOutcome,
-};
+pub use shard::{run_shard_jobs, run_sharded_sweep, ShardOptions, ShardTask, ShardedOutcome};
 pub use store::{CacheKey, ResultStore, StoreStats};
 pub use workload::WorkloadSpec;

@@ -50,7 +50,7 @@ pub use record::{fnv1a_hex, Record};
 
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{try_run_batch_with_threads, SimJob};
+use crate::batch::{try_run_batch_with_threads, JobFailure, SimJob};
 use crate::config::SystemConfig;
 use crate::env::THREADS;
 use crate::runner::CoreModel;
@@ -178,6 +178,46 @@ impl ScenarioSpec {
             self.seed,
             summary,
         ))
+    }
+
+    /// Lowers one batch outcome of this scenario into its [`Record`]: the
+    /// simulated row on success ([`ScenarioSpec::to_record`]), the
+    /// quarantined row on failure ([`Record::from_failure`]). The
+    /// in-process sweep runner, the sharded child runner and `iss serve`
+    /// all go through it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the machine resolution error when the config digest cannot
+    /// be computed.
+    pub fn outcome_record(
+        &self,
+        sweep: &str,
+        outcome: Result<SimSummary, JobFailure>,
+    ) -> Result<Record, String> {
+        match outcome {
+            Ok(summary) => self.to_record(sweep, summary),
+            Err(failure) => Ok(Record::from_failure(
+                sweep,
+                &self.group,
+                &self.variant,
+                self.benchmark.as_deref(),
+                failure,
+            )),
+        }
+    }
+
+    /// Gives a stored record this scenario's coordinates. The result store
+    /// keys records by point digest alone, so a record cached by another
+    /// sweep (or another variant label of the same point) answers this one
+    /// under this one's names.
+    #[must_use]
+    pub fn relabel(&self, sweep: &str, mut record: Record) -> Record {
+        record.sweep = sweep.to_string();
+        record.group.clone_from(&self.group);
+        record.variant.clone_from(&self.variant);
+        record.benchmark.clone_from(&self.benchmark);
+        record
     }
 
     /// Lowers the scenario into a batch job.
@@ -421,16 +461,7 @@ impl SweepSpec {
         points
             .iter()
             .zip(outcomes)
-            .map(|(point, outcome)| match outcome {
-                Ok(summary) => point.to_record(&self.name, summary),
-                Err(failure) => Ok(Record::from_failure(
-                    &self.name,
-                    &point.group,
-                    &point.variant,
-                    point.benchmark.as_deref(),
-                    failure,
-                )),
-            })
+            .map(|(point, outcome)| point.outcome_record(&self.name, outcome))
             .collect()
     }
 }

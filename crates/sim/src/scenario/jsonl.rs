@@ -1,9 +1,9 @@
 //! Lossless line-oriented JSON codec for [`Record`] rows.
 //!
 //! This is the wire format of the sharded sweep machinery: child shard
-//! processes stream one record object per line over stdout, the supervisor
-//! appends the same lines to the write-ahead checkpoint file, and
-//! `iss export --jsonl` emits them for downstream tooling. Unlike the old
+//! processes stream one record object per line over stdout, the result
+//! store keeps the same encoding, and `iss export --jsonl` emits it for
+//! downstream tooling. Unlike the old
 //! fixed-precision report rendering, the codec round-trips every
 //! deterministic field exactly — `u64` counts stay integers and floats use
 //! Rust's shortest-round-trip `Display` — so a parsed record compares equal

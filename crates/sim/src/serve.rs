@@ -8,7 +8,9 @@
 //! misses through the [`crate::batch`] engine (panic isolation included),
 //! and the persistent [`ResultStore`] answering repeats with the cached
 //! [`Record`] — byte-identical to the fresh response that populated it,
-//! because the store keeps the lossless JSONL encoding.
+//! because the store keeps the lossless JSONL encoding. The store is
+//! shared with `iss sweep`, and a cached record always answers under the
+//! requesting sweep's names ([`ScenarioSpec::relabel`]).
 //!
 //! ## Protocol
 //!
@@ -473,7 +475,7 @@ fn handle_run(
 
     let mut records = Vec::with_capacity(total);
     let (mut hits, mut misses, mut coalesced, mut failures) = (0u64, 0u64, 0u64, 0u64);
-    for cell in &results {
+    for (i, cell) in results.iter().enumerate() {
         let outcome = lock(cell)
             .take()
             .ok_or_else(|| "a point was never answered".to_string())?;
@@ -486,7 +488,7 @@ fn handle_run(
         if record.failure.is_some() {
             failures += 1;
         }
-        records.push(record);
+        records.push(points[i].relabel(&sweep.name, record));
     }
     {
         let mut counters = lock(&shared.counters);
@@ -586,17 +588,8 @@ fn simulate_point(
     let busy = timer.elapsed_seconds();
     shared.gate.release();
     lock(&shared.counters).busy_seconds += busy;
-    match outcome {
-        Some(Ok(summary)) => point.to_record(sweep_name, summary),
-        Some(Err(failure)) => Ok(Record::from_failure(
-            sweep_name,
-            &point.group,
-            &point.variant,
-            point.benchmark.as_deref(),
-            failure,
-        )),
-        None => Err("the batch engine returned no outcome".to_string()),
-    }
+    let outcome = outcome.ok_or_else(|| "the batch engine returned no outcome".to_string())?;
+    point.outcome_record(sweep_name, outcome)
 }
 
 /// Assembles the `stats` response from the counters, the store, and the

@@ -19,10 +19,11 @@
 //! * [`run_sharded_sweep`] — the supervisor: generic over a *launcher*
 //!   closure mapping a [`ShardTask`] to a [`Command`], so unit tests fake
 //!   children with `sh` while the CLI launches `iss run --jobs ...`.
-//! * A write-ahead checkpoint file (one JSON line per finished job,
-//!   content-addressed by [`sweep_digest`]) making an interrupted sweep
-//!   resumable: with [`ShardOptions::resume`], only jobs missing from the
-//!   checkpoint are re-executed.
+//! * The [`ResultStore`] that `iss serve` also keeps: every point whose
+//!   key hits the store is done before anything is dispatched, and every
+//!   validated, non-quarantined child record is `put` as it arrives, so an
+//!   interrupted sweep resumes by re-running only the points the store
+//!   lacks, and a repeated sweep launches no child at all.
 //!
 //! The merge is deterministic by construction — records are keyed by
 //! expansion-order job index, so the merged list is byte-identical
@@ -31,7 +32,6 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -39,12 +39,9 @@ use std::time::Duration;
 use crate::batch::{try_run_batch_with_threads, FailureKind, JobFailure};
 use crate::env::{FaultKind, FAULT_INJECT, JOB_TIMEOUT_MS, SHARD_RETRIES};
 use crate::host_time::HostTimer;
-use crate::jsonval::{self, Json};
-use crate::scenario::jsonl::{parse_record_line, record_from_json, render_record_line};
-use crate::scenario::{fnv1a_hex, Record, ScenarioSpec, SweepSpec};
-
-/// Schema tag of the first line of a checkpoint file.
-pub const CHECKPOINT_SCHEMA: &str = "iss-sweep-ckpt/v1";
+use crate::scenario::jsonl::{parse_record_line, render_record_line};
+use crate::scenario::{Record, SweepSpec};
+use crate::store::ResultStore;
 
 /// Exit status of a child taken down by an injected `exit` fault.
 pub const FAULT_EXIT_STATUS: i32 = 17;
@@ -75,11 +72,6 @@ pub struct ShardOptions {
     pub backoff_base_ms: u64,
     /// Cap of the re-dispatch backoff.
     pub backoff_cap_ms: u64,
-    /// Write-ahead checkpoint file (`None` disables persistence).
-    pub checkpoint: Option<PathBuf>,
-    /// Resume from the checkpoint instead of starting fresh. Requires
-    /// `checkpoint`; the file's sweep digest must match this sweep.
-    pub resume: bool,
 }
 
 impl ShardOptions {
@@ -92,8 +84,6 @@ impl ShardOptions {
             job_timeout_ms: JOB_TIMEOUT_MS.default_value(),
             backoff_base_ms: 100,
             backoff_cap_ms: 2_000,
-            checkpoint: None,
-            resume: false,
         }
     }
 }
@@ -106,59 +96,21 @@ pub struct ShardedOutcome {
     pub records: Vec<Record>,
     /// How many of the records are quarantined failure rows.
     pub quarantined: usize,
-    /// How many jobs were loaded from the checkpoint instead of executed.
-    pub resumed: usize,
+    /// How many records the result store answered instead of a child.
+    pub cached: usize,
     /// Child processes launched (initial shards + retries + bisections).
     pub dispatches: usize,
 }
 
-/// The job indices of shard `shard` of `shards` (round-robin, preserving
-/// expansion order) — the `iss run --shard k/n` partition.
-///
-/// # Errors
-///
-/// Rejects `shards == 0` and `shard >= shards`.
-pub fn shard_job_indices(total: usize, shard: usize, shards: usize) -> Result<Vec<usize>, String> {
-    if shards == 0 {
-        return Err("shard count must be positive".to_string());
+/// The initial partition: round-robin over the pending jobs, preserving
+/// expansion order within each shard; empty shards are dropped.
+fn partition(pending: &[usize], shards: usize) -> Vec<Vec<usize>> {
+    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); shards];
+    for (k, &job) in pending.iter().enumerate() {
+        buckets[k % shards].push(job);
     }
-    if shard >= shards {
-        return Err(format!(
-            "shard index {shard} is out of range for {shards} shard(s) (indices are 0-based)"
-        ));
-    }
-    Ok((0..total).filter(|i| i % shards == shard).collect())
-}
-
-/// Content address of a sweep: FNV-1a over the sweep name, job count,
-/// every point digest, and the crate version. A checkpoint written under a
-/// different spec, axis order or code version has a different digest and
-/// is refused on resume.
-///
-/// # Errors
-///
-/// Propagates expansion/validation errors.
-pub fn sweep_digest(sweep: &SweepSpec) -> Result<String, String> {
-    let points = sweep.expand()?;
-    let digests = point_digests(&points)?;
-    Ok(digest_of(&sweep.name, &digests))
-}
-
-fn point_digests(points: &[ScenarioSpec]) -> Result<Vec<String>, String> {
-    points.iter().map(ScenarioSpec::digest).collect()
-}
-
-fn digest_of(name: &str, point_digests: &[String]) -> String {
-    let mut text = format!(
-        "{name}|{}|{}",
-        point_digests.len(),
-        env!("CARGO_PKG_VERSION")
-    );
-    for d in point_digests {
-        text.push('|');
-        text.push_str(d);
-    }
-    fnv1a_hex(&text)
+    buckets.retain(|jobs| !jobs.is_empty());
+    buckets
 }
 
 // ---------------------------------------------------------------------------
@@ -202,22 +154,11 @@ pub fn run_shard_jobs(
         let outcome = try_run_batch_with_threads(&[job], 1)
             .into_iter()
             .next()
-            .ok_or_else(|| "batch engine returned no outcome for a one-job batch".to_string())?;
-        let record = match outcome {
-            Ok(summary) => point.to_record(&sweep.name, summary)?,
-            Err(mut failure) => {
-                // The batch ran a single job, so its local index 0 must be
-                // rewritten to the global expansion-order index.
-                failure.job = i;
-                Record::from_failure(
-                    &sweep.name,
-                    &point.group,
-                    &point.variant,
-                    point.benchmark.as_deref(),
-                    failure,
-                )
-            }
-        };
+            .ok_or_else(|| "batch engine returned no outcome for a one-job batch".to_string())?
+            // The batch ran a single job, so its local index 0 must be
+            // rewritten to the global expansion-order index.
+            .map_err(|failure| JobFailure { job: i, ..failure });
+        let record = point.outcome_record(&sweep.name, outcome)?;
         writeln!(out, "{}", render_record_line(&record))
             .and_then(|()| out.flush())
             .map_err(|e| format!("failed to write record for job {i}: {e}"))?;
@@ -234,125 +175,6 @@ fn trip_fault(kind: FaultKind, job: usize) {
         FaultKind::Stall => loop {
             std::thread::sleep(Duration::from_secs(3_600));
         },
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint
-// ---------------------------------------------------------------------------
-
-fn checkpoint_header(name: &str, digest: &str, jobs: usize) -> String {
-    format!(
-        "{{\"schema\": \"{CHECKPOINT_SCHEMA}\", \"sweep\": \"{}\", \"digest\": \"{digest}\", \
-         \"jobs\": {jobs}}}",
-        jsonval::escape(name)
-    )
-}
-
-fn parse_checkpoint_line(line: &str) -> Result<(usize, Record), String> {
-    let v = jsonval::parse(line)?;
-    let job = v
-        .get("job")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| "checkpoint line has no `job` index".to_string())?;
-    let record = record_from_json(
-        v.get("record")
-            .ok_or_else(|| "checkpoint line has no `record` object".to_string())?,
-    )?;
-    Ok((job, record))
-}
-
-/// Loads the finished jobs of a checkpoint file, validating the header
-/// against this sweep's digest and every record against its point digest.
-/// A truncated trailing line (the supervisor died mid-write) is ignored;
-/// corruption anywhere else is a loud error.
-fn load_checkpoint(
-    path: &Path,
-    expected_digest: &str,
-    digests: &[String],
-) -> Result<BTreeMap<usize, Record>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read checkpoint `{}`: {e}", path.display()))?;
-    let lines: Vec<&str> = text.lines().collect();
-    let Some(header_line) = lines.first() else {
-        return Err(format!("checkpoint `{}` is empty", path.display()));
-    };
-    let header = jsonval::parse(header_line)
-        .map_err(|e| format!("checkpoint `{}` header: {e}", path.display()))?;
-    let schema = header.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != CHECKPOINT_SCHEMA {
-        return Err(format!(
-            "checkpoint `{}` has schema `{schema}`, expected `{CHECKPOINT_SCHEMA}`",
-            path.display()
-        ));
-    }
-    let found_digest = header.get("digest").and_then(Json::as_str).unwrap_or("");
-    if found_digest != expected_digest {
-        return Err(format!(
-            "checkpoint `{}` was written for a different sweep, configuration or code version \
-             (its digest is {found_digest}, this sweep's is {expected_digest}); delete the file \
-             or drop --resume",
-            path.display()
-        ));
-    }
-    let mut done = BTreeMap::new();
-    for (idx, line) in lines.iter().enumerate().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let last = idx == lines.len() - 1;
-        let (job, record) = match parse_checkpoint_line(line) {
-            Ok(parsed) => parsed,
-            // A torn trailing line is exactly what a mid-write death
-            // leaves behind; that job simply re-runs.
-            Err(_) if last => break,
-            Err(e) => {
-                return Err(format!(
-                    "checkpoint `{}` line {}: {e}",
-                    path.display(),
-                    idx + 1
-                ))
-            }
-        };
-        let expected = digests.get(job).ok_or_else(|| {
-            format!(
-                "checkpoint `{}` line {}: job index {job} is out of range",
-                path.display(),
-                idx + 1
-            )
-        })?;
-        if &record.digest != expected {
-            return Err(format!(
-                "checkpoint `{}` line {}: record digest {} does not match job {job}'s point \
-                 digest {expected}",
-                path.display(),
-                idx + 1,
-                record.digest
-            ));
-        }
-        done.insert(job, record);
-    }
-    Ok(done)
-}
-
-/// The write-ahead side: appends one line per finished job and flushes
-/// before the job is considered done in memory.
-struct CheckpointWriter {
-    file: Option<std::fs::File>,
-}
-
-impl CheckpointWriter {
-    fn append(&mut self, job: usize, record: &Record) -> Result<(), String> {
-        if let Some(f) = &mut self.file {
-            writeln!(
-                f,
-                "{{\"job\": {job}, \"record\": {}}}",
-                render_record_line(record)
-            )
-            .and_then(|()| f.flush())
-            .map_err(|e| format!("failed to append to checkpoint: {e}"))?;
-        }
-        Ok(())
     }
 }
 
@@ -430,14 +252,20 @@ fn backoff_seconds(options: &ShardOptions, attempts: u32) -> f64 {
 }
 
 /// Runs a sweep as `options.shards` child processes with crash recovery,
-/// retries, per-job progress deadlines, bisection of poison jobs, and an
-/// optional resumable write-ahead checkpoint.
+/// retries, per-job progress deadlines and bisection of poison jobs,
+/// resuming from and persisting to a [`ResultStore`].
 ///
 /// `launcher` maps a [`ShardTask`] to the [`Command`] that runs those jobs
 /// and streams their record lines to stdout — `iss sweep` launches
 /// `iss run <spec> --jobs <list>`, tests fake children with `sh`. The
 /// supervisor validates every line against the expected point digest, so a
 /// confused child cannot smuggle a wrong record into the merge.
+///
+/// Points the store already holds are answered from it (under this
+/// sweep's names) and never dispatched; every other validated record is
+/// `put` as it arrives, except quarantined rows, so a re-run retries the
+/// poison job. The store key is (version, point digest, seed, scale), so a
+/// changed spec or binary simply misses.
 ///
 /// The returned records are in expansion order, independent of the shard
 /// count, the failure schedule and the retry history; a job whose child
@@ -446,63 +274,37 @@ fn backoff_seconds(options: &ShardOptions, attempts: u32) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns expansion/validation errors, checkpoint I/O and validation
-/// errors, and internal supervisor defects. Child failures are *not*
-/// errors — they surface as quarantined records.
+/// Returns expansion/validation errors, store write errors, and internal
+/// supervisor defects. Child failures are *not* errors — they surface as
+/// quarantined records.
 pub fn run_sharded_sweep(
     sweep: &SweepSpec,
     options: &ShardOptions,
+    store: &mut ResultStore,
     launcher: &mut dyn FnMut(&ShardTask) -> Command,
 ) -> Result<ShardedOutcome, String> {
     if options.shards == 0 {
         return Err("shard count must be positive".to_string());
     }
     let points = sweep.expand()?;
-    let digests = point_digests(&points)?;
-    let sweep_digest = digest_of(&sweep.name, &digests);
+    let keys = points
+        .iter()
+        .map(|p| store.key_for(p))
+        .collect::<Result<Vec<_>, _>>()?;
     let total = points.len();
 
     let mut done: BTreeMap<usize, Record> = BTreeMap::new();
-    let mut checkpoint = CheckpointWriter { file: None };
-    match (&options.checkpoint, options.resume) {
-        (Some(path), true) => {
-            done = load_checkpoint(path, &sweep_digest, &digests)?;
-            checkpoint.file = Some(
-                std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(path)
-                    .map_err(|e| format!("cannot reopen checkpoint `{}`: {e}", path.display()))?,
-            );
+    for (i, (point, key)) in points.iter().zip(&keys).enumerate() {
+        if let Some(record) = store.get(key) {
+            done.insert(i, point.relabel(&sweep.name, record));
         }
-        (Some(path), false) => {
-            let mut f = std::fs::File::create(path)
-                .map_err(|e| format!("cannot create checkpoint `{}`: {e}", path.display()))?;
-            writeln!(
-                f,
-                "{}",
-                checkpoint_header(&sweep.name, &sweep_digest, total)
-            )
-            .and_then(|()| f.flush())
-            .map_err(|e| format!("failed to write checkpoint header: {e}"))?;
-            checkpoint.file = Some(f);
-        }
-        (None, true) => {
-            return Err("--resume requires a checkpoint path".to_string());
-        }
-        (None, false) => {}
     }
-    let resumed = done.len();
+    let cached = done.len();
 
-    // Initial partition: round-robin over the still-pending jobs.
     let pending: Vec<usize> = (0..total).filter(|i| !done.contains_key(i)).collect();
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); options.shards];
-    for (k, &job) in pending.iter().enumerate() {
-        buckets[k % options.shards].push(job);
-    }
     // (ready_at_seconds, task) — backoff holds failed tasks back here.
-    let mut queue: Vec<(f64, ShardTask)> = buckets
+    let mut queue: Vec<(f64, ShardTask)> = partition(&pending, options.shards)
         .into_iter()
-        .filter(|jobs| !jobs.is_empty())
         .map(|jobs| (0.0, ShardTask { jobs, attempts: 0 }))
         .collect();
 
@@ -521,9 +323,7 @@ pub fn run_sharded_sweep(
                           message: String,
                           now: f64,
                           queue: &mut Vec<(f64, ShardTask)>,
-                          done: &mut BTreeMap<usize, Record>,
-                          checkpoint: &mut CheckpointWriter|
-     -> Result<(), String> {
+                          done: &mut BTreeMap<usize, Record>| {
         if attempts <= options.retries {
             queue.push((
                 now + backoff_seconds(options, attempts),
@@ -532,7 +332,7 @@ pub fn run_sharded_sweep(
                     attempts,
                 },
             ));
-            return Ok(());
+            return;
         }
         if remaining.len() > 1 {
             let (left, right) = remaining.split_at(remaining.len() / 2);
@@ -550,7 +350,7 @@ pub fn run_sharded_sweep(
                     attempts: 0,
                 },
             ));
-            return Ok(());
+            return;
         }
         let job = remaining[0];
         let point = &points[job];
@@ -559,7 +359,7 @@ pub fn run_sharded_sweep(
             workload: point.workload.label(),
             seed: point.seed,
             model: point.model.name(),
-            digest: digests[job].clone(),
+            digest: keys[job].point_digest.clone(),
             kind,
             message,
             attempts,
@@ -571,9 +371,7 @@ pub fn run_sharded_sweep(
             point.benchmark.as_deref(),
             failure,
         );
-        checkpoint.append(job, &record)?;
         done.insert(job, record);
-        Ok(())
     };
 
     while done.len() < total || !running.is_empty() {
@@ -601,8 +399,7 @@ pub fn run_sharded_sweep(
                         now,
                         &mut queue,
                         &mut done,
-                        &mut checkpoint,
-                    )?;
+                    );
                 }
             }
             next_id += 1;
@@ -641,8 +438,10 @@ pub fn run_sharded_sweep(
                     } else {
                         let job = shard.task.jobs[shard.cursor];
                         match parse_record_line(&line) {
-                            Ok(record) if record.digest == digests[job] => {
-                                checkpoint.append(job, &record)?;
+                            Ok(record) if record.digest == keys[job].point_digest => {
+                                if !record.is_quarantined() {
+                                    store.put(&keys[job], &record)?;
+                                }
                                 done.insert(job, record);
                                 shard.cursor += 1;
                                 shard.last_progress = now;
@@ -653,7 +452,7 @@ pub fn run_sharded_sweep(
                                     format!(
                                         "child emitted digest {} where job {job} (digest {}) \
                                          was expected",
-                                        record.digest, digests[job]
+                                        record.digest, keys[job].point_digest
                                     ),
                                 ));
                                 let _ = shard.child.kill();
@@ -744,8 +543,7 @@ pub fn run_sharded_sweep(
                             timer.elapsed_seconds(),
                             &mut queue,
                             &mut done,
-                            &mut checkpoint,
-                        )?;
+                        );
                     }
                 }
             }
@@ -782,16 +580,19 @@ pub fn run_sharded_sweep(
     Ok(ShardedOutcome {
         records,
         quarantined,
-        resumed,
+        cached,
         dispatches,
     })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::path::{Path, PathBuf};
+
     use super::*;
     use crate::runner::CoreModel;
-    use crate::scenario::parse_records_jsonl;
+    use crate::scenario::{parse_records_jsonl, ScenarioSpec};
+    use crate::store::CacheKey;
     use crate::workload::WorkloadSpec;
 
     fn tiny_sweep() -> SweepSpec {
@@ -807,8 +608,14 @@ mod tests {
     fn test_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("iss-shard-tests-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// An empty, unbounded result store in its own directory.
+    fn fresh_store(dir: &Path, tag: &str) -> ResultStore {
+        ResultStore::open(&dir.join(format!("store-{tag}")), None).unwrap()
     }
 
     fn sh(script: String) -> Command {
@@ -840,18 +647,28 @@ mod tests {
 
     #[test]
     fn shard_partition_and_digest_are_deterministic() {
-        assert_eq!(shard_job_indices(5, 0, 2).unwrap(), vec![0, 2, 4]);
-        assert_eq!(shard_job_indices(5, 1, 2).unwrap(), vec![1, 3]);
-        assert!(shard_job_indices(5, 2, 2).is_err());
-        assert!(shard_job_indices(5, 0, 0).is_err());
-        let sweep = tiny_sweep();
-        assert_eq!(sweep_digest(&sweep).unwrap(), sweep_digest(&sweep).unwrap());
-        let mut renamed = tiny_sweep();
-        renamed.name = "other".into();
-        assert_ne!(
-            sweep_digest(&sweep).unwrap(),
-            sweep_digest(&renamed).unwrap()
+        assert_eq!(
+            partition(&[0, 1, 2, 3, 4], 2),
+            vec![vec![0, 2, 4], vec![1, 3]]
         );
+        assert_eq!(partition(&[1, 5], 3), vec![vec![1], vec![5]]);
+        assert!(partition(&[], 2).is_empty());
+        // The store keys a sweep resumes by are a pure function of the
+        // points: equal across expansions, distinct across points.
+        let keys = |sweep: &SweepSpec| -> Vec<String> {
+            sweep
+                .expand()
+                .unwrap()
+                .iter()
+                .map(|p| CacheKey::for_point(p, "1").unwrap().digest())
+                .collect()
+        };
+        let first = keys(&tiny_sweep());
+        assert_eq!(first, keys(&tiny_sweep()));
+        let mut unique = first.clone();
+        unique.sort();
+        unique.dedup();
+        assert_eq!(unique.len(), first.len());
     }
 
     #[test]
@@ -886,9 +703,11 @@ mod tests {
                 counter += 1;
                 sh(format!("cat '{}'", path.display()))
             };
-            let outcome = run_sharded_sweep(&sweep, &fast_opts(shards), &mut launcher).unwrap();
+            let mut store = fresh_store(&dir, &format!("s{shards}"));
+            let outcome =
+                run_sharded_sweep(&sweep, &fast_opts(shards), &mut store, &mut launcher).unwrap();
             assert_eq!(outcome.quarantined, 0, "shards={shards}");
-            assert_eq!(outcome.resumed, 0);
+            assert_eq!(outcome.cached, 0);
             // Full equality, host_seconds included: the lines round-trip.
             assert_eq!(outcome.records, reference, "shards={shards}");
         }
@@ -917,10 +736,12 @@ mod tests {
                 sh(format!("cat '{}'", path.display()))
             }
         };
-        let outcome = run_sharded_sweep(&sweep, &fast_opts(2), &mut launcher).unwrap();
+        let mut store = fresh_store(&dir, "crash");
+        let outcome = run_sharded_sweep(&sweep, &fast_opts(2), &mut store, &mut launcher).unwrap();
         assert_eq!(outcome.quarantined, 1);
         // Initial [0,2] and [1,3], then the bisection of [1,3] into [1]+[3].
         assert_eq!(outcome.dispatches, 4);
+        assert_eq!(store.len(), reference.len() - 1, "quarantine is not stored");
         let q = &outcome.records[POISON];
         let failure = q.failure.as_ref().unwrap();
         assert_eq!(failure.job, POISON);
@@ -965,7 +786,8 @@ mod tests {
         };
         let mut opts = fast_opts(2);
         opts.job_timeout_ms = 250;
-        let outcome = run_sharded_sweep(&sweep, &opts, &mut launcher).unwrap();
+        let mut store = fresh_store(&dir, "stall");
+        let outcome = run_sharded_sweep(&sweep, &opts, &mut store, &mut launcher).unwrap();
         assert_eq!(outcome.quarantined, 1);
         let failure = outcome.records[POISON].failure.as_ref().unwrap();
         assert_eq!(failure.kind, FailureKind::Timeout);
@@ -1009,7 +831,9 @@ mod tests {
                 counter += 1;
                 sh(format!("cat '{}'", path.display()))
             };
-            let outcome = run_sharded_sweep(&sweep, &fast_opts(2), &mut launcher).unwrap();
+            let mut store = fresh_store(&dir, tag);
+            let outcome =
+                run_sharded_sweep(&sweep, &fast_opts(2), &mut store, &mut launcher).unwrap();
             assert_eq!(outcome.quarantined, 1, "{tag}");
             let failure = outcome.records[POISON].failure.as_ref().unwrap();
             assert_eq!(failure.kind, FailureKind::MalformedOutput, "{tag}");
@@ -1022,86 +846,62 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_sweeps_resume_from_the_checkpoint() {
+    fn interrupted_sweeps_resume_from_the_result_store() {
         let sweep = tiny_sweep();
         let reference = sweep.run_with_threads(1).unwrap();
         let lines: Vec<String> = reference.iter().map(render_record_line).collect();
         let dir = test_dir("resume");
-        let ckpt = dir.join("sweep.ckpt");
-
-        let mut counter = 0usize;
-        let mut launcher = |task: &ShardTask| {
-            let path = task_file(&dir, "full", counter, &lines_for(&lines, &task.jobs));
-            counter += 1;
-            sh(format!("cat '{}'", path.display()))
+        let store_dir = dir.join("store");
+        // Runs a sweep on the store; returns the outcome and the jobs its
+        // children were asked for.
+        let run = |sweep: &SweepSpec, tag: &str| {
+            let mut requested: Vec<usize> = Vec::new();
+            let mut counter = 0usize;
+            let mut launcher = |task: &ShardTask| {
+                requested.extend(&task.jobs);
+                let path = task_file(&dir, tag, counter, &lines_for(&lines, &task.jobs));
+                counter += 1;
+                sh(format!("cat '{}'", path.display()))
+            };
+            let mut store = ResultStore::open(&store_dir, None).unwrap();
+            let outcome =
+                run_sharded_sweep(sweep, &fast_opts(2), &mut store, &mut launcher).unwrap();
+            requested.sort_unstable();
+            (outcome, requested)
         };
-        let mut opts = fast_opts(2);
-        opts.checkpoint = Some(ckpt.clone());
-        let outcome = run_sharded_sweep(&sweep, &opts, &mut launcher).unwrap();
+        let (outcome, requested) = run(&sweep, "full");
         assert_eq!(outcome.records, reference);
+        assert_eq!(requested, [0, 1, 2, 3]);
 
-        // Interrupt: keep the header, two finished jobs, and a torn line.
-        let text = std::fs::read_to_string(&ckpt).unwrap();
-        let all: Vec<&str> = text.lines().collect();
-        assert_eq!(all.len(), 1 + reference.len());
-        let kept: Vec<usize> = all[1..3]
-            .iter()
-            .map(|l| parse_checkpoint_line(l).unwrap().0)
-            .collect();
-        let torn = &all[3][..all[3].len() / 2];
-        std::fs::write(&ckpt, format!("{}\n{}\n{}\n{torn}", all[0], all[1], all[2])).unwrap();
-
-        let mut requested: Vec<usize> = Vec::new();
-        let mut counter = 0usize;
-        let mut resume_launcher = |task: &ShardTask| {
-            requested.extend(&task.jobs);
-            let path = task_file(&dir, "resume", counter, &lines_for(&lines, &task.jobs));
-            counter += 1;
-            sh(format!("cat '{}'", path.display()))
+        // Interrupt: delete two entries and tear a third mid-write.
+        let entry = |job: usize| {
+            let point = &sweep.expand().unwrap()[job];
+            let key = CacheKey::for_point(point, env!("CARGO_PKG_VERSION")).unwrap();
+            store_dir.join(format!("entry-{}.json", key.digest()))
         };
-        let mut opts = fast_opts(2);
-        opts.checkpoint = Some(ckpt.clone());
-        opts.resume = true;
-        let outcome = run_sharded_sweep(&sweep, &opts, &mut resume_launcher).unwrap();
-        assert_eq!(outcome.resumed, 2);
+        std::fs::remove_file(entry(0)).unwrap();
+        std::fs::remove_file(entry(3)).unwrap();
+        let text = std::fs::read_to_string(entry(2)).unwrap();
+        std::fs::write(entry(2), &text[..text.len() / 2]).unwrap();
+
+        let (outcome, requested) = run(&sweep, "resume");
+        assert_eq!(outcome.cached, 1);
         assert_eq!(outcome.records, reference);
-        let mut expected: Vec<usize> = (0..reference.len()).filter(|i| !kept.contains(i)).collect();
-        requested.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(requested, expected, "only the missing jobs re-run");
-    }
+        assert_eq!(requested, [0, 2, 3], "only the damaged entries re-run");
 
-    #[test]
-    fn stale_or_missing_checkpoints_are_refused_loudly() {
-        let sweep = tiny_sweep();
-        let dir = test_dir("stale");
-        let ckpt = dir.join("stale.ckpt");
-        let digest = sweep_digest(&sweep).unwrap();
-        std::fs::write(
-            &ckpt,
-            format!(
-                "{}\n",
-                checkpoint_header(&sweep.name, "beefbeefbeefbeef", 4)
-            ),
-        )
-        .unwrap();
-        let mut launcher = |_: &ShardTask| sh("true".to_string());
-        let mut opts = fast_opts(1);
-        opts.checkpoint = Some(ckpt);
-        opts.resume = true;
-        let err = run_sharded_sweep(&sweep, &opts, &mut launcher).unwrap_err();
-        assert!(err.contains("different sweep"), "got: {err}");
-        assert!(err.contains(&digest), "got: {err}");
-
-        let mut opts = fast_opts(1);
-        opts.checkpoint = Some(dir.join("does-not-exist.ckpt"));
-        opts.resume = true;
-        let err = run_sharded_sweep(&sweep, &opts, &mut launcher).unwrap_err();
-        assert!(err.contains("cannot read checkpoint"), "got: {err}");
-
-        let mut opts = fast_opts(1);
-        opts.resume = true;
-        let err = run_sharded_sweep(&sweep, &opts, &mut launcher).unwrap_err();
-        assert!(err.contains("requires a checkpoint"), "got: {err}");
+        // A repeated sweep is answered by the store alone, under its own
+        // names even when another sweep stored the records.
+        let mut renamed = tiny_sweep();
+        renamed.name = "renamed".into();
+        let (outcome, requested) = run(&renamed, "again");
+        assert_eq!((outcome.cached, outcome.dispatches), (reference.len(), 0));
+        assert!(requested.is_empty());
+        for (record, wanted) in outcome.records.iter().zip(&reference) {
+            assert_eq!(record.sweep, "renamed");
+            assert_eq!(
+                record.canonical().replacen("renamed", "tinyshard", 1),
+                wanted.canonical()
+            );
+        }
     }
 }

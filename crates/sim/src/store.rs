@@ -1,11 +1,12 @@
-//! Persistent digest-keyed result store: the memoization layer behind
-//! `iss serve`.
+//! Persistent digest-keyed result store: the one place finished records
+//! persist, behind both `iss serve` and `iss sweep`.
 //!
 //! Most production sweep traffic re-requests the same design points, so
-//! serving a hot scenario should cost a file read, not a simulation. This
-//! module is a content-addressed on-disk cache of [`Record`]s keyed by a
-//! [`CacheKey`] — **(crate version, point digest, seed, scale)** — with an
-//! explicit invalidation story:
+//! serving a hot scenario should cost a file read, not a simulation, and an
+//! interrupted sweep should resume by re-running only the points the store
+//! does not hold. This module is a content-addressed on-disk cache of
+//! [`Record`]s keyed by a [`CacheKey`] — **(crate version, point digest,
+//! seed, scale)** — with an explicit invalidation story:
 //!
 //! * the key embeds the crate version, so a code upgrade misses cleanly
 //!   (stale entries linger only until the LRU bound reclaims them);
@@ -22,8 +23,9 @@
 //! Recency is tracked by an append-only access log (`lru.log`, one key per
 //! line) replayed at open and compacted on eviction — deliberately not
 //! file mtimes, which would put the host wall clock into eviction order.
-//! Writes go through a temp file + rename so a crash mid-`put` leaves a
-//! torn temp file (ignored) rather than a corrupt entry.
+//! Writes go through a per-process temp file + rename so a crash mid-`put`
+//! leaves a torn temp file (ignored) rather than a corrupt entry, and two
+//! processes sharing a directory never write the same temp file.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -119,8 +121,11 @@ pub struct StoreStats {
 
 /// A persistent content-addressed result store rooted at one directory.
 ///
-/// One entry per [`CacheKey`], one file per entry; an instance assumes it
-/// is the directory's only writer (the `iss serve` process).
+/// One entry per [`CacheKey`], one file per entry. Several processes may
+/// share a directory (`iss serve` and `iss sweep` both default to
+/// `.iss-cache`): entries are committed atomically, but an instance's size
+/// and recency view covers only the entries on disk at `open` plus its own
+/// traffic.
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
@@ -344,7 +349,9 @@ impl ResultStore {
     pub fn put(&mut self, key: &CacheKey, record: &Record) -> Result<(), String> {
         let digest = key.digest();
         let text = render_entry(key, record);
-        let tmp = self.dir.join(format!("put-{digest}.tmp"));
+        let tmp = self
+            .dir
+            .join(format!("put-{digest}-{}.tmp", std::process::id()));
         let path = self.entry_path(&digest);
         std::fs::write(&tmp, &text)
             .map_err(|e| format!("cannot write cache entry `{}`: {e}", tmp.display()))?;
@@ -363,6 +370,7 @@ impl ResultStore {
         let Some(max) = self.max_bytes else {
             return Ok(());
         };
+        let evictions = self.stats.evictions;
         while self.total_bytes() > max && self.sizes.len() > 1 {
             let Some((_, victim)) = self
                 .sizes
@@ -373,13 +381,21 @@ impl ResultStore {
                 break;
             };
             let path = self.entry_path(&victim);
-            std::fs::remove_file(&path)
-                .map_err(|e| format!("cannot evict cache entry `{}`: {e}", path.display()))?;
+            match std::fs::remove_file(&path) {
+                // Another process sharing the directory got there first.
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(format!(
+                        "cannot evict cache entry `{}`: {e}",
+                        path.display()
+                    ));
+                }
+                _ => {}
+            }
             self.sizes.remove(&victim);
             self.access.remove(&victim);
             self.stats.evictions += 1;
         }
-        if self.stats.evictions > 0 {
+        if self.stats.evictions > evictions {
             self.compact_log()?;
         }
         Ok(())
@@ -627,6 +643,40 @@ mod tests {
         assert!(store.get(&keys[1]).is_none(), "LRU mcf was evicted");
         assert!(store.get(&keys[2]).is_some(), "gzip survives");
         assert!(store.total_bytes() <= entry_bytes * 3);
+    }
+
+    #[test]
+    fn only_a_put_that_evicts_compacts_the_access_log() {
+        let dir = test_dir("compact-on-evict");
+        let points: Vec<ScenarioSpec> = ["gcc", "mcf", "gzip"]
+            .iter()
+            .map(|b| point(b, 1_200))
+            .collect();
+        let keys: Vec<CacheKey> = points
+            .iter()
+            .map(|p| CacheKey::for_point(p, "1").unwrap())
+            .collect();
+        let records: Vec<Record> = points.iter().map(simulate).collect();
+        let entry_bytes = render_entry(&keys[0], &records[0]).len() as u64;
+        let mut store =
+            ResultStore::open_with_version(&dir, Some(entry_bytes * 2 + entry_bytes / 2), "1")
+                .unwrap();
+        for (k, r) in keys.iter().zip(&records) {
+            store.put(k, r).unwrap();
+        }
+        assert_eq!(store.stats.evictions, 1, "the third put evicts gcc");
+        assert!(store.get(&keys[1]).is_some());
+        // Re-putting gzip fits the bound and evicts nothing, so the log
+        // keeps mcf's duplicate access line.
+        store.put(&keys[2], &records[2]).unwrap();
+        assert_eq!(store.stats.evictions, 1);
+        let log = std::fs::read_to_string(dir.join(LRU_LOG)).unwrap();
+        let mcf = keys[1].digest();
+        assert_eq!(
+            log.lines().filter(|l| *l == mcf).count(),
+            2,
+            "an eviction-free put must not compact the log:\n{log}"
+        );
     }
 
     #[test]

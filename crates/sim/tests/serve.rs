@@ -104,6 +104,13 @@ fn a_warm_replay_is_all_hits_and_byte_identical() {
     assert!(stats.uptime_seconds > 0.0);
     assert!(stats.worker_utilization() <= 1.0);
 
+    // Another sweep over the same points hits under its own name.
+    let renamed = client
+        .run(&SWEEP_SPEC.replace("serve-test", "serve-renamed"))
+        .expect("renamed run");
+    assert_eq!(renamed.hits, 4);
+    assert!(renamed.records.iter().all(|r| r.sweep == "serve-renamed"));
+
     client.shutdown().expect("shutdown");
     assert_eq!(
         handle.join().expect("join"),

@@ -155,7 +155,7 @@ impl<S: InstructionStream> SimCore for IntervalCore<S> {
         self.core_id
     }
 
-    fn stats(&self) -> IntervalCoreStats {
+    fn stats(&self, _now: u64) -> IntervalCoreStats {
         self.stats
     }
 
@@ -511,7 +511,7 @@ mod tests {
             t += 1;
         }
         assert!(core.is_done(), "core must finish within the cycle bound");
-        core.stats()
+        core.stats(t)
     }
 
     #[test]

@@ -46,8 +46,10 @@ pub trait SimCore {
     fn step_cycle(&mut self, now: u64, mem: &mut MemoryHierarchy, sync: &mut SyncController);
 
     /// The earliest multi-core time at which an unfinished core, stepped at
-    /// `now`, has work again. The machine skips ahead to the earliest such
-    /// time over all cores; a core that must see every cycle returns
+    /// `now`, can next change any state. The machine skips ahead to the
+    /// earliest such time over all cores. A core that counts per-cycle
+    /// statistics charges the skipped cycles itself, at its next step or in
+    /// [`SimCore::stats`]. A core that must see every cycle returns
     /// `now + 1`.
     fn next_event(&self, now: u64) -> u64;
 
@@ -57,8 +59,9 @@ pub trait SimCore {
     /// The core index.
     fn core_id(&self) -> ThreadId;
 
-    /// Accumulated statistics.
-    fn stats(&self) -> Self::Stats;
+    /// Statistics accumulated up to multi-core time `now`, including any
+    /// cycles the machine skipped since the core's last step.
+    fn stats(&self, now: u64) -> Self::Stats;
 
     /// Instructions retired so far.
     fn retired(&self) -> u64;
@@ -307,10 +310,13 @@ impl<C: SimCore> Multicore<C> {
             // Event-driven skip: no shared state evolves on its own between
             // now and the earliest next event of a live core, so jumping
             // straight there is behaviour-identical to stepping empty cycles
-            // — and it is what makes memory-bound interval runs fast. Blocked
-            // interval cores trail at `time + 1`, so synchronization stalls
-            // are still stepped (and counted) cycle by cycle; detailed and
-            // one-IPC cores always ask for the next cycle.
+            // — and it is what makes memory-bound runs fast. Interval cores
+            // skip their miss-event penalties and detailed cores the cycles
+            // in which no pipeline stage can move. Cores blocked on
+            // synchronization ask for `time + 1`, so those stalls are still
+            // stepped (and counted) cycle by cycle; one-IPC cores always ask
+            // for the next cycle. The skip never passes `max_cycles`, so a
+            // limited run stops at the same machine time as a stepped one.
             //
             // One pass over the cores serves the skip, the all-done check and
             // the retirement target — this loop header runs once per
@@ -328,7 +334,7 @@ impl<C: SimCore> Multicore<C> {
                 }
             }
             self.time = if next_event != u64::MAX && next_event > self.time {
-                next_event
+                next_event.min(max_cycles)
             } else {
                 self.time + 1
             };
@@ -396,7 +402,7 @@ impl<C: SimCore> Multicore<C> {
                 core: c.core_id(),
                 instructions: c.retired(),
                 cycles: c.cycles(self.time),
-                stats: c.stats(),
+                stats: c.stats(self.time),
             })
             .collect();
         SimResult {

@@ -114,7 +114,7 @@ impl<S: InstructionStream> SimCore for OneIpcCore<S> {
         self.core_id
     }
 
-    fn stats(&self) -> DetailedCoreStats {
+    fn stats(&self, _now: u64) -> DetailedCoreStats {
         self.stats
     }
 
@@ -186,7 +186,7 @@ mod tests {
             core.step_cycle(now, &mut mem, &mut sync);
             now += 1;
         }
-        core.stats()
+        core.stats(now)
     }
 
     #[test]

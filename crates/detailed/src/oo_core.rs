@@ -9,6 +9,12 @@
 //! the functional-first stream only contains correct-path instructions, so a
 //! misprediction is modeled by stalling fetch until the branch resolves, the
 //! same simplification the interval model's penalty formula captures).
+//!
+//! The core is stepped cycle by cycle only while something moves. After a
+//! cycle in which no stage made progress, it tells the machine the earliest
+//! cycle in which anything can change and charges the cycles skipped until
+//! then to its stall counters, so its statistics are exactly those of a
+//! core stepped every cycle.
 
 use std::collections::VecDeque;
 
@@ -59,11 +65,49 @@ impl DepList {
 #[derive(Debug, Clone)]
 struct RobEntry {
     inst: DynInst,
+    /// Position in dispatch order: consecutive over the ROB, so the entry of
+    /// an in-flight producer is `rob[seq - head.seq]`.
     seq: u64,
     /// In-flight producers this instruction waits for.
     deps: DepList,
     issued: bool,
     complete_at: u64,
+}
+
+/// A step in which no stage made progress. Until `wake` every step repeats
+/// it exactly, so the machine may skip those cycles; they are charged to the
+/// stall counters when the core is next stepped or its statistics are read.
+#[derive(Debug, Clone, Copy)]
+struct IdleStep {
+    at: u64,
+    /// The earliest time at which a step can differ from this one.
+    wake: u64,
+    /// Whether a serializing instruction waited at dispatch in this step.
+    serializing: bool,
+}
+
+impl IdleStep {
+    /// Charges `stats` for the cycles skipped after this step, up to `now`.
+    fn charge_skipped(&self, stats: &mut DetailedCoreStats, now: u64) {
+        let skipped = now.saturating_sub(self.at + 1);
+        stats.commit_stall_cycles += skipped;
+        stats.dispatch_stall_cycles += skipped;
+        stats.fetch_stall_cycles += skipped;
+        if self.serializing {
+            stats.serializations += skipped;
+        }
+    }
+}
+
+/// What the dispatch stage did in one step.
+#[derive(Debug, Clone, Copy)]
+enum Dispatch {
+    /// It dispatched an instruction, or depended on the other cores: it was
+    /// blocked on synchronization or failed to take a lock or join a thread.
+    Progress,
+    /// Nothing dispatched; `serializing` when a serializing instruction
+    /// waited for the window to drain.
+    Idle { serializing: bool },
 }
 
 /// One core simulated cycle-accurately.
@@ -86,16 +130,21 @@ pub struct OutOfOrderCore<S> {
     /// Dispatch is blocked behind an uncommitted serializing instruction.
     serialize_stall: bool,
 
-    /// In-flight instructions: seq -> completion cycle (None = not yet
-    /// issued). Entries are removed at commit.
-    in_flight: FxHashMap<u64, Option<u64>>,
-    /// Latest in-flight producer of each register, indexed by register id —
-    /// registers are a small dense space, so no hashing on the dispatch path.
+    /// ROB sequence number of the next dispatched instruction. The core
+    /// numbers dispatches itself, so finding a producer does not depend on
+    /// how a stream numbers its instructions.
+    next_seq: u64,
+    /// Latest producer of each register, indexed by register id — registers
+    /// are a small dense space, so no hashing on the dispatch path. A
+    /// producer below the ROB head has committed.
     reg_producer: Vec<Option<u64>>,
-    /// Latest in-flight store to each cache line.
+    /// Latest in-flight store to each cache line; a store's entry goes at
+    /// commit, so the map is bounded by the LSQ.
     store_producer: FxHashMap<u64, u64>,
 
     stats: DetailedCoreStats,
+    /// The last step, when it made no progress.
+    idle: Option<IdleStep>,
     done: bool,
 }
 
@@ -131,26 +180,39 @@ impl<S: InstructionStream> SimCore for OutOfOrderCore<S> {
             iq_occupancy: 0,
             lsq_occupancy: 0,
             serialize_stall: false,
-            in_flight: FxHashMap::default(),
+            next_seq: 0,
             reg_producer: vec![None; NUM_ARCH_REGS as usize],
             store_producer: FxHashMap::default(),
             stats: DetailedCoreStats::default(),
+            idle: None,
             done: false,
         }
     }
 
     /// Simulates one cycle at time `now`. Stages run commit → issue →
     /// dispatch → fetch so that an instruction needs at least one cycle per
-    /// stage.
+    /// stage. Cycles skipped since the previous step are charged first.
     fn step_cycle(&mut self, now: u64, mem: &mut MemoryHierarchy, sync: &mut SyncController) {
         if self.done {
             return;
         }
-        self.commit(now);
-        self.issue(now, mem);
-        self.dispatch(now, sync);
-        self.fetch(now, mem);
+        if let Some(idle) = self.idle.take() {
+            idle.charge_skipped(&mut self.stats, now);
+        }
+        let committed = self.commit(now);
+        let (issued, next_completion) = self.issue(now, mem);
+        let dispatch = self.dispatch(now, sync);
+        let fetched = self.fetch(now, mem);
 
+        if let Dispatch::Idle { serializing } = dispatch {
+            if !(committed || issued || fetched) {
+                self.idle = Some(IdleStep {
+                    at: now,
+                    wake: self.wake_time(now, next_completion),
+                    serializing,
+                });
+            }
+        }
         if self.stream_exhausted && self.fetch_queue.is_empty() && self.rob.is_empty() {
             self.done = true;
             self.stats.cycles = now + 1;
@@ -158,9 +220,13 @@ impl<S: InstructionStream> SimCore for OutOfOrderCore<S> {
         }
     }
 
-    /// The pipeline has work every cycle.
+    /// The next cycle after a step that made progress. After an idle step,
+    /// the earliest time anything can change: an instruction completes,
+    /// fetch unblocks or the fetch-queue head clears the front-end. A core
+    /// blocked on synchronization makes progress by definition, because
+    /// other cores can release it in any cycle.
     fn next_event(&self, now: u64) -> u64 {
-        now + 1
+        self.idle.map_or(now + 1, |idle| idle.wake)
     }
 
     fn is_done(&self) -> bool {
@@ -171,8 +237,12 @@ impl<S: InstructionStream> SimCore for OutOfOrderCore<S> {
         self.core_id
     }
 
-    fn stats(&self) -> DetailedCoreStats {
-        self.stats
+    fn stats(&self, now: u64) -> DetailedCoreStats {
+        let mut stats = self.stats;
+        if let Some(idle) = &self.idle {
+            idle.charge_skipped(&mut stats, now);
+        }
+        stats
     }
 
     fn retired(&self) -> u64 {
@@ -232,19 +302,39 @@ impl<S: InstructionStream> SimCore for OutOfOrderCore<S> {
 }
 
 impl<S: InstructionStream> OutOfOrderCore<S> {
-    fn commit(&mut self, now: u64) {
+    /// The earliest time after `now` at which an idle step can change,
+    /// given the earliest completion after `now` in the ROB.
+    fn wake_time(&self, now: u64, next_completion: u64) -> u64 {
+        let mut wake = next_completion;
+        if self.fetch_wait_branch.is_none() && self.fetch_blocked_until > now {
+            wake = wake.min(self.fetch_blocked_until);
+        }
+        if let Some(fe) = self.fetch_queue.front() {
+            if fe.dispatch_ready_at > now {
+                wake = wake.min(fe.dispatch_ready_at);
+            }
+        }
+        wake
+    }
+
+    /// Commits completed instructions from the ROB head; returns whether any
+    /// committed.
+    fn commit(&mut self, now: u64) -> bool {
         let mut committed = 0;
         while committed < self.config.dispatch_width {
             let Some(head) = self.rob.front() else { break };
             if head.issued && head.complete_at <= now {
                 let e = self.rob.pop_front().expect("head exists");
-                if e.inst.mem.is_some() {
+                if let Some(acc) = &e.inst.mem {
                     self.lsq_occupancy -= 1;
+                    let line = acc.vaddr >> LINE_SHIFT;
+                    if acc.is_store && self.store_producer.get(&line) == Some(&e.seq) {
+                        self.store_producer.remove(&line);
+                    }
                 }
                 if e.inst.is_serializing() {
                     self.serialize_stall = false;
                 }
-                self.in_flight.remove(&e.seq);
                 self.stats.instructions += 1;
                 committed += 1;
             } else {
@@ -254,33 +344,46 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
         if committed == 0 {
             self.stats.commit_stall_cycles += 1;
         }
+        committed > 0
+    }
+
+    /// The ROB entry of producer `seq`, or `None` once it has committed.
+    fn producer(&self, seq: u64) -> Option<&RobEntry> {
+        let idx = seq.checked_sub(self.rob.front()?.seq)?;
+        let e = &self.rob[idx as usize];
+        debug_assert_eq!(e.seq, seq, "ROB sequence numbers are consecutive");
+        Some(e)
     }
 
     fn deps_ready(&self, deps: &DepList, now: u64) -> bool {
-        deps.as_slice()
-            .iter()
-            .all(|seq| match self.in_flight.get(seq) {
-                None => true,               // already committed
-                Some(Some(t)) => *t <= now, // issued, completes in time
-                Some(None) => false,        // not yet issued
-            })
+        deps.as_slice().iter().all(|&seq| match self.producer(seq) {
+            None => true,
+            Some(p) => p.issued && p.complete_at <= now,
+        })
     }
 
-    fn issue(&mut self, now: u64, mem: &mut MemoryHierarchy) {
+    /// Issues ready instructions. Returns whether any issued, and the
+    /// earliest completion after `now` among entries issued in earlier
+    /// steps.
+    fn issue(&mut self, now: u64, mem: &mut MemoryHierarchy) -> (bool, u64) {
         let mut issued = 0;
         let mut int_used = 0;
         let mut mem_used = 0;
         let mut fp_used = 0;
+        let mut next_completion = u64::MAX;
         let core = self.core_id;
         for idx in 0..self.rob.len() {
             if issued >= self.config.issue_width {
                 break;
             }
-            let (op, is_issued) = {
+            let (op, is_issued, complete_at) = {
                 let e = &self.rob[idx];
-                (e.inst.op, e.issued)
+                (e.inst.op, e.issued, e.complete_at)
             };
             if is_issued {
+                if complete_at > now {
+                    next_completion = next_completion.min(complete_at);
+                }
                 continue;
             }
             let unit_available = if op.is_memory() {
@@ -325,11 +428,10 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
             let e = &mut self.rob[idx];
             e.issued = true;
             e.complete_at = now + e.inst.exec_latency() + extra;
-            let seq = e.seq;
             let complete_at = e.complete_at;
-            self.in_flight.insert(seq, Some(complete_at));
+            let inst_seq = e.inst.seq;
             self.iq_occupancy -= 1;
-            if self.fetch_wait_branch == Some(seq) {
+            if self.fetch_wait_branch == Some(inst_seq) {
                 // The mispredicted branch resolves when it executes; fetch is
                 // redirected the cycle after. (The front-end refill itself is
                 // already modeled by the fetch-to-dispatch latency of the
@@ -346,15 +448,18 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
             }
             issued += 1;
         }
+        (issued > 0, next_completion)
     }
 
-    fn dispatch(&mut self, now: u64, sync: &mut SyncController) {
+    fn dispatch(&mut self, now: u64, sync: &mut SyncController) -> Dispatch {
         if sync.is_blocked(self.core_id) {
             self.stats.sync_blocked_cycles += 1;
             self.stats.dispatch_stall_cycles += 1;
-            return;
+            return Dispatch::Progress;
         }
         let mut dispatched = 0;
+        let mut serializing = false;
+        let mut sync_failed = false;
         while dispatched < self.config.dispatch_width {
             let ready = match self.fetch_queue.front() {
                 Some(fe) => fe.dispatch_ready_at <= now,
@@ -370,6 +475,7 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
             if is_serializing == Some(true) && !self.rob.is_empty() {
                 // Serializing instructions wait for the window to drain.
                 self.stats.serializations += 1;
+                serializing = true;
                 break;
             }
             if self.rob.len() >= self.config.rob_entries
@@ -394,6 +500,7 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
                     }
                     SyncOp::LockAcquire { id } => {
                         if !sync.try_acquire(self.core_id, id) {
+                            sync_failed = true;
                             break;
                         }
                     }
@@ -401,6 +508,7 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
                     SyncOp::ThreadSpawn => {}
                     SyncOp::ThreadJoin { child } => {
                         if !sync.join(self.core_id, child) {
+                            sync_failed = true;
                             break;
                         }
                     }
@@ -409,12 +517,13 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
 
             let fe = self.fetch_queue.pop_front().expect("front checked above");
             let inst = fe.inst;
-            let seq = inst.seq;
+            let seq = self.next_seq;
+            self.next_seq += 1;
             // Capture data dependences on in-flight producers.
             let mut deps = DepList::default();
             for src in inst.src_regs() {
                 if let Some(Some(pseq)) = self.reg_producer.get(src as usize).copied() {
-                    if self.in_flight.contains_key(&pseq) {
+                    if self.producer(pseq).is_some() {
                         deps.push(pseq);
                     }
                 }
@@ -422,7 +531,7 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
             if let Some(acc) = &inst.mem {
                 if !acc.is_store {
                     if let Some(&sseq) = self.store_producer.get(&(acc.vaddr >> LINE_SHIFT)) {
-                        if self.in_flight.contains_key(&sseq) {
+                        if self.producer(sseq).is_some() {
                             deps.push(sseq);
                         }
                     }
@@ -446,7 +555,6 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
             if inst.is_serializing() {
                 self.serialize_stall = true;
             }
-            self.in_flight.insert(seq, None);
             self.iq_occupancy += 1;
             self.rob.push_back(RobEntry {
                 inst,
@@ -460,20 +568,29 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
         if dispatched == 0 {
             self.stats.dispatch_stall_cycles += 1;
         }
+        if dispatched > 0 || sync_failed {
+            Dispatch::Progress
+        } else {
+            Dispatch::Idle { serializing }
+        }
     }
 
-    fn fetch(&mut self, now: u64, mem: &mut MemoryHierarchy) {
+    /// Fetches into the fetch queue; returns whether it fetched anything or
+    /// found the stream exhausted.
+    fn fetch(&mut self, now: u64, mem: &mut MemoryHierarchy) -> bool {
         if now < self.fetch_blocked_until || self.fetch_wait_branch.is_some() {
             self.stats.fetch_stall_cycles += 1;
-            return;
+            return false;
         }
         let mut fetched = 0;
+        let mut exhausted = false;
         while fetched < self.config.fetch_width
             && self.fetch_queue.len() < self.config.fetch_queue_entries
             && !self.stream_exhausted
         {
             let Some(inst) = self.stream.next_inst() else {
                 self.stream_exhausted = true;
+                exhausted = true;
                 break;
             };
             let resp = mem.access_instruction(self.core_id, inst.pc, now);
@@ -507,6 +624,7 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
         if fetched == 0 {
             self.stats.fetch_stall_cycles += 1;
         }
+        fetched > 0 || exhausted
     }
 }
 
@@ -516,12 +634,14 @@ mod tests {
     use iss_mem::MemoryConfig;
     use iss_trace::{catalog, SyntheticStream};
 
-    fn run_one(
+    /// Runs `name` on one core, stepped every cycle, to completion; returns
+    /// the core and the cycle after its last step.
+    fn run_core(
         name: &str,
         len: u64,
         branch_cfg: &BranchPredictorConfig,
         mem_cfg: &MemoryConfig,
-    ) -> DetailedCoreStats {
+    ) -> (OutOfOrderCore<SyntheticStream>, u64) {
         let profile = catalog::profile(name).unwrap();
         let stream = SyntheticStream::new(&profile, 0, 17, len);
         let mut core = OutOfOrderCore::new(
@@ -538,7 +658,32 @@ mod tests {
             now += 1;
         }
         assert!(core.is_done(), "core must finish");
-        core.stats()
+        (core, now)
+    }
+
+    fn run_one(
+        name: &str,
+        len: u64,
+        branch_cfg: &BranchPredictorConfig,
+        mem_cfg: &MemoryConfig,
+    ) -> DetailedCoreStats {
+        let (core, now) = run_core(name, len, branch_cfg, mem_cfg);
+        core.stats(now)
+    }
+
+    #[test]
+    fn store_producers_leave_at_commit() {
+        let (core, _) = run_core(
+            "gcc",
+            8_000,
+            &BranchPredictorConfig::hpca2010_baseline(),
+            &MemoryConfig::hpca2010_baseline(1),
+        );
+        assert!(core.stats.stores > 0);
+        assert!(
+            core.store_producer.is_empty(),
+            "a drained core tracks no store producers"
+        );
     }
 
     #[test]

@@ -21,7 +21,8 @@ pub struct DetailedCoreStats {
     pub sync_blocked_cycles: u64,
     /// Branch mispredictions observed at fetch.
     pub branch_mispredictions: u64,
-    /// Pipeline squashes due to serializing instructions.
+    /// Cycles in which a serializing instruction waited at dispatch for the
+    /// window to drain.
     pub serializations: u64,
     /// Loads issued.
     pub loads: u64,

@@ -40,8 +40,8 @@
 //! core-count mismatches, invalid configs) fails here, loudly.
 //! `lint` goes further: static analysis of specs that *do* validate —
 //! duplicate design points by canonical digest, dead sweep axes, machine
-//! sanity, and a cost estimate against `ci/BENCH_baseline.json` (see the
-//! `iss-lint` crate).
+//! sanity, and a cost estimate against `ci/BENCH_baseline.json` (see
+//! `iss_bench::spec_lint`).
 //! `serve` turns the engine into a long-running service: a TCP listener
 //! speaking line-delimited JSON, a bounded simulation worker pool
 //! (`--workers` / `ISS_SERVE_WORKERS`), and a persistent digest-keyed
@@ -63,6 +63,8 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use iss_bench::gates::parse_perf;
+use iss_bench::spec_lint;
 use iss_sim::env::{
     self, CACHE_DIR, CACHE_MAX_MB, EXPERIMENT_SCALE, JOB_TIMEOUT_MS, SERVE_WORKERS, SHARDS,
     SHARD_RETRIES, THREADS,
@@ -711,13 +713,14 @@ fn lint(args: &[String]) -> ExitCode {
     // still runs, it just reports instructions instead of seconds.
     let mips = std::fs::read_to_string("ci/BENCH_baseline.json")
         .ok()
-        .and_then(|text| iss_lint::ModelMips::parse(&text).ok());
+        .and_then(|text| parse_perf(&text).ok())
+        .map(|perf| perf.models);
     let mut errors = 0usize;
     for path in &targets {
         let report = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read: {e}"))
             .and_then(|text| SweepSpec::from_toml(&text))
-            .and_then(|sweep| iss_lint::analyze(&sweep, mips.as_deref()));
+            .and_then(|sweep| spec_lint::analyze(&sweep, mips.as_deref()));
         match report {
             Ok(report) => {
                 let cost = report.estimated_seconds.map_or(String::new(), |s| {
@@ -732,11 +735,11 @@ fn lint(args: &[String]) -> ExitCode {
                 );
                 for f in &report.findings {
                     match f.severity {
-                        iss_lint::Severity::Error => {
+                        spec_lint::Severity::Error => {
                             errors += 1;
                             println!("  error: {}", f.message);
                         }
-                        iss_lint::Severity::Warning => println!("  warning: {}", f.message),
+                        spec_lint::Severity::Warning => println!("  warning: {}", f.message),
                     }
                 }
             }

@@ -683,10 +683,6 @@ mod tests {
         };
         let text = render_perf(&file);
         assert_eq!(parse_perf(&text).unwrap(), file);
-        // The lint's cost estimate reads the same file for its model rates.
-        let mips = iss_lint::ModelMips::parse(&text).unwrap();
-        assert_eq!(mips.len(), 2);
-        assert!((mips[0].simulated_mips - file.models[0].rate()).abs() < 1e-3);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! `table1` prints the Table 1 configuration. The gate binaries
 //! (`accuracy_gate`, `perf`, `perf_gate`) pin accuracy and speed in CI
 //! ([`gates`]); `perf` and the `throughput` Criterion bench share the lane
-//! kernels of [`kernels`].
+//! kernels of [`kernels`]. `iss lint` runs the static spec checks of
+//! [`spec_lint`].
 //!
 //! The instruction budget of the built-in sweeps is controlled by the
 //! `ISS_EXPERIMENT_SCALE` environment variable: `quick` (default for CI
@@ -20,6 +21,7 @@
 
 pub mod gates;
 pub mod kernels;
+pub mod spec_lint;
 
 // The scale knob lives in the shared `iss_sim::env` table; re-exported here
 // so every bench binary (and downstream user) reaches it through one path

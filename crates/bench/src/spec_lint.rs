@@ -1,4 +1,4 @@
-//! Pass 2 — static analysis of scenario specs, before any simulation.
+//! Static analysis of scenario specs, before any simulation (`iss lint`).
 //!
 //! A sweep that parses and validates can still be wasteful or
 //! meaningless: two expanded points with identical canonical config
@@ -13,9 +13,10 @@
 
 use std::collections::BTreeMap;
 
-use iss_sim::jsonval::{self, Json};
 use iss_sim::workload::WorkloadSpec;
-use iss_sim::{CoreModel, SweepSpec};
+use iss_sim::SweepSpec;
+
+use crate::gates::PerfRow;
 
 /// Severity of one spec finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,62 +59,22 @@ impl SpecReport {
     }
 }
 
-/// Simulated-MIPS entry of one model in a perf file
-/// (`ci/BENCH_baseline.json` or a fresh `perf` run).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelMips {
-    /// Model name (`interval`, `detailed`, `one-ipc`, ...).
-    pub model: String,
-    /// Simulated MIPS the perf run measured.
-    pub simulated_mips: f64,
-}
-
-impl ModelMips {
-    /// Reads the `models` array of a perf file.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the text is not JSON, an entry lacks its
-    /// `model` or `simulated_mips`, or there is no entry at all (an empty
-    /// estimate must be an explicit "no baseline", not a silent zero).
-    pub fn parse(text: &str) -> Result<Vec<ModelMips>, String> {
-        let doc = jsonval::parse(text)?;
-        let models = doc
-            .get("models")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-            .iter()
-            .map(|m| {
-                Ok(ModelMips {
-                    model: m
-                        .get("model")
-                        .and_then(Json::as_str)
-                        .ok_or("model entry without a `model` name")?
-                        .to_string(),
-                    simulated_mips: m
-                        .get("simulated_mips")
-                        .and_then(Json::as_f64)
-                        .ok_or("model entry without a numeric `simulated_mips`")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        if models.is_empty() {
-            return Err("no model entries found in perf file".to_string());
-        }
-        Ok(models)
-    }
-}
-
-/// Throughput for `model`: an exact name match, else the slowest known
-/// model (a conservative estimate for hybrids and newcomers). Entries
+/// Simulated MIPS for `model` from the `models` rows of a perf file
+/// ([`crate::gates::parse_perf`]): an exact name match, else the slowest
+/// known model (a conservative estimate for hybrids and newcomers). Rows
 /// without a positive rate are ignored.
 #[must_use]
-pub fn mips_for(models: &[ModelMips], model: &str) -> Option<f64> {
-    let rated = || models.iter().filter(|m| m.simulated_mips > 0.0);
+pub fn mips_for(models: &[PerfRow], model: &str) -> Option<f64> {
+    let rated = || {
+        models
+            .iter()
+            .map(|m| (m, m.rate()))
+            .filter(|(_, rate)| *rate > 0.0)
+    };
     rated()
-        .find(|m| m.model == model)
-        .or_else(|| rated().min_by(|a, b| a.simulated_mips.total_cmp(&b.simulated_mips)))
-        .map(|m| m.simulated_mips)
+        .find(|(m, _)| m.name == model)
+        .or_else(|| rated().min_by(|a, b| a.1.total_cmp(&b.1)))
+        .map(|(_, rate)| rate)
 }
 
 /// Total simulated instructions one expanded point costs.
@@ -145,7 +106,7 @@ const WINDOW_PER_DISPATCH: (u64, u64) = (4, 256);
 /// Returns the underlying parse/expansion error when the sweep cannot be
 /// expanded at all — that is `iss validate` territory; the lint pass
 /// only runs on specs that validate.
-pub fn analyze(sweep: &SweepSpec, mips: Option<&[ModelMips]>) -> Result<SpecReport, String> {
+pub fn analyze(sweep: &SweepSpec, mips: Option<&[PerfRow]>) -> Result<SpecReport, String> {
     let points = sweep.expand()?;
     let mut findings = Vec::new();
 
@@ -256,7 +217,10 @@ pub fn analyze(sweep: &SweepSpec, mips: Option<&[ModelMips]>) -> Result<SpecRepo
     for p in &points {
         let insts = workload_instructions(&p.workload);
         instructions = instructions.saturating_add(insts);
-        match mips.and_then(|m| mips_for(m, &model_rate_name(p.model))) {
+        // The baseline keys throughput by plain model names; parameterized
+        // models (hybrid, sampled) fall back to the slowest row unless their
+        // exact name is present.
+        match mips.and_then(|m| mips_for(m, &p.model.name())) {
             Some(rate) => seconds += insts as f64 / (rate * 1.0e6),
             None => have_seconds = false,
         }
@@ -271,25 +235,29 @@ pub fn analyze(sweep: &SweepSpec, mips: Option<&[ModelMips]>) -> Result<SpecRepo
     })
 }
 
-/// The baseline table keys throughput by plain model names; parameterized
-/// models (hybrid, sampled) fall back to the slowest baseline entry via
-/// [`mips_for`] unless their exact string is present.
-fn model_rate_name(model: CoreModel) -> String {
-    model.name()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gates::parse_perf;
 
     fn spec(text: &str) -> SweepSpec {
         SweepSpec::from_toml(text).unwrap()
     }
 
-    const BASELINE: &str = r#"{"models": [
-        {"model": "interval", "simulated_mips": 5.0},
-        {"model": "detailed", "simulated_mips": 0.5}
-    ]}"#;
+    const BASELINE: &str = r#"{
+        "schema": "iss-bench-perf/v2",
+        "scale": {"spec_length": 1000, "parsec_length": 1000, "seed": 42},
+        "host_kernel_mops": 100.0,
+        "models": [
+            {"model": "interval", "instructions": 5000000, "host_seconds": 1.0},
+            {"model": "detailed", "instructions": 500000, "host_seconds": 1.0}
+        ],
+        "kernels": [{"kernel": "tag_compare", "ops": 1000, "host_seconds": 1.0}]
+    }"#;
+
+    fn baseline() -> Vec<PerfRow> {
+        parse_perf(BASELINE).unwrap().models
+    }
 
     #[test]
     fn duplicate_design_points_are_errors() {
@@ -329,8 +297,7 @@ mod tests {
             models = ["interval", "detailed"]
             benchmarks = ["gcc", "mcf"]
         "#;
-        let mips = ModelMips::parse(BASELINE).unwrap();
-        let report = analyze(&spec(text), Some(&mips)).unwrap();
+        let report = analyze(&spec(text), Some(&baseline())).unwrap();
         assert!(report.findings.is_empty(), "{:?}", report.findings);
         assert_eq!(report.points, 4);
         assert_eq!(report.instructions, 40_000);
@@ -410,11 +377,11 @@ mod tests {
 
     #[test]
     fn baseline_parsing_reads_the_perf_file_shape() {
-        let mips = ModelMips::parse(BASELINE).unwrap();
+        let mips = baseline();
         assert_eq!(mips_for(&mips, "interval"), Some(5.0));
         assert_eq!(mips_for(&mips, "detailed"), Some(0.5));
         // Unknown models fall back to the slowest entry.
         assert_eq!(mips_for(&mips, "hybrid-periodic-4@2000"), Some(0.5));
-        assert!(ModelMips::parse("{}").is_err());
+        assert!(parse_perf("{}").is_err());
     }
 }

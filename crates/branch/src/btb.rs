@@ -109,6 +109,10 @@ impl BranchTargetBuffer {
             });
         } else {
             // Evict the least recently used way.
+            #[expect(
+                clippy::expect_used,
+                reason = "victim selection over a set proven non-empty one line above"
+            )]
             let victim = set
                 .iter()
                 .enumerate()

@@ -161,6 +161,10 @@ impl OldWindow {
         self.issue_times.push_back(issue);
         self.tail_time = self.tail_time.max(issue);
         if self.issue_times.len() > self.capacity {
+            #[expect(
+                clippy::expect_used,
+                reason = "pop from a queue guarded by the caller's occupancy check"
+            )]
             let removed = self.issue_times.pop_front().expect("non-empty");
             self.head_time = self.head_time.max(removed);
         }

@@ -324,6 +324,10 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
         while committed < self.config.dispatch_width {
             let Some(head) = self.rob.front() else { break };
             if head.issued && head.complete_at <= now {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "ROB pop guarded by the front() check in the same function"
+                )]
                 let e = self.rob.pop_front().expect("head exists");
                 if let Some(acc) = &e.inst.mem {
                     self.lsq_occupancy -= 1;
@@ -515,6 +519,10 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
                 }
             }
 
+            #[expect(
+                clippy::expect_used,
+                reason = "fetch-queue pop guarded by the front() check in the same function"
+            )]
             let fe = self.fetch_queue.pop_front().expect("front checked above");
             let inst = fe.inst;
             let seq = self.next_seq;

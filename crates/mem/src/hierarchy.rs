@@ -631,6 +631,10 @@ impl MemoryHierarchy {
                     };
                     // Fill the L2 (inclusive); its victim may need a
                     // write-back and back-invalidation of L1 copies.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "L2 access on a path only reachable when the config has an L2"
+                    )]
                     let evicted = self
                         .l2
                         .as_mut()

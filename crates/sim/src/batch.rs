@@ -221,16 +221,29 @@ pub fn try_run_batch_with_threads(
                     break;
                 }
                 let result = execute(i);
-                *slots[i].lock().expect("result slot lock") = Some(result);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "worker-scope mutex poisoning is an engine bug, not user input"
+                )]
+                let mut slot = slots[i].lock().expect("result slot lock");
+                *slot = Some(result);
             });
         }
     });
     slots
         .into_iter()
         .map(|slot| {
-            slot.into_inner()
-                .expect("result slot lock")
-                .expect("every job slot is filled before the scope ends")
+            #[expect(
+                clippy::expect_used,
+                reason = "worker-scope mutex poisoning is an engine bug, not user input"
+            )]
+            let filled = slot.into_inner().expect("result slot lock");
+            #[expect(
+                clippy::expect_used,
+                reason = "an unfilled slot is an engine bug, not user input"
+            )]
+            let result = filled.expect("every job slot is filled before the scope ends");
+            result
         })
         .collect()
 }

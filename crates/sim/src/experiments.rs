@@ -146,6 +146,10 @@ pub const BUILTINS: [(&str, &str, &str); 13] = [
 #[must_use]
 pub fn builtin(name: &str, scale: ExperimentScale) -> Option<SweepSpec> {
     let (_, _, text) = BUILTINS.iter().find(|(n, _, _)| *n == name)?;
+    #[expect(
+        clippy::expect_used,
+        reason = "builtin() parses a compiled-in scenario file with expect; the builtins test parses every one"
+    )]
     let mut sweep = SweepSpec::from_toml(text).expect("built-in scenario files parse");
     let quick = ExperimentScale::quick();
     for template in &mut sweep.templates {

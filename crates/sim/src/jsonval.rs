@@ -1,15 +1,22 @@
-//! Minimal JSON reader for the sweep wire formats.
+//! Minimal JSON reader for the workspace's wire and file formats.
 //!
-//! The vendored `serde` is a no-op marker, so the record formats the
-//! sharded sweep machinery exchanges — the child→supervisor JSONL pipe
-//! protocol, the write-ahead checkpoint file, and the `--json`/`--jsonl`
-//! exports — are parsed by this hand-rolled reader instead. It covers the
-//! JSON subset those formats emit (objects, arrays, strings with escapes,
-//! numbers, booleans, `null`), is strict about everything else, and keeps
-//! numbers as their raw source tokens so `u64` quantities (cycle counts)
-//! round-trip exactly instead of passing through an `f64`.
+//! The vendored `serde` is a no-op marker, so every JSON the workspace
+//! reads goes through this hand-rolled reader instead: `iss serve` request
+//! lines, result-store entries, JSONL records (the sharded sweep's
+//! child→supervisor pipe and `--jsonl` exports), and the checked-in `ci/`
+//! files (golden accuracy, perf baseline). It covers the JSON subset those
+//! formats emit (objects, arrays, strings with escapes, numbers, booleans,
+//! `null`), is strict about everything else, and keeps numbers as their
+//! raw source tokens so `u64` quantities (cycle counts) round-trip exactly
+//! instead of passing through an `f64`. Nesting is bounded by
+//! [`MAX_DEPTH`], so a hostile request cannot overflow a thread's stack.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`parse`] accepts. The formats above nest
+/// at most a few levels; the bound keeps the recursive descent far inside
+/// a default 2 MiB thread stack whatever a client sends.
+pub const MAX_DEPTH: usize = 64;
 
 /// One parsed JSON value. Numbers keep their raw token (see
 /// [`Json::as_u64`]/[`Json::as_f64`]); objects keep their key order.
@@ -99,11 +106,12 @@ impl Json {
 ///
 /// # Errors
 ///
-/// Returns a byte-offset-annotated message on malformed input.
+/// Returns a byte-offset-annotated message on malformed input, including
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -117,12 +125,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -218,7 +231,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -237,7 +250,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected `:` at byte {}", *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -251,7 +264,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -260,7 +273,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -335,6 +348,20 @@ mod tests {
         let doc = format!("{{\"s\": \"{}\"}}", escape(nasty));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("s").and_then(Json::as_str), Some(nasty));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Without the bound, either document overflows the test thread's
+        // stack and aborts the whole test binary.
+        for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_bound).is_ok());
+        let past_bound = format!("[{at_bound}]");
+        assert!(parse(&past_bound).is_err());
     }
 
     #[test]

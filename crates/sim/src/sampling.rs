@@ -243,6 +243,10 @@ impl SamplingEstimate {
 
         // Instruction-weighted sampled means of CPI and miss rate.
         let (y_bar, z_bar_sampled) = if w_total > 0.0 {
+            #[expect(
+                clippy::expect_used,
+                reason = "measured units always carry a CPI; the sampler sets it before aggregation"
+            )]
             let wy: f64 = sampled
                 .iter()
                 .map(|u| u.insts as f64 * u.cpi.expect("sampled unit has a CPI"))
@@ -284,6 +288,10 @@ impl SamplingEstimate {
                 })
                 .sum();
             if sxx > 1e-12 * w_total {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "measured units always carry a CPI; the sampler sets it before aggregation"
+                )]
                 let sxy: f64 = sampled
                     .iter()
                     .map(|u| {
@@ -336,6 +344,7 @@ impl SamplingEstimate {
             let ss_res: f64 = sampled
                 .iter()
                 .map(|u| {
+                    #[expect(clippy::expect_used, reason = "measured units always carry a CPI; the sampler sets it before aggregation")]
                     let e = u.cpi.expect("sampled unit has a CPI")
                         - y_bar
                         - slope * (u.aux_per_inst - z_bar_sampled);

@@ -218,6 +218,7 @@ impl Record {
     pub fn canonical(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
+        #[expect(clippy::expect_used, reason = "String's fmt::Write cannot fail")]
         write!(
             s,
             "sweep={};group={};variant={};digest={};workload={};cores={};seed={};\
@@ -235,10 +236,12 @@ impl Record {
         )
         .expect("write to String cannot fail");
         for c in &self.per_core {
+            #[expect(clippy::expect_used, reason = "String's fmt::Write cannot fail")]
             write!(s, ";core{}={},{}", c.core, c.instructions, c.cycles)
                 .expect("write to String cannot fail");
         }
         if let Some(est) = &self.sampling {
+            #[expect(clippy::expect_used, reason = "String's fmt::Write cannot fail")]
             write!(
                 s,
                 ";sampling=units{}/{},cpi{},ci{}",

@@ -28,7 +28,9 @@
 //! "source": "cache"|"simulated"|"coalesced"}` line per point as it
 //! completes (completion order, the index identifies the point) — then a
 //! final `{"event": "done", ...}` carrying every record in expansion
-//! order. Failures are `{"event": "error", "message": ...}`.
+//! order. Failures are `{"event": "error", "message": ...}`. A request
+//! line longer than [`MAX_REQUEST_BYTES`] gets one error event, and then
+//! the server closes the connection.
 //!
 //! Identical points racing through different connections **coalesce**:
 //! the first requester simulates, the rest block on the same in-flight
@@ -37,7 +39,7 @@
 //! never cached — a crash must not be memoized as an answer.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -328,21 +330,46 @@ impl Server {
     }
 }
 
-/// Reads request lines off one connection until EOF or shutdown.
+/// Longest request line the server reads, in bytes without the newline.
+/// A scenario spec is a few KB; the bound stops a client that never sends
+/// a newline from growing the server's heap without limit.
+pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
+
+/// Reads request lines off one connection until EOF, shutdown, or a line
+/// longer than [`MAX_REQUEST_BYTES`].
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, self_addr: &str) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let writer = Mutex::new(write_half);
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else {
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the bound tells an over-long line from one that fits.
+        match (&mut reader)
+            .take(MAX_REQUEST_BYTES + 1)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() as u64 > MAX_REQUEST_BYTES {
+            send_error(
+                &writer,
+                &format!("request line longer than {MAX_REQUEST_BYTES} bytes"),
+            );
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
             break;
         };
         if line.trim().is_empty() {
             continue;
         }
-        match handle_request(shared, &writer, &line) {
+        match handle_request(shared, &writer, line) {
             Ok(keep_going) => {
                 if !keep_going {
                     // Shutdown: poke the accept loop so it observes the
@@ -351,20 +378,23 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, self_addr: &str) {
                     break;
                 }
             }
-            Err(message) => {
-                send_line(
-                    &writer,
-                    &format!(
-                        "{{\"event\": \"error\", \"message\": \"{}\"}}",
-                        jsonval::escape(&message)
-                    ),
-                );
-            }
+            Err(message) => send_error(&writer, &message),
         }
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
     }
+}
+
+/// Writes one `error` event line.
+fn send_error(writer: &Mutex<TcpStream>, message: &str) {
+    send_line(
+        writer,
+        &format!(
+            "{{\"event\": \"error\", \"message\": \"{}\"}}",
+            jsonval::escape(message)
+        ),
+    );
 }
 
 /// Writes one response line, ignoring a disconnected client.

@@ -1,15 +1,14 @@
 //! Generic strict TOML-subset document parser.
 //!
-//! Several of the workspace's file formats — scenario files, the lint
-//! allowlist — share one grammar: `key = value` pairs, `[section]`
+//! Scenario files use one grammar: `key = value` pairs, `[section]`
 //! headers, one optional `[[name]]` table array, double-quoted strings,
 //! unsigned integers, booleans and homogeneous one-line arrays. The
 //! vendored `serde` is a no-op marker with no serializer backend, so this
-//! module is the hand-rolled codec behind all of them. Parsing is
+//! module is the hand-rolled codec behind them. Parsing is
 //! **strict**: unknown sections, unknown keys (enforced by callers via
 //! [`Doc::unused`]), duplicate keys, negative numbers and type mismatches
 //! are errors carrying the offending line — a typo in a config file must
-//! never silently change what gets simulated or what gets linted.
+//! never silently change what gets simulated.
 //!
 //! A caller describes its document shape with a [`DocSpec`] and reads
 //! typed values through the `take_*` accessors:

@@ -4,8 +4,10 @@
 //! 100% hits with byte-identical responses, concurrent identical
 //! requests deduplicate to one simulation, and shutdown is clean.
 
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use iss_sim::{Client, Record, ServeOptions, Server};
 
@@ -264,5 +266,84 @@ fn closed_connections_release_their_threads() {
         "{grown} new mappings after {CONNECTIONS} closed connections"
     );
     client.shutdown().expect("shutdown");
+    assert_eq!(handle.join().expect("join"), Ok(()));
+}
+
+/// Opens a raw connection with a read timeout, so a server that never
+/// answers fails the test instead of hanging it.
+fn raw_connect(addr: &str) -> (std::net::TcpStream, BufReader<std::net::TcpStream>) {
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+fn read_line(reader: &mut BufReader<std::net::TcpStream>) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("a response line");
+    line
+}
+
+/// A deeply nested request is an error event, not a stack overflow that
+/// aborts the server (and every other client) with it.
+#[test]
+fn a_deeply_nested_request_is_an_error_and_the_server_lives_on() {
+    let (addr, handle) = start("deep", 1);
+    let (mut stream, mut reader) = raw_connect(&addr);
+    let deep = format!("{}\n", "[".repeat(10_000));
+    stream.write_all(deep.as_bytes()).expect("send");
+    let answer = read_line(&mut reader);
+    assert!(answer.contains("\"event\": \"error\""), "{answer}");
+    assert!(answer.contains("nesting"), "{answer}");
+
+    stream.write_all(b"{\"cmd\": \"stats\"}\n").expect("send");
+    let stats = read_line(&mut reader);
+    assert!(stats.contains("\"event\": \"stats\""), "{stats}");
+    // Shutdown joins every connection thread; close this one first.
+    drop((stream, reader));
+
+    Client::connect(&addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
+    assert_eq!(handle.join().expect("join"), Ok(()));
+}
+
+/// A line that never ends cannot grow the server's heap without limit:
+/// past the bound the client gets one error event and then EOF.
+#[test]
+fn an_over_long_request_line_is_an_error_and_closes_the_connection() {
+    let (addr, handle) = start("long", 1);
+    let (stream, mut reader) = raw_connect(&addr);
+    // The server stops reading at the bound, so the rest of the write may
+    // block or fail; send from another thread and ignore the outcome.
+    let mut writer = stream.try_clone().expect("clone");
+    let sender = std::thread::spawn(move || {
+        let chunk = vec![b' '; 64 * 1024];
+        for _ in 0..(2 * iss_sim::serve::MAX_REQUEST_BYTES as usize / chunk.len()) {
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let answer = read_line(&mut reader);
+    assert!(answer.contains("\"event\": \"error\""), "{answer}");
+    assert!(answer.contains("longer than"), "{answer}");
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "nothing after the error event"),
+        // The server closed with unread bytes in its socket, which resets
+        // the connection: closed all the same.
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    drop(stream);
+    sender.join().expect("sender");
+
+    Client::connect(&addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
     assert_eq!(handle.join().expect("join"), Ok(()));
 }

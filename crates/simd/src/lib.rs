@@ -39,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 /// Number of 64-bit lanes the slice kernels process per main-loop step.
 pub const LANE_WIDTH: usize = 8;

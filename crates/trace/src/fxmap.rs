@@ -11,6 +11,11 @@
 //! Swapping the hasher changes nothing observable: `HashMap` semantics are
 //! hasher-independent, and no simulator iterates a map in hash order.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "defines the FxHashMap/FxHashSet aliases; hasher is deterministic and no map order escapes"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -40,6 +45,10 @@ impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in chunks.by_ref() {
+            #[expect(
+                clippy::expect_used,
+                reason = "chunks_exact(8) yields exactly 8-byte slices; try_into cannot fail"
+            )]
             self.add_to_hash(u64::from_ne_bytes(c.try_into().expect("8-byte chunk")));
         }
         let rest = chunks.remainder();

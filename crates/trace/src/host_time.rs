@@ -4,12 +4,12 @@
 //! required to be bit-identical at any worker count, and a stray
 //! `Instant::now()` inside model code is exactly the kind of
 //! nondeterminism that survives code review unnoticed. The rule this
-//! repo enforces (statically, via the `iss-lint` source pass) is that
-//! **only this module** may read the wall clock; everything else —
-//! simulators accumulating `host_seconds`, the perf harness, the sampled
-//! runner's phase breakdown — measures elapsed host time through
-//! [`HostTimer`], which is observable in reports but never feeds back
-//! into simulated state.
+//! repo enforces (statically, via clippy's `disallowed-types` in
+//! `clippy.toml`) is that **only this module** may read the wall clock;
+//! everything else — simulators accumulating `host_seconds`, the perf
+//! harness, the sampled runner's phase breakdown — measures elapsed host
+//! time through [`HostTimer`], which is observable in reports but never
+//! feeds back into simulated state.
 //!
 //! The type is deliberately minimal: start a timer, read elapsed seconds.
 //! There is no way to obtain an absolute timestamp, compare timers, or
@@ -24,6 +24,11 @@
 //! let elapsed = timer.elapsed_seconds();
 //! assert!(elapsed >= 0.0);
 //! ```
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the HostTimer portal itself; elapsed host seconds never feed back into simulated state"
+)]
 
 use std::time::Instant;
 

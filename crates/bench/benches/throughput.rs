@@ -4,7 +4,7 @@
 //! regression is visible separately from end-to-end MIPS.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use iss_bench::kernels::{decode, harvest, lane_kernels, HARVEST_BENCHMARK};
+use iss_bench::kernels::{batch_kernels, decode, harvest, HARVEST_BENCHMARK};
 use iss_mem::MemoryHierarchy;
 use iss_sim::batch::{run_batch_with_threads, SimJob};
 use iss_sim::config::SystemConfig;
@@ -42,9 +42,9 @@ fn batch_engine(c: &mut Criterion) {
 
 /// The warming path's stages on one benchmark's harvested columns: SoA
 /// decode (stream generation into `InstBatch` columns) and the hierarchy's
-/// batched cache/TLB probe, then the four lane kernels `perf` also times
+/// batched cache/TLB probe, then the four batch kernels `perf` also times
 /// (tag compare, TLB batch, threshold scan, branch-unit update).
-fn batch_kernels(c: &mut Criterion) {
+fn warming_kernels(c: &mut Criterion) {
     let config = SystemConfig::hpca2010_baseline(1);
     let columns = harvest(HARVEST_BENCHMARK, BUDGET, SEED);
     let total: u64 = columns.iter().map(|col| col.pc.len() as u64).sum();
@@ -86,7 +86,7 @@ fn batch_kernels(c: &mut Criterion) {
         },
     );
 
-    for mut kernel in lane_kernels(&columns, &config) {
+    for mut kernel in batch_kernels(&columns, &config) {
         group.throughput(Throughput::Elements(kernel.ops));
         group.bench_function(BenchmarkId::new(kernel.name, HARVEST_BENCHMARK), |b| {
             b.iter(&mut kernel.run)
@@ -95,5 +95,5 @@ fn batch_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, batch_engine, batch_kernels);
+criterion_group!(benches, batch_engine, warming_kernels);
 criterion_main!(benches);

@@ -629,24 +629,34 @@ fn spec_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-fn validate(args: &[String]) -> ExitCode {
-    if args.is_empty() {
-        return usage();
-    }
+/// The spec files `iss <cmd>` checks: each argument as given, or a
+/// directory's spec files in its place. `None`, after the error message,
+/// when a directory holds none.
+fn spec_targets(cmd: &str, args: &[String]) -> Option<Vec<PathBuf>> {
     let mut targets = Vec::new();
     for a in args {
         let path = Path::new(a);
         if path.is_dir() {
             let found = spec_files(path);
             if found.is_empty() {
-                eprintln!("iss validate: no .toml files in {}", path.display());
-                return ExitCode::FAILURE;
+                eprintln!("iss {cmd}: no .toml files in {}", path.display());
+                return None;
             }
             targets.extend(found);
         } else {
             targets.push(path.to_path_buf());
         }
     }
+    Some(targets)
+}
+
+fn validate(args: &[String]) -> ExitCode {
+    if args.is_empty() {
+        return usage();
+    }
+    let Some(targets) = spec_targets("validate", args) else {
+        return ExitCode::FAILURE;
+    };
     let mut failures = 0;
     for path in &targets {
         let outcome = std::fs::read_to_string(path)
@@ -695,20 +705,9 @@ fn lint(args: &[String]) -> ExitCode {
     if args.is_empty() {
         return usage();
     }
-    let mut targets = Vec::new();
-    for a in args {
-        let path = Path::new(a);
-        if path.is_dir() {
-            let found = spec_files(path);
-            if found.is_empty() {
-                eprintln!("iss lint: no .toml files in {}", path.display());
-                return ExitCode::FAILURE;
-            }
-            targets.extend(found);
-        } else {
-            targets.push(path.to_path_buf());
-        }
-    }
+    let Some(targets) = spec_targets("lint", args) else {
+        return ExitCode::FAILURE;
+    };
     // The cost estimate needs the perf baseline; without one the lint
     // still runs, it just reports instructions instead of seconds.
     let mips = std::fs::read_to_string("ci/BENCH_baseline.json")

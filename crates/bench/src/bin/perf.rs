@@ -9,7 +9,7 @@
 //! * a `warming` row: the sampled runner's own functional-warming loop
 //!   ([`iss_sim::sampling::warm_functionally`]) with no timing model
 //!   attached, the speed sampled simulation is Amdahl-bound on,
-//! * a `kernels` array: the four lane kernels of [`iss_bench::kernels`] in
+//! * a `kernels` array: the four batch kernels of [`iss_bench::kernels`] in
 //!   MOPS on harvested columns,
 //! * the host kernel's speed ([`iss_sim::host_time::host_kernel_mops`]),
 //!   which `perf_gate` divides every rate by,
@@ -18,7 +18,7 @@
 //! Usage: `perf [output-path]`; the path defaults to `BENCH_interval.json`.
 
 use iss_bench::gates::{render_perf, PerfFile, PerfRow};
-use iss_bench::kernels::{harvest, lane_kernels, HARVEST_BENCHMARK, WARM_BATCH};
+use iss_bench::kernels::{batch_kernels, harvest, HARVEST_BENCHMARK, WARM_BATCH};
 use iss_bench::{EXPERIMENT_SCALE, SPEC_QUICK};
 use iss_sim::experiments::{default_sampling_specs, ExperimentScale};
 use iss_sim::host_time::{host_kernel_mops, HostTimer};
@@ -147,7 +147,7 @@ fn main() {
             .sum()
     }));
     let model_count = rows.len();
-    rows.extend(lane_kernels(&columns, &config).into_iter().map(|mut k| {
+    rows.extend(batch_kernels(&columns, &config).into_iter().map(|mut k| {
         timed(k.name, move || {
             for _ in 0..KERNEL_PASSES {
                 (k.run)();

@@ -2,7 +2,7 @@
 //!
 //! Compares a fresh `perf` run (`BENCH_interval.json`) against the committed
 //! baseline `ci/BENCH_baseline.json` with [`iss_bench::gates::diff_perf`]:
-//! every model's simulated MIPS and every lane kernel's MOPS is divided by
+//! every model's simulated MIPS and every batch kernel's MOPS is divided by
 //! its run's host-kernel speed, so a uniformly slow or loaded host cancels
 //! out, and the gate fails when a normalized rate falls more than 25% below
 //! the baseline's or a row is missing.

@@ -10,16 +10,15 @@
 //!   fails the build and forces the author to regenerate the golden file
 //!   deliberately (`accuracy_gate --write`).
 //! * `ci/BENCH_baseline.json` — a committed `perf` run. The perf gate fails
-//!   when any model's simulated MIPS or any lane kernel's MOPS, divided by
+//!   when any model's simulated MIPS or any batch kernel's MOPS, divided by
 //!   its run's host-kernel speed, regresses by more than
 //!   [`MAX_REGRESSION`] (25%) against it. Host speed varies between
 //!   machines and between a shared host's phases, which is why the gate
 //!   normalizes and tolerates a generous margin rather than an exact match.
 //!
-//! The vendored `serde` is a no-op marker with no serializer backend, so
-//! both files are written by hand here (one object per line inside the
-//! `rows` / `models` / `kernels` arrays) and read back through the workspace's one
-//! JSON reader, [`iss_sim::jsonval`]. The parsers are pure functions over
+//! The workspace links no serialization framework, so both files are
+//! written by hand here (one object per line inside the `rows` / `models` /
+//! `kernels` arrays) and read back through the workspace's one JSON reader, [`iss_sim::jsonval`]. The parsers are pure functions over
 //! text so the gate logic — including "injected drift must fail" — is
 //! unit-tested directly.
 
@@ -309,7 +308,7 @@ fn cpi_error_rows(records: &[Record], variant_prefix: &str, figure_prefix: &str)
 pub const MAX_REGRESSION: f64 = 0.25;
 
 /// One measured row of a perf file: the simulated instructions of a core
-/// model (or of the warming path), or the operations of a lane kernel,
+/// model (or of the warming path), or the operations of a batch kernel,
 /// over the host seconds they took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfRow {
@@ -346,7 +345,7 @@ pub struct PerfFile {
     pub host_kernel_mops: f64,
     /// Single-thread throughput per core model, plus the `warming` row.
     pub models: Vec<PerfRow>,
-    /// Throughput per lane kernel ([`crate::kernels`]).
+    /// Throughput per batch kernel ([`crate::kernels`]).
     pub kernels: Vec<PerfRow>,
 }
 

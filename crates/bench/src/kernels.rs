@@ -1,10 +1,10 @@
-//! The lane kernels behind the warming and interval hot loops, defined
+//! The batch kernels behind the warming and interval hot loops, defined
 //! once for both throughput harnesses: `perf`'s `kernels[]` rows and the
 //! `batch_kernels` criterion group.
 //!
 //! Each kernel replays realistic input: the structure-of-arrays columns of
 //! one benchmark decoded front to back at the warming batch size
-//! ([`harvest`]), fed to fresh kernel state ([`lane_kernels`]).
+//! ([`harvest`]), fed to fresh kernel state ([`batch_kernels`]).
 
 use iss_branch::BranchUnit;
 use iss_mem::tlb::TlbConfig;
@@ -92,9 +92,9 @@ pub fn harvest(benchmark: &str, length: u64, seed: u64) -> Vec<Columns> {
     columns
 }
 
-/// One lane kernel, ready to time: each call of `run` is one pass over its
+/// One batch kernel, ready to time: each call of `run` is one pass over its
 /// input, `ops` kernel operations.
-pub struct LaneKernel<'a> {
+pub struct BatchKernel<'a> {
     /// Row name (`tag_compare`, `tlb_access_batch`, `threshold_scan`,
     /// `branch_update_batch`).
     pub name: &'static str,
@@ -104,7 +104,7 @@ pub struct LaneKernel<'a> {
     pub run: Box<dyn FnMut() + 'a>,
 }
 
-/// The four lane kernels over `columns`: the set-major tag compare of the
+/// The four batch kernels over `columns`: the set-major tag compare of the
 /// widest cache, the batched TLB translate, the generator's geometric
 /// threshold scan, and the batched branch-unit update.
 ///
@@ -112,7 +112,7 @@ pub struct LaneKernel<'a> {
 ///
 /// Panics when [`HARVEST_BENCHMARK`] is not in the catalog.
 #[must_use]
-pub fn lane_kernels<'a>(columns: &'a [Columns], config: &SystemConfig) -> Vec<LaneKernel<'a>> {
+pub fn batch_kernels<'a>(columns: &'a [Columns], config: &SystemConfig) -> Vec<BatchKernel<'a>> {
     let accesses: u64 = columns.iter().map(|c| c.mem_addr.len() as u64).sum();
     let branches: u64 = columns.iter().map(|c| c.br_pc.len() as u64).sum();
 
@@ -171,22 +171,22 @@ pub fn lane_kernels<'a>(columns: &'a [Columns], config: &SystemConfig) -> Vec<La
     };
 
     vec![
-        LaneKernel {
+        BatchKernel {
             name: "tag_compare",
             ops: accesses,
             run: Box::new(tag_compare),
         },
-        LaneKernel {
+        BatchKernel {
             name: "tlb_access_batch",
             ops: accesses,
             run: Box::new(tlb_access_batch),
         },
-        LaneKernel {
+        BatchKernel {
             name: "threshold_scan",
             ops: DRAWS as u64,
             run: Box::new(threshold_scan),
         },
-        LaneKernel {
+        BatchKernel {
             name: "branch_update_batch",
             ops: branches,
             run: Box::new(branch_update_batch),
@@ -203,7 +203,7 @@ mod tests {
         let columns = harvest(HARVEST_BENCHMARK, 2_000, 42);
         let kept: u64 = columns.iter().map(|c| c.pc.len() as u64).sum();
         assert_eq!(kept, 2_000);
-        let kernels = lane_kernels(&columns, &SystemConfig::hpca2010_baseline(1));
+        let kernels = batch_kernels(&columns, &SystemConfig::hpca2010_baseline(1));
         let names: Vec<_> = kernels.iter().map(|k| k.name).collect();
         assert_eq!(
             names,

@@ -7,7 +7,7 @@
 //! under `examples/scenarios/` (see [`iss_sim::experiments::builtin`]);
 //! `table1` prints the Table 1 configuration. The gate binaries
 //! (`accuracy_gate`, `perf`, `perf_gate`) pin accuracy and speed in CI
-//! ([`gates`]); `perf` and the `throughput` Criterion bench share the lane
+//! ([`gates`]); `perf` and the `throughput` Criterion bench share the batch
 //! kernels of [`kernels`]. `iss lint` runs the static spec checks of
 //! [`spec_lint`].
 //!

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use iss_sim::workload::WorkloadSpec;
+use iss_sim::store::workload_instructions;
 use iss_sim::SweepSpec;
 
 use crate::gates::PerfRow;
@@ -75,23 +75,6 @@ pub fn mips_for(models: &[PerfRow], model: &str) -> Option<f64> {
         .find(|(m, _)| m.name == model)
         .or_else(|| rated().min_by(|a, b| a.1.total_cmp(&b.1)))
         .map(|(_, rate)| rate)
-}
-
-/// Total simulated instructions one expanded point costs.
-fn workload_instructions(w: &WorkloadSpec) -> u64 {
-    match w {
-        WorkloadSpec::Single { length, .. } => *length,
-        WorkloadSpec::MultiprogramHomogeneous {
-            copies,
-            length_per_copy,
-            ..
-        } => length_per_copy.saturating_mul(*copies as u64),
-        WorkloadSpec::Multiprogram {
-            benchmarks,
-            length_per_copy,
-        } => length_per_copy.saturating_mul(benchmarks.len() as u64),
-        WorkloadSpec::Multithreaded { total_length, .. } => *total_length,
-    }
 }
 
 /// The paper's modeled window/dispatch regime. Outside this band the

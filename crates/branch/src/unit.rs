@@ -6,8 +6,6 @@
 //! simulation knows the architectural outcome), report whether the front-end
 //! would have predicted it correctly.
 
-use serde::{Deserialize, Serialize};
-
 use iss_trace::{BranchClass, BranchInfo};
 
 use crate::btb::BranchTargetBuffer;
@@ -29,7 +27,7 @@ pub struct BranchOutcome {
 }
 
 /// Aggregate branch prediction statistics of one core.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchStats {
     /// Dynamic branches predicted.
     pub branches: u64,

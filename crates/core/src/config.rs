@@ -1,13 +1,11 @@
 //! Interval core-model configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the analytical core model. They mirror the core parameters
 /// of Table 1 of the paper; only the handful of parameters the interval model
 /// actually consumes are present (that is the point of raising the level of
 /// abstraction — the issue queue, LSQ and functional-unit counts of the
 /// detailed model are not needed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntervalCoreConfig {
     /// Designed dispatch width (instructions entering the ROB per cycle).
     pub dispatch_width: u32,

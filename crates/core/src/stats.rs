@@ -1,9 +1,7 @@
 //! Per-core statistics of the interval model.
 
-use serde::{Deserialize, Serialize};
-
 /// Classification of the miss events that terminate intervals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MissEventKind {
     /// L1 instruction cache or I-TLB miss.
     InstructionMiss,
@@ -17,7 +15,7 @@ pub enum MissEventKind {
 }
 
 /// Statistics accumulated by one interval-simulated core.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IntervalCoreStats {
     /// Instructions dispatched (= retired; the model is functional-first and
     /// never walks wrong paths).
@@ -112,7 +110,7 @@ impl IntervalCoreStats {
 
 /// Final result for one core of a simulation run; `St` is the core model's
 /// statistics type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreResult<St> {
     /// Core index.
     pub core: usize,

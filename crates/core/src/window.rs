@@ -211,10 +211,8 @@ pub struct DependenceTracker {
     /// Poisoned register ids `>= 128` (only reachable from hand-built test
     /// instructions; empty for generated streams).
     poisoned_overflow: Vec<RegId>,
-    /// Line addresses written by instructions on the poisoned chain. Scanned
-    /// once per load visited by the overlap scan, so membership tests run as
-    /// a branchless lane compare ([`iss_simd::find_eq`]) over the contiguous
-    /// column.
+    /// Line addresses written by instructions on the poisoned chain, scanned
+    /// once per load visited by the overlap scan.
     poisoned_lines: Vec<u64>,
 }
 
@@ -229,9 +227,7 @@ impl DependenceTracker {
         DependenceTracker {
             poisoned_mask: 0,
             poisoned_overflow: Vec::new(),
-            // Rounded up to whole lanes so the line column's lane scans cover
-            // the window with no reallocation and at most one partial chunk.
-            poisoned_lines: Vec::with_capacity(capacity.next_multiple_of(iss_simd::LANE_WIDTH)),
+            poisoned_lines: Vec::with_capacity(capacity),
         }
     }
 
@@ -286,9 +282,7 @@ impl DependenceTracker {
     pub fn depends_and_propagate(&mut self, inst: &DynInst) -> bool {
         let mut depends = inst.src_regs().any(|r| self.is_poisoned(r));
         if let Some(mem) = &inst.mem {
-            if !mem.is_store
-                && iss_simd::find_eq(&self.poisoned_lines, mem.vaddr >> LINE_SHIFT).is_some()
-            {
+            if !mem.is_store && self.poisoned_lines.contains(&(mem.vaddr >> LINE_SHIFT)) {
                 depends = true;
             }
         }
@@ -299,7 +293,7 @@ impl DependenceTracker {
             if let Some(mem) = &inst.mem {
                 if mem.is_store {
                     let line = mem.vaddr >> LINE_SHIFT;
-                    if iss_simd::find_eq(&self.poisoned_lines, line).is_none() {
+                    if !self.poisoned_lines.contains(&line) {
                         self.poisoned_lines.push(line);
                     }
                 }

@@ -1,9 +1,7 @@
 //! Detailed out-of-order core configuration (Table 1 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Structural parameters of the detailed out-of-order core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetailedCoreConfig {
     /// Reorder buffer entries.
     pub rob_entries: usize,

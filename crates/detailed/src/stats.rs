@@ -1,9 +1,7 @@
 //! Statistics of the detailed core models.
 
-use serde::{Deserialize, Serialize};
-
 /// Statistics accumulated by one detailed (or one-IPC) core.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetailedCoreStats {
     /// Instructions committed.
     pub instructions: u64,

@@ -9,10 +9,8 @@
 //! resource whose conflict behaviour the multi-core evaluation (Figures 6-8)
 //! depends on.
 
-use serde::{Deserialize, Serialize};
-
 /// DRAM timing and bandwidth parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Fixed access latency in cycles (row activation + column access).
     pub access_latency: u64,

@@ -6,10 +6,8 @@
 //! load. The TLB is modeled as a fully-associative LRU cache of page
 //! translations with a fixed page-walk penalty.
 
-use serde::{Deserialize, Serialize};
-
 /// TLB geometry and timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Number of entries.
     pub entries: usize,
@@ -64,11 +62,9 @@ impl TlbConfig {
 /// monotone clock: a hit updates one stamp in place and eviction replaces
 /// the minimum-stamp slot — the exact LRU victim, without the `Vec::remove`
 /// memmove per hit that an ordered recency list costs (the D-TLB is
-/// consulted on every load/store). Keeping the page numbers contiguous lets
-/// the associative scan run as a short scalar early-exit over the hot head
-/// slots followed by a lane compare over the tail ([`iss_simd::find_eq`]),
-/// and the victim scan as a lane minimum ([`iss_simd::min_index`]) over the
-/// whole stamp column.
+/// consulted on every load/store). The associative scan is a `position`
+/// over the contiguous page column and the victim scan a first minimum over
+/// the stamp column.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
@@ -152,20 +148,11 @@ impl Tlb {
             self.stamps[self.last_hit] = clock;
             return 0;
         }
-        // Resident pages are unique, so the first match is the only match —
-        // identical to the scalar `position` scan. Scan-hit positions are
-        // heavily front-biased (fills start at slot 0, so the hottest pages
-        // occupy the earliest slots; measured mean hit position on mcf is
-        // ~1.6), which makes a well-predicted scalar early-exit over the
-        // first lane-width slots cheaper than handing the whole column to
-        // the lane kernel. The kernel then covers the tail, which is the
-        // part that matters on the full-column negative scan a miss takes.
-        let head = self.pages.len().min(iss_simd::LANE_WIDTH);
-        let scanned = self.pages[..head]
-            .iter()
-            .position(|&p| p == page)
-            .or_else(|| iss_simd::find_eq(&self.pages[head..], page).map(|i| i + head));
-        if let Some(idx) = scanned {
+        // Resident pages are unique, so the first match is the only match.
+        // Scan hits are front-biased (fills start at slot 0, so the hottest
+        // pages occupy the earliest slots), which keeps the early exit
+        // well-predicted.
+        if let Some(idx) = self.pages.iter().position(|&p| p == page) {
             self.hits += 1;
             self.stamps[idx] = clock;
             self.last_hit = idx;
@@ -174,10 +161,14 @@ impl Tlb {
             self.misses += 1;
             if self.pages.len() == self.config.entries {
                 // Stamps come from a strictly increasing clock, so the
-                // first-minimum lane scan picks the unique LRU victim. The
-                // TLB is full here and `entries >= 1` is validated, so the
-                // scan always finds one.
-                let lru = iss_simd::min_index(&self.stamps).unwrap_or(0);
+                // minimum is the unique LRU victim. The TLB is full here and
+                // `entries >= 1` is validated, so the scan always finds one.
+                let lru = self
+                    .stamps
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &stamp)| stamp)
+                    .map_or(0, |(i, _)| i);
                 self.pages[lru] = page;
                 self.stamps[lru] = clock;
                 self.last_hit = lru;
@@ -236,7 +227,7 @@ impl Tlb {
     /// Whether a translation for `vaddr` is resident (no side effects).
     #[must_use]
     pub fn contains(&self, vaddr: u64) -> bool {
-        iss_simd::find_eq(&self.pages, self.page_of(vaddr)).is_some()
+        self.pages.contains(&self.page_of(vaddr))
     }
 
     /// `(hits, misses)` counters.

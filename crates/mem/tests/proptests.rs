@@ -1,6 +1,8 @@
 //! Property-based tests for the memory hierarchy: cache structure, TLB, DRAM
 //! and the MOESI coherence invariant under arbitrary access interleavings.
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
 
 use iss_mem::cache::{Cache, CacheConfig, LineState};
@@ -159,6 +161,70 @@ proptest! {
         prop_assert_eq!(batched.resident_entries(), scalar.resident_entries());
         for &a in &addrs {
             prop_assert_eq!(batched.contains(a), scalar.contains(a));
+        }
+    }
+
+    /// At the I-TLB and D-TLB default sizes (48 and 64 entries) both the
+    /// scalar `access` loop and `access_batch` are exact LRU, checked
+    /// against a move-to-front recency list: per-access latency, hit/miss
+    /// counts, and residency of every page in the universe after each
+    /// batch. Pages come from a universe twice the capacity, so scan hits
+    /// far past the first slots and full-capacity evictions both occur;
+    /// each page repeats for a short run so the batch path folds same-page
+    /// runs too.
+    #[test]
+    fn tlb_is_lru_at_default_sizes(
+        draws in proptest::collection::vec((0u64..1 << 20, 1usize..4), 1..400),
+        d_tlb in any::<bool>(),
+        cut in 8usize..70,
+    ) {
+        let entries = if d_tlb { 64 } else { 48 };
+        let universe = 2 * entries as u64;
+        let cfg = TlbConfig { entries, page_bytes: 4096, miss_latency: 30 };
+        let pages: Vec<u64> = draws
+            .iter()
+            .flat_map(|&(p, run)| std::iter::repeat_n(p % universe, run))
+            .collect();
+
+        let mut scalar = Tlb::new(&cfg);
+        let mut batched = Tlb::new(&cfg);
+        // Oracle: most recent page at the front.
+        let mut recency: VecDeque<u64> = VecDeque::new();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let mut expected = Vec::new();
+        let mut lat = Vec::new();
+        for (c, chunk) in pages.chunks(cut).enumerate() {
+            expected.clear();
+            for &p in chunk {
+                if let Some(i) = recency.iter().position(|&q| q == p) {
+                    recency.remove(i);
+                    hits += 1;
+                    expected.push(0);
+                } else {
+                    if recency.len() == entries {
+                        recency.pop_back();
+                    }
+                    misses += 1;
+                    expected.push(cfg.miss_latency);
+                }
+                recency.push_front(p);
+            }
+            let addrs: Vec<u64> = chunk
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| p * 4096 + ((c * cut + i) as u64 * 37) % 4096)
+                .collect();
+            let scalar_lat: Vec<u64> = addrs.iter().map(|&a| scalar.access(a)).collect();
+            batched.access_batch(&addrs, &mut lat);
+            prop_assert_eq!(&scalar_lat, &expected);
+            prop_assert_eq!(&lat, &expected);
+            prop_assert_eq!(scalar.stats(), (hits, misses));
+            prop_assert_eq!(batched.stats(), (hits, misses));
+            for p in 0..universe {
+                let resident = recency.contains(&p);
+                prop_assert_eq!(scalar.contains(p * 4096), resident, "page {}", p);
+                prop_assert_eq!(batched.contains(p * 4096), resident, "page {}", p);
+            }
         }
     }
 }

@@ -137,15 +137,13 @@ pub const EXPERIMENT_SCALE: Knob<ExperimentScale> = Knob {
 /// Every size is bit-identical (batch `1` degenerates to the scalar path);
 /// `0` would make the warming loop spin without retiring instructions. The
 /// default of 64 instructions amortizes the per-batch column passes while
-/// keeping the buffers inside the L1 data cache, and is a whole number of
-/// [`iss_simd::LANE_WIDTH`] lanes so the lane kernels get full chunks with
-/// no scalar tail.
+/// keeping the buffers inside the L1 data cache.
 pub const WARM_BATCH: Knob<usize> = Knob {
     var: "ISS_WARM_BATCH",
     flag: None,
     accepts: "a positive integer of instructions",
     default: "a batch of 64",
-    fallback: || 8 * iss_simd::LANE_WIDTH,
+    fallback: || 64,
     parser: positive,
 };
 

@@ -16,8 +16,6 @@
 //! simulated quantity is deterministic in `(model, config, workload,
 //! seed)`, so the rows are identical whether `ISS_THREADS` is 1 or 64.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hybrid::HybridSpec;
 use crate::runner::{BaseModel, CoreModel};
 use crate::sampling::SamplingSpec;
@@ -25,7 +23,7 @@ use crate::scenario::SweepSpec;
 use crate::workload::WorkloadSpec;
 
 /// Instruction budget and seed for an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentScale {
     /// Instructions per SPEC program (per core for multi-program workloads).
     pub spec_length: u64,

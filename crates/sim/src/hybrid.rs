@@ -18,8 +18,6 @@
 
 use iss_trace::host_time::HostTimer;
 
-use serde::{Deserialize, Serialize};
-
 use iss_trace::ThreadedWorkload;
 
 use crate::config::SystemConfig;
@@ -27,7 +25,7 @@ use crate::model::{AnyMachine, CpuModel};
 use crate::runner::{BaseModel, CoreModel, SimSummary};
 
 /// When the swap controller picks the next interval's model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SwapPolicy {
     /// Pin one base model for the whole run (the trivial policies; pinning
     /// the interval model reproduces a plain interval run bit for bit).
@@ -65,7 +63,7 @@ impl SwapPolicy {
 
 /// Complete description of a hybrid run: the swap policy and the interval
 /// quantum (instructions per swap-decision window, chip-wide).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HybridSpec {
     /// The swap policy.
     pub policy: SwapPolicy,

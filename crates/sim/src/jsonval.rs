@@ -1,7 +1,7 @@
 //! Minimal JSON reader for the workspace's wire and file formats.
 //!
-//! The vendored `serde` is a no-op marker, so every JSON the workspace
-//! reads goes through this hand-rolled reader instead: `iss serve` request
+//! The workspace links no serialization framework, so every JSON it reads
+//! goes through this hand-rolled reader: `iss serve` request
 //! lines, result-store entries, JSONL records (the sharded sweep's
 //! child→supervisor pipe and `--jsonl` exports), and the checked-in `ci/`
 //! files (golden accuracy, perf baseline). It covers the JSON subset those

@@ -7,8 +7,6 @@
 //! three base models as one uninterrupted machine, hybrid specs through the
 //! [`hybrid`](crate::hybrid) swap controller.
 
-use serde::{Deserialize, Serialize};
-
 use iss_mem::MemoryStats;
 
 use crate::config::SystemConfig;
@@ -19,7 +17,7 @@ use crate::workload::WorkloadSpec;
 
 /// One of the three base timing models — the things a hybrid run swaps
 /// between, and the non-hybrid values of [`CoreModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BaseModel {
     /// The paper's contribution: the mechanistic analytical interval model.
     Interval,
@@ -53,7 +51,7 @@ impl BaseModel {
 }
 
 /// Which timing model drives the cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoreModel {
     /// The mechanistic analytical interval model.
     Interval,
@@ -106,7 +104,7 @@ impl From<BaseModel> for CoreModel {
 }
 
 /// Per-core summary of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreSummary {
     /// Core index.
     pub core: usize,
@@ -129,7 +127,7 @@ impl CoreSummary {
 }
 
 /// Model-independent summary of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimSummary {
     /// The core model that produced this summary.
     pub model: CoreModel,
@@ -187,9 +185,8 @@ impl SimSummary {
     /// Two runs of the same `(model, config, workload, seed)` point must
     /// produce byte-identical canonical records no matter how many batch
     /// worker threads executed them; the determinism tests assert exactly
-    /// that. (The vendored `serde` is a no-op marker with no serializer
-    /// backend, so this hand-rolled encoding is the serialization the tests
-    /// compare.)
+    /// that. (The workspace links no serialization framework, so this
+    /// hand-rolled encoding is the serialization the tests compare.)
     #[must_use]
     pub fn canonical_record(&self) -> String {
         use std::fmt::Write;

@@ -55,8 +55,6 @@
 
 use iss_trace::host_time::HostTimer;
 
-use serde::{Deserialize, Serialize};
-
 use iss_branch::BranchUnit;
 use iss_mem::MemoryHierarchy;
 use iss_trace::{
@@ -73,7 +71,7 @@ use crate::runner::{BaseModel, CoreModel, CoreSummary, SimSummary};
 const IFETCH_LINE_SHIFT: u32 = 6;
 
 /// Complete description of a sampled run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SamplingSpec {
     /// The timing model that executes the measured units.
     pub measure: BaseModel,
@@ -169,7 +167,7 @@ pub struct SteadyUnitObs {
 /// The statistical output of a sampled run: the exactly measured prefix
 /// plus the steady-state per-unit CPI population, summarized as a whole-run
 /// point estimate with a 95% confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingEstimate {
     /// Sampling units the run was partitioned into (prefix + steady).
     pub units_total: u64,

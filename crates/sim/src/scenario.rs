@@ -48,8 +48,6 @@ pub use machine::{MachineBaseline, MachineOverrides, MachineSpec};
 pub use modelspec::{parse_base_model, parse_model};
 pub use record::{fnv1a_hex, Record};
 
-use serde::{Deserialize, Serialize};
-
 use crate::batch::{try_run_batch_with_threads, JobFailure, SimJob};
 use crate::config::SystemConfig;
 use crate::env::THREADS;
@@ -59,7 +57,7 @@ use crate::workload::WorkloadSpec;
 
 /// One fully specified simulation point: what the machine is, what runs on
 /// it, which timing model executes it, and the workload seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Full point label (`<sweep>/<group>/<variant>` for expanded points).
     pub name: String,
@@ -241,7 +239,7 @@ impl ScenarioSpec {
 /// sweep's axes re-target per expansion step. Multi-template sweeps express
 /// variant lists that are not cartesian (Figure 8's two design points, the
 /// ablation's model/machine combinations).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Template {
     /// Explicit variant label; `None` labels the variant with the model
     /// name.
@@ -274,7 +272,7 @@ impl Template {
 /// cartesian axes. Empty axes keep the template's own value; expansion
 /// order is benchmark-major, then cores, then seeds, then templates, then
 /// models — deterministic, so a sweep is a reproducible batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Sweep name (becomes [`Record::sweep`]).
     pub name: String,

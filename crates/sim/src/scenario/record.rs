@@ -8,8 +8,6 @@
 //! confidence intervals) are methods over records and pairs of records,
 //! not bespoke row structs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::batch::JobFailure;
 use crate::metrics;
 use crate::runner::{CoreSummary, SimSummary};
@@ -17,7 +15,7 @@ use crate::sampling::SamplingEstimate;
 
 /// One simulation point of a sweep, with everything any figure derives
 /// its columns from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// Name of the sweep/figure the record belongs to (`fig5`, `hybrid`,
     /// a spec file's `name`, ...).

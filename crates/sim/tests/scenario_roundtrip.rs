@@ -1,6 +1,6 @@
 //! Round-trip tests for the full spec surface.
 //!
-//! The vendored `serde` is a no-op marker, so the text codec in
+//! The workspace links no serialization framework, so the text codec in
 //! `iss_sim::scenario` *is* the serialization layer for everything a
 //! checked-in scenario file can express: machine specs (and through them
 //! `SystemConfig`), workload specs, model strings (`CoreModel`,

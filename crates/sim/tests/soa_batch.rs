@@ -17,10 +17,9 @@
 //!    64 produces identical summaries, and driver records are unchanged
 //!    when `ISS_WARM_BATCH`/`ISS_THREADS` vary together.
 //!
-//! The batch sizes straddle `iss_simd::LANE_WIDTH` (8) on purpose: 1, 3
-//! and 7 exercise pure remainder-loop batches, 13 a full lane plus a
-//! remainder, and 64 whole-lane columns — so any lane kernel whose tail
-//! handling diverged from its vector body would split these cases.
+//! The batch sizes span the degenerate batch of 1, small odd sizes (3, 7,
+//! 13) and the default 64, so any batch kernel whose handling of batch
+//! boundaries diverged from its scalar twin would split these cases.
 //!
 //! This is deliberately the *only* test in this binary: layer 3 mutates the
 //! process environment with `std::env::set_var`, which is unsound when other

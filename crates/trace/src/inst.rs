@@ -8,7 +8,6 @@
 //! multi-threaded runs.
 
 use crate::sync::SyncOp;
-use serde::{Deserialize, Serialize};
 
 /// Architectural register identifier.
 ///
@@ -22,7 +21,7 @@ pub type RegId = u16;
 /// The classes mirror the functional units and latencies of Table 1 of the
 /// paper (load 2 cycles, multiply 3, floating point 4, divide 20; simple
 /// integer ALU operations are single-cycle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Single-cycle integer ALU operation (add, logical, shift, compare).
     IntAlu,
@@ -90,7 +89,7 @@ impl OpClass {
 
 /// Sub-class of a control-transfer instruction, used by the branch-predictor
 /// front-end (BTB vs. return-address-stack vs. direction prediction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchClass {
     /// Conditional direct branch.
     Conditional,
@@ -105,7 +104,7 @@ pub enum BranchClass {
 }
 
 /// Architectural outcome of a control-transfer instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchInfo {
     /// Kind of control transfer.
     pub class: BranchClass,
@@ -130,7 +129,7 @@ impl BranchInfo {
 }
 
 /// Architectural memory access performed by a load or store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccess {
     /// Virtual byte address of the access.
     pub vaddr: u64,
@@ -150,7 +149,7 @@ pub struct MemAccess {
 /// instructions through window/ROB stages with flat copies — there is no
 /// heap behind a `DynInst`, and nothing on the per-instruction hot path ever
 /// needs to allocate or `clone` one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynInst {
     /// Per-thread dynamic sequence number (0-based, monotonically increasing).
     pub seq: u64,

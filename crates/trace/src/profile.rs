@@ -13,14 +13,12 @@
 //! L2 sharing, `gcc` is cache-friendly and scales in throughput, `vips` has
 //! load imbalance and does not scale, `fluidanimate` is synchronization-heavy).
 
-use serde::{Deserialize, Serialize};
-
 /// Fractions of each instruction class in the dynamic instruction stream.
 ///
 /// The fractions do not need to add up to one; the remainder after loads,
 /// stores, branches, long-latency arithmetic and serializing instructions is
 /// filled with single-cycle integer ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MixWeights {
     /// Fraction of loads.
     pub load: f64,
@@ -123,7 +121,7 @@ impl MixWeights {
 /// the cache hierarchy of Table 1 (32 KB L1, 4 MB shared L2): a hot region
 /// that fits in L1, a warm region that fits in (a fraction of) the L2, and a
 /// cold region that misses everywhere, plus an optional streaming component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryBehavior {
     /// Bytes of the per-thread hot region (L1-resident working set).
     pub hot_bytes: u64,
@@ -225,7 +223,7 @@ impl MemoryBehavior {
 }
 
 /// Control-flow behaviour of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BranchBehavior {
     /// Number of static conditional branches in the synthetic program; a
     /// larger number stresses predictor and BTB capacity.
@@ -318,7 +316,7 @@ impl BranchBehavior {
 }
 
 /// Synchronization behaviour for multi-threaded workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncBehavior {
     /// A barrier is placed every `barrier_period` instructions per thread
     /// (0 disables barriers).
@@ -381,7 +379,7 @@ impl SyncBehavior {
 }
 
 /// Complete statistical profile of one benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Benchmark name (e.g. `"mcf"`, `"fluidanimate"`).
     pub name: String,
@@ -408,7 +406,7 @@ pub struct WorkloadProfile {
 }
 
 /// Benchmark suite of a profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPEC CPU2000 integer benchmark.
     SpecInt,

@@ -215,9 +215,9 @@ pub fn geo_threshold_table(dep_distance_mean: f64) -> [f64; DEP_POOL_CAP] {
 #[must_use]
 pub fn geo_classify_head(dep_distance_mean: f64) -> usize {
     if dep_distance_mean < 4.0 {
-        iss_simd::LANE_WIDTH
+        8
     } else if dep_distance_mean < 6.0 {
-        2 * iss_simd::LANE_WIDTH
+        16
     } else {
         0
     }
@@ -235,31 +235,27 @@ pub fn geo_classify_head(dep_distance_mean: f64) -> usize {
 /// `partition_point` finds by binary search) equals the *total* number of
 /// thresholds above `u`. A geometric table concentrates its probability
 /// mass in the first few entries, so the hot path counts the first `head`
-/// thresholds with a branchless lane scan ([`iss_simd::count_gt_f64`]) and
-/// answers directly when the draw lands inside — the common case — falling
-/// back to `partition_point` over the tail otherwise. Measured negative
-/// result, recorded so nobody re-learns it: counting the *whole* 64-entry
-/// table ("replace the binary search with one branchless scan") is
-/// slower than `partition_point`, whose cmov binary search is already
-/// branch-free; only the short-head hybrid wins.
+/// thresholds with a branchless counting scan and answers directly when the
+/// draw lands inside — the common case — falling back to `partition_point`
+/// over the tail otherwise. Measured negative result, recorded so nobody
+/// re-learns it: counting the *whole* 64-entry table ("replace the binary
+/// search with one branchless scan") is slower than `partition_point`,
+/// whose cmov binary search is already branch-free; only the short-head
+/// hybrid wins.
 #[must_use]
 pub fn geo_classify(thresholds: &[f64], head: usize, u: f64) -> usize {
-    // Match on the two lane-sized heads so `count_gt_f64` inlines with a
-    // compile-time length and unrolls completely.
+    // Match on the two measured heads so the count has a compile-time length
+    // and unrolls completely.
     match head {
-        h if h == iss_simd::LANE_WIDTH && thresholds.len() >= h => {
-            classify_with_head::<8>(thresholds, u)
-        }
-        h if h == 2 * iss_simd::LANE_WIDTH && thresholds.len() >= h => {
-            classify_with_head::<16>(thresholds, u)
-        }
+        8 if thresholds.len() >= 8 => classify_with_head::<8>(thresholds, u),
+        16 if thresholds.len() >= 16 => classify_with_head::<16>(thresholds, u),
         _ => thresholds.partition_point(|&t| u < t) + 1,
     }
 }
 
 /// Fixed-head hybrid classify body shared by the [`geo_classify`] arms.
 fn classify_with_head<const H: usize>(thresholds: &[f64], u: f64) -> usize {
-    let n = iss_simd::count_gt_f64(&thresholds[..H], u);
+    let n = thresholds[..H].iter().filter(|&&t| u < t).count();
     if n < H {
         return n + 1;
     }

@@ -9,7 +9,7 @@ const BASELINE: [&str; 2] = ["#![forbid(unsafe_code)]", "#![warn(missing_docs)]"
 
 /// Crates holding simulator code: library paths return typed errors, so
 /// every `unwrap`/`expect` there needs a reviewed `#[expect]`.
-const MODEL_CRATES: [&str; 7] = ["trace", "branch", "mem", "core", "detailed", "sim", "simd"];
+const MODEL_CRATES: [&str; 6] = ["trace", "branch", "mem", "core", "detailed", "sim"];
 
 const PANIC_LINTS: &str = "#![warn(clippy::unwrap_used, clippy::expect_used)]";
 

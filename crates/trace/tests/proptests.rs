@@ -294,4 +294,31 @@ proptest! {
             );
         }
     }
+
+    /// Every head answers the strict count of thresholds above the draw,
+    /// plus one, also when the draw equals a table entry exactly: the tie
+    /// `u == t` must not count, which a grid of draws almost never hits.
+    #[test]
+    fn count_gt_is_filter_count(
+        mean_pm in 1_050u32..20_000,
+        on_entry in any::<bool>(),
+        pick in 0usize..iss_trace::DEP_POOL_CAP,
+        u_pm in 0u64..1_000_000,
+    ) {
+        let mean = f64::from(mean_pm) / 1e3;
+        let table = iss_trace::geo_threshold_table(mean);
+        let u = if on_entry {
+            table[pick]
+        } else {
+            (u_pm as f64 / 1e6).max(iss_trace::GEO_U_MIN)
+        };
+        let above = table.iter().filter(|&&t| u < t).count();
+        for head in [0usize, 8, 16, iss_trace::geo_classify_head(mean)] {
+            prop_assert_eq!(
+                iss_trace::geo_classify(&table, head, u),
+                above + 1,
+                "head {} miscounted at mean {} u {}", head, mean, u
+            );
+        }
+    }
 }

@@ -43,23 +43,6 @@ impl IntervalCoreConfig {
         }
     }
 
-    /// Ablation: disable the modeling of miss events overlapped by
-    /// long-latency loads (the paper's second-order contribution (i)).
-    #[must_use]
-    pub fn without_overlap_effects(mut self) -> Self {
-        self.model_overlap_effects = false;
-        self
-    }
-
-    /// Ablation: keep the old window across miss events instead of emptying
-    /// it (removes the interval-length dependence of the branch resolution
-    /// and window drain times).
-    #[must_use]
-    pub fn without_old_window_reset(mut self) -> Self {
-        self.empty_old_window_on_miss = false;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors

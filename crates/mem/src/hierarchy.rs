@@ -44,16 +44,6 @@ pub struct AccessResponse {
 }
 
 impl AccessResponse {
-    /// An L1 hit with a resident translation.
-    #[must_use]
-    pub fn l1_hit() -> Self {
-        AccessResponse {
-            latency: 0,
-            level: AccessLevel::L1,
-            tlb_miss: false,
-        }
-    }
-
     /// Whether interval analysis classifies this access as a *long-latency
     /// load* miss event (last-level cache miss, coherence miss, or D-TLB
     /// miss), i.e. an event that stalls dispatch when it reaches the head of
@@ -61,12 +51,6 @@ impl AccessResponse {
     #[must_use]
     pub fn is_long_latency(&self) -> bool {
         matches!(self.level, AccessLevel::Memory | AccessLevel::RemoteCache) || self.tlb_miss
-    }
-
-    /// Whether the access missed somewhere (has any extra latency).
-    #[must_use]
-    pub fn is_miss(&self) -> bool {
-        self.latency > 0
     }
 }
 

@@ -248,11 +248,6 @@ pub fn try_run_batch_with_threads(
         .collect()
 }
 
-/// [`try_run_batch_with_threads`] with the [`THREADS`] worker count.
-pub fn try_run_batch(jobs: &[SimJob]) -> Vec<Result<SimSummary, JobFailure>> {
-    try_run_batch_with_threads(jobs, THREADS.get())
-}
-
 /// Runs every job on `threads` workers and returns the summaries in job
 /// order.
 ///

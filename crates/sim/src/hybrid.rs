@@ -105,6 +105,22 @@ impl HybridSpec {
     pub fn label(&self) -> String {
         format!("{}@{}", self.policy.label(), self.interval_insts)
     }
+
+    /// Checks the spec's internal consistency.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the interval quantum or the periodic policy's
+    /// period is zero.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.interval_insts == 0 {
+            return Err("hybrid interval quantum must be non-zero".to_string());
+        }
+        if self.policy == (SwapPolicy::Periodic { detailed_every: 0 }) {
+            return Err("periodic period must be at least 1".to_string());
+        }
+        Ok(())
+    }
 }
 
 /// The per-interval observables a swap decision reads. Both are ratios of
@@ -217,6 +233,10 @@ impl SwapController {
 
 /// Runs `workload` under the hybrid spec and returns the model-independent
 /// summary (tagged `CoreModel::Hybrid(spec)`, with the swap count recorded).
+///
+/// # Panics
+///
+/// Panics when the spec is invalid (see [`HybridSpec::validate`]).
 #[must_use]
 pub fn run_hybrid(
     spec: HybridSpec,
@@ -224,10 +244,8 @@ pub fn run_hybrid(
     workload: ThreadedWorkload,
     label: String,
 ) -> SimSummary {
-    assert!(
-        spec.interval_insts > 0,
-        "hybrid interval quantum must be non-zero"
-    );
+    spec.validate()
+        .unwrap_or_else(|e| panic!("invalid hybrid spec: {e}"));
     let start = HostTimer::start();
     let mut controller = SwapController::new(spec);
     let mut machine = AnyMachine::build(controller.initial_model(), config, workload);

@@ -3,26 +3,24 @@
 //! The interval, detailed and one-IPC simulators are one multi-core machine
 //! ([`iss_interval::Multicore`]) over three per-core timing models.
 //! [`AnyMachine`] holds whichever of the three a run uses and is the one
-//! [`CpuModel`]: any model can be stepped one interval at a time,
-//! checkpointed, and a *different* model can be restored from the
+//! [`CpuModel`]: any model can be stepped one interval at a time, turned
+//! into a checkpoint, and a model of any kind can be restored from that
 //! checkpoint — which is what the [`hybrid`](crate::hybrid) swap controller
-//! exploits to trade accuracy for simulated MIPS *during* a run.
+//! exploits to trade accuracy for simulated MIPS *during* a run, and what
+//! the [`sampling`](crate::sampling) controller uses to move between
+//! functional warming and a timing model.
 //!
-//! A [`ModelCheckpoint`] carries two kinds of state:
-//!
-//! * the **transferable architectural state** every model understands — the
-//!   functional stream position (unretired instructions + generator, as a
-//!   [`CheckpointStream`] per core), per-core clocks and retired-instruction
-//!   counters, the warm branch-predictor tables, the full memory hierarchy
-//!   (cache/TLB/DRAM warmth) and the synchronization state;
-//! * the **exact microarchitectural state** of the producing model (window
-//!   occupancy and overlap flags, old-window register producer state, ROB
-//!   contents), captured as a deep copy of the machine. Restoring into the
-//!   *same* model uses it, which makes `restore(checkpoint())` a true
-//!   identity; restoring into a *different* model warms the incoming cores
-//!   from the transferable state and lets them rebuild their own
-//!   microarchitectural state within one interval — the graceful-degradation
-//!   path a hybrid swap takes.
+//! A [`ModelCheckpoint`] carries the architectural state every model
+//! understands: the functional stream position (unretired instructions +
+//! generator, as a [`CheckpointStream`] per core), per-core clocks and
+//! retired-instruction counters, the warm branch-predictor tables, the full
+//! memory hierarchy (cache/TLB/DRAM warmth) and the synchronization state.
+//! There is one way out of a machine, [`AnyMachine::into_lean_checkpoint`],
+//! which consumes it, and one way in, [`AnyMachine::restore`]: a fresh run
+//! restores from [`ModelCheckpoint::cold`]. A restored model rebuilds its
+//! own microarchitectural state (window or ROB occupancy, in-flight misses)
+//! from the checkpoint within one interval, which is why a swap degrades
+//! accuracy gracefully rather than breaking it.
 
 use iss_branch::BranchUnit;
 use iss_detailed::{DetailedSimulator, OneIpcSimulator};
@@ -33,11 +31,13 @@ use iss_trace::{CheckpointStream, CoreResume, SyncController, ThreadedWorkload};
 use crate::config::SystemConfig;
 use crate::runner::{BaseModel, CoreModel, CoreSummary, SimSummary};
 
-/// Checkpointed machine state, produced by [`CpuModel::checkpoint`] and
-/// consumed by [`AnyMachine::restore`].
+/// Transferable machine state, produced by
+/// [`AnyMachine::into_lean_checkpoint`] (or [`ModelCheckpoint::cold`] at the
+/// start of a run) and consumed by [`AnyMachine::restore`].
 #[derive(Debug, Clone)]
 pub struct ModelCheckpoint {
-    /// The model that produced the checkpoint.
+    /// The model that produced the checkpoint (a tag for reporting; restore
+    /// reads only the state below).
     pub from: BaseModel,
     /// The machine clock at the checkpoint (absolute simulated cycles).
     pub machine_time: u64,
@@ -47,27 +47,42 @@ pub struct ModelCheckpoint {
     /// model had fetched but not retired, followed by the generator.
     pub streams: Vec<CheckpointStream>,
     /// Warm branch-predictor tables per core (`None` when the producing
-    /// model does not predict branches — the one-IPC model).
+    /// model does not predict branches — the one-IPC model — or at the start
+    /// of a run, when each core keeps the cold tables it is built with).
     pub branch: Option<Vec<BranchUnit>>,
     /// The full shared memory hierarchy — every resident line, translation
     /// and in-flight DRAM reservation carries over.
     pub memory: MemoryHierarchy,
     /// Lock/barrier/finished state of the workload's threads.
     pub sync: SyncController,
-    /// Deep copy of the producing machine, for exact same-model resume.
-    /// Absent in lean checkpoints ([`AnyMachine::into_lean_checkpoint`]),
-    /// which the hybrid swap path takes — a swap restores into a *different*
-    /// model, so it never consults the exact copy and need not pay for it.
-    exact: Option<Box<AnyMachine>>,
 }
 
 impl ModelCheckpoint {
-    /// Builds a transferable-state-only checkpoint from functional
-    /// components — the bridge the sampled-simulation controller takes from
-    /// a functionally fast-forwarded prefix into a timing model. `from` tags
-    /// the checkpoint for reporting only: with no exact machine copy, any
-    /// [`AnyMachine::restore`] of this checkpoint takes the warm-restore
-    /// path regardless of the tag.
+    /// The checkpoint at the start of `workload` on `config`: fresh streams,
+    /// every clock and counter at 0, a cold hierarchy and no branch tables.
+    /// `from` tags it for reporting only.
+    #[must_use]
+    pub fn cold(from: BaseModel, config: &SystemConfig, workload: ThreadedWorkload) -> Self {
+        let (streams, sync) = workload.into_parts();
+        let start = CoreResume {
+            time: 0,
+            instructions: 0,
+            done: false,
+        };
+        ModelCheckpoint {
+            from,
+            machine_time: 0,
+            per_core: vec![start; streams.len()],
+            streams: streams.into_iter().map(CheckpointStream::fresh).collect(),
+            branch: None,
+            memory: MemoryHierarchy::new(&config.memory),
+            sync,
+        }
+    }
+
+    /// Builds a checkpoint from functional components — the bridge from a
+    /// functionally fast-forwarded region into a timing model. `from` tags
+    /// the checkpoint for reporting only.
     #[must_use]
     pub fn from_functional(
         from: BaseModel,
@@ -86,13 +101,13 @@ impl ModelCheckpoint {
             branch,
             memory,
             sync,
-            exact: None,
         }
     }
 }
 
-/// The unified interface every timing model implements: step an interval,
-/// observe progress, and checkpoint the machine state.
+/// The unified interface every timing model implements: step an interval
+/// and observe progress. Checkpoints go through
+/// [`AnyMachine::into_lean_checkpoint`] and [`AnyMachine::restore`].
 pub trait CpuModel {
     /// Which base model this machine runs.
     fn kind(&self) -> BaseModel;
@@ -117,17 +132,6 @@ pub trait CpuModel {
     /// Snapshot of the shared memory-hierarchy statistics (the swap
     /// controller reads miss-rate phase signals from consecutive snapshots).
     fn memory_stats(&self) -> MemoryStats;
-
-    /// Captures the transferable architectural state only (no exact
-    /// same-model resume copy), leaving the machine running. A caller that
-    /// owns the machine takes [`AnyMachine::into_lean_checkpoint`] instead,
-    /// which copies nothing.
-    fn checkpoint_lean(&self) -> ModelCheckpoint;
-
-    /// Captures the full machine state (see [`ModelCheckpoint`]): the
-    /// transferable state plus an exact copy of the producing machine, so a
-    /// same-model [`AnyMachine::restore`] is a true identity.
-    fn checkpoint(&self) -> ModelCheckpoint;
 }
 
 /// A whole simulated machine under any of the three base models — the value
@@ -157,24 +161,37 @@ macro_rules! each {
 }
 
 impl AnyMachine {
-    /// Builds a fresh machine of `kind` for `workload` on `config`.
+    /// Builds a fresh machine of `kind` for `workload` on `config`: the
+    /// restore of a [cold](ModelCheckpoint::cold) checkpoint.
     #[must_use]
     pub fn build(kind: BaseModel, config: &SystemConfig, workload: ThreadedWorkload) -> Self {
-        let (streams, sync) = workload.into_parts();
-        let streams = streams.into_iter().map(CheckpointStream::fresh).collect();
-        let memory = MemoryHierarchy::new(&config.memory);
-        Self::with_memory(kind, config, streams, sync, memory)
+        Self::restore(kind, config, ModelCheckpoint::cold(kind, config, workload))
     }
 
-    fn with_memory(
-        kind: BaseModel,
-        config: &SystemConfig,
-        streams: Vec<CheckpointStream>,
-        sync: SyncController,
-        memory: MemoryHierarchy,
-    ) -> Self {
+    /// Consumes the machine into a checkpoint **without cloning** the
+    /// memory hierarchy, the streams or the branch tables — the transition
+    /// the sampled-run controller takes at every timed→functional boundary
+    /// and the hybrid swap loop at every swap.
+    #[must_use]
+    pub fn into_lean_checkpoint(self) -> ModelCheckpoint {
+        let from = self.kind();
+        each!(self, sim => lean_checkpoint(from, sim.into_warm_parts()))
+    }
+
+    /// Restores a machine of `kind` from a checkpoint taken under any model:
+    /// builds the cores of `kind` around the checkpoint's streams,
+    /// hierarchy and synchronization state, then positions each core at its
+    /// resume point and installs the warm branch tables, if any.
+    #[must_use]
+    pub fn restore(kind: BaseModel, config: &SystemConfig, ckpt: ModelCheckpoint) -> Self {
+        // The checkpoint's hierarchy is *moved* into the incoming machine;
+        // building the machine with a cold hierarchy and swapping it
+        // afterwards would allocate and immediately discard a multi-megabyte
+        // cache array per restore — real money when sampled simulation
+        // restores at every measured unit.
+        let (streams, sync, memory) = (ckpt.streams, ckpt.sync, ckpt.memory);
         let branch = &config.branch;
-        match kind {
+        let mut machine = match kind {
             BaseModel::Interval => AnyMachine::Interval(Multicore::with_memory(
                 &config.interval_core,
                 branch,
@@ -192,38 +209,7 @@ impl AnyMachine {
             BaseModel::OneIpc => {
                 AnyMachine::OneIpc(Multicore::with_memory(&(), branch, streams, sync, memory))
             }
-        }
-    }
-
-    /// Consumes the machine into a lean checkpoint **without cloning** the
-    /// memory hierarchy, the streams or the branch tables — the cheap
-    /// transition a caller that owns the machine takes (the sampled-run
-    /// controller at every timed→functional boundary, the hybrid swap loop
-    /// at every swap).
-    #[must_use]
-    pub fn into_lean_checkpoint(self) -> ModelCheckpoint {
-        let from = self.kind();
-        each!(self, sim => lean_checkpoint(from, sim.into_warm_parts()))
-    }
-
-    /// Restores a machine of `kind` from a checkpoint. Same-model restores
-    /// resume the exact captured state when the checkpoint carries it (a
-    /// true identity); cross-model restores — and same-model restores from
-    /// lean checkpoints — build a fresh machine of `kind` and warm it from
-    /// the checkpoint's transferable state.
-    #[must_use]
-    pub fn restore(kind: BaseModel, config: &SystemConfig, ckpt: ModelCheckpoint) -> Self {
-        if kind == ckpt.from {
-            if let Some(exact) = ckpt.exact {
-                return *exact;
-            }
-        }
-        // The checkpoint's warm hierarchy is *moved* into the incoming
-        // machine; building the machine cold and swapping the hierarchy
-        // afterwards would allocate and immediately discard a multi-megabyte
-        // cache array per restore — real money when sampled simulation
-        // restores at every measured unit.
-        let mut machine = Self::with_memory(kind, config, ckpt.streams, ckpt.sync, ckpt.memory);
+        };
         each!(&mut machine, sim => sim.resume_cores(ckpt.machine_time, &ckpt.per_core, ckpt.branch));
         machine
     }
@@ -257,7 +243,6 @@ fn lean_checkpoint(from: BaseModel, parts: WarmParts<CheckpointStream>) -> Model
         branch: branch.into_iter().collect(),
         memory: parts.memory,
         sync: parts.sync,
-        exact: None,
     }
 }
 
@@ -317,16 +302,6 @@ impl CpuModel for AnyMachine {
     fn memory_stats(&self) -> MemoryStats {
         each!(self, sim => sim.memory().stats())
     }
-
-    fn checkpoint_lean(&self) -> ModelCheckpoint {
-        self.clone().into_lean_checkpoint()
-    }
-
-    fn checkpoint(&self) -> ModelCheckpoint {
-        let mut ckpt = self.checkpoint_lean();
-        ckpt.exact = Some(Box::new(self.clone()));
-        ckpt
-    }
 }
 
 #[cfg(test)]
@@ -380,7 +355,7 @@ mod tests {
     fn checkpoint_reports_warmth_and_stream_position() {
         let mut m = machine(BaseModel::Detailed, "gzip", 4_000);
         m.step_interval(2_000);
-        let ckpt = m.checkpoint();
+        let ckpt = m.into_lean_checkpoint();
         assert_eq!(ckpt.from, BaseModel::Detailed);
         assert_eq!(ckpt.per_core.len(), 1);
         assert!(ckpt.per_core[0].instructions >= 2_000);

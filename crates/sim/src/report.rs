@@ -98,27 +98,6 @@ pub fn format_records_table(title: &str, records: &[Record]) -> String {
     out
 }
 
-/// Average and maximum CPI error of every non-reference record against its
-/// group's `reference` record (groups without a reference are skipped).
-#[must_use]
-pub fn error_summary(records: &[Record], reference: &str) -> (f64, f64) {
-    let mut errors = Vec::new();
-    for group in groups(records) {
-        let Some(reference) = group.variant(reference) else {
-            continue;
-        };
-        if reference.is_quarantined() {
-            continue;
-        }
-        for r in &group.records {
-            if r.variant != reference.variant && !r.is_quarantined() {
-                errors.push(r.cpi_error_vs(reference));
-            }
-        }
-    }
-    (metrics::mean(&errors), metrics::max(&errors))
-}
-
 /// Formats every record against its group's `reference` variant: CPI of
 /// both, relative CPI error, host-time speedup, and — for sampled records
 /// — whether the 95% interval brackets the reference CPI. The footer
@@ -570,21 +549,5 @@ mod tests {
         assert!(c.contains("1 quarantined row(s) excluded"), "got: {c}");
         // Only the healthy gcc pair feeds the summary: 10% error.
         assert!(c.contains("average CPI error 10.0%"), "got: {c}");
-        let (avg, max) = error_summary(&records, "detailed");
-        assert!((avg - 0.1).abs() < 1e-9, "avg {avg}");
-        assert!((max - 0.1).abs() < 1e-9, "max {max}");
-    }
-
-    #[test]
-    fn error_summary_reports_mean_and_max() {
-        let records = vec![
-            record("gcc", "detailed", 1, 1_000, 1.0),
-            record("gcc", "interval", 1, 1_100, 1.0),
-            record("mcf", "detailed", 1, 1_000, 1.0),
-            record("mcf", "interval", 1, 1_300, 1.0),
-        ];
-        let (avg, max) = error_summary(&records, "detailed");
-        assert!((avg - 0.2).abs() < 1e-9, "avg {avg}");
-        assert!((max - 0.3).abs() < 1e-9, "max {max}");
     }
 }

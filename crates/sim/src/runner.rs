@@ -168,16 +168,6 @@ impl SimSummary {
         self.per_core[core].ipc()
     }
 
-    /// Simulated instructions per host second (simulation speed).
-    #[must_use]
-    pub fn simulation_speed(&self) -> f64 {
-        if self.host_seconds <= 0.0 {
-            0.0
-        } else {
-            self.total_instructions as f64 / self.host_seconds
-        }
-    }
-
     /// Stable text encoding of every *simulated* (deterministic) field of the
     /// summary — everything except `host_seconds`, which is host wall-clock
     /// and varies run to run by nature.

@@ -47,19 +47,18 @@
 //! replays the branch subset (`BranchUnit::update_batch`). Branch tables are
 //! per-core private and disjoint from the memory hierarchy, so hoisting the
 //! branch updates after the memory walk commutes, and every batch size —
-//! including the scalar-degenerate `1` — produces bit-identical records. Transitions reuse the
-//! [`ModelCheckpoint`] machinery from the hybrid subsystem — by *consuming*
-//! the machine ([`AnyMachine::into_lean_checkpoint`]), so no hierarchy or
-//! stream is ever cloned — and consecutive measured units keep the machine
-//! alive, so `sample_every = 1` degenerates to the pure measurement model.
+//! including the scalar-degenerate `1` — produces bit-identical records.
+//!
+//! The warming state is itself a [`ModelCheckpoint`], the one the hybrid
+//! swaps use: a timed phase restores from it and ends by *consuming* the
+//! machine ([`AnyMachine::into_lean_checkpoint`]), so no hierarchy or stream
+//! is ever cloned, and consecutive measured units keep the machine alive, so
+//! `sample_every = 1` degenerates to the pure measurement model.
 
 use iss_trace::host_time::HostTimer;
 
 use iss_branch::BranchUnit;
-use iss_mem::MemoryHierarchy;
-use iss_trace::{
-    fast_forward_batched, CheckpointStream, CoreResume, InstBatch, SyncController, ThreadedWorkload,
-};
+use iss_trace::{fast_forward_batched, InstBatch, ThreadedWorkload};
 
 use crate::config::SystemConfig;
 use crate::env::WARM_BATCH;
@@ -390,22 +389,20 @@ pub fn t_critical_975(df: u64) -> f64 {
     }
 }
 
-/// Functionally maintained machine state between measured units: stream
-/// positions, warm branch tables and memory hierarchy, synchronization
-/// state, per-core progress, and the nominal clock.
+/// Functionally maintained machine state between measured units: the
+/// checkpoint the next timed phase restores from, plus warming scratch.
+///
+/// The checkpoint's `machine_time` is the nominal warming clock: it advances
+/// one cycle per functionally consumed instruction, so DRAM reservations made
+/// while warming stay roughly contemporaneous with the resumed timing model.
 struct FunctionalState {
-    streams: Vec<CheckpointStream>,
+    ckpt: ModelCheckpoint,
+    /// Per-core branch tables, warmed here and handed back to the checkpoint
+    /// when a timed phase resumes.
     branch: Vec<BranchUnit>,
-    memory: MemoryHierarchy,
-    sync: SyncController,
-    per_core: Vec<CoreResume>,
     /// Last instruction-cache line fetched per core (I-side warming is
     /// batched per line, as a real fetch unit batches its accesses).
     last_iline: Vec<u64>,
-    /// Nominal clock: advanced one cycle per functionally consumed
-    /// instruction, so DRAM reservations made while warming stay roughly
-    /// contemporaneous with the resumed timing model.
-    now: u64,
     /// Reusable structure-of-arrays decode buffer: the fast-forwarder fills
     /// its columns batch by batch, so no per-batch allocation survives on
     /// the warming hot path.
@@ -413,75 +410,38 @@ struct FunctionalState {
 }
 
 impl FunctionalState {
-    fn fresh(config: &SystemConfig, workload: ThreadedWorkload, warm_batch: usize) -> Self {
-        let (raw_streams, sync) = workload.into_parts();
-        let streams: Vec<CheckpointStream> = raw_streams
-            .into_iter()
-            .map(CheckpointStream::fresh)
-            .collect();
-        let num_cores = streams.len();
-        let mut memory = MemoryHierarchy::new(&config.memory);
-        memory.set_warming(true);
-        FunctionalState {
-            streams,
-            branch: (0..num_cores)
-                .map(|_| BranchUnit::new(&config.branch))
-                .collect(),
-            memory,
-            sync,
-            per_core: vec![
-                CoreResume {
-                    time: 0,
-                    instructions: 0,
-                    done: false,
-                };
-                num_cores
-            ],
-            last_iline: vec![u64::MAX; num_cores],
-            now: 0,
-            batch: InstBatch::with_capacity(warm_batch),
-        }
-    }
-
-    fn from_checkpoint(ckpt: ModelCheckpoint, config: &SystemConfig, warm_batch: usize) -> Self {
+    fn from_checkpoint(
+        mut ckpt: ModelCheckpoint,
+        config: &SystemConfig,
+        warm_batch: usize,
+    ) -> Self {
         let num_cores = ckpt.streams.len();
-        let mut memory = ckpt.memory;
-        memory.set_warming(true);
-        // Only the one-IPC measurement model yields a branch-less
-        // checkpoint; the cold-table fallback is built lazily so the
+        ckpt.memory.set_warming(true);
+        // Only a cold checkpoint and the one-IPC measurement model carry no
+        // branch tables; the cold-table fallback is built lazily so the
         // common path allocates nothing.
-        let branch = ckpt.branch.unwrap_or_else(|| {
+        let branch = ckpt.branch.take().unwrap_or_else(|| {
             (0..num_cores)
                 .map(|_| BranchUnit::new(&config.branch))
                 .collect()
         });
         FunctionalState {
-            streams: ckpt.streams,
+            ckpt,
             branch,
-            memory,
-            sync: ckpt.sync,
-            per_core: ckpt.per_core,
             last_iline: vec![u64::MAX; num_cores],
-            now: ckpt.machine_time,
             batch: InstBatch::with_capacity(warm_batch),
         }
     }
 
-    fn into_checkpoint(mut self, from: BaseModel) -> ModelCheckpoint {
-        self.memory.set_warming(false);
-        ModelCheckpoint::from_functional(
-            from,
-            self.now,
-            self.per_core,
-            self.streams,
-            Some(self.branch),
-            self.memory,
-            self.sync,
-        )
+    fn into_checkpoint(self) -> ModelCheckpoint {
+        let mut ckpt = self.ckpt;
+        ckpt.memory.set_warming(false);
+        ckpt.branch = Some(self.branch);
+        ckpt
     }
 
     fn all_done(&self) -> bool {
-        self.per_core.iter().all(|c| c.done)
+        self.ckpt.per_core.iter().all(|c| c.done)
     }
 
     /// Fast-forwards up to `budget` instructions, warming branch tables and
@@ -497,14 +457,15 @@ impl FunctionalState {
     /// touches disjoint state (branch tables are per-core private), so
     /// every batch size yields bit-identical warm state and statistics.
     fn advance(&mut self, budget: u64) -> u64 {
-        let memory = &mut self.memory;
+        let ckpt = &mut self.ckpt;
+        let memory = &mut ckpt.memory;
         let branch = &mut self.branch;
         let last_iline = &mut self.last_iline;
-        let mut now = self.now;
+        let mut now = ckpt.machine_time;
         let consumed = fast_forward_batched(
-            &mut self.streams,
-            &mut self.sync,
-            &mut self.per_core,
+            &mut ckpt.streams,
+            &mut ckpt.sync,
+            &mut ckpt.per_core,
             budget,
             &mut self.batch,
             &mut |core, batch| {
@@ -522,8 +483,8 @@ impl FunctionalState {
                 now += batch.len() as u64;
             },
         );
-        self.now = now;
-        for resume in &mut self.per_core {
+        ckpt.machine_time = now;
+        for resume in &mut ckpt.per_core {
             if !resume.done {
                 resume.time = now;
             }
@@ -574,7 +535,8 @@ pub fn warm_functionally(
     workload: ThreadedWorkload,
     warm_batch: usize,
 ) -> u64 {
-    let mut state = FunctionalState::fresh(config, workload, warm_batch);
+    let cold = ModelCheckpoint::cold(BaseModel::Interval, config, workload);
+    let mut state = FunctionalState::from_checkpoint(cold, config, warm_batch);
     let mut instructions = 0;
     loop {
         let consumed = state.advance(u64::MAX);
@@ -629,7 +591,8 @@ pub fn run_sampled_with_batch(
         .unwrap_or_else(|e| panic!("invalid sampling spec: {e}"));
     let start = HostTimer::start();
     let num_cores = workload.num_cores();
-    let mut phase = Phase::Functional(FunctionalState::fresh(config, workload, warm_batch));
+    let cold = ModelCheckpoint::cold(spec.measure, config, workload);
+    let mut phase = Phase::Functional(FunctionalState::from_checkpoint(cold, config, warm_batch));
 
     let mut unit: u64 = 0;
     let mut swaps: u64 = 0;
@@ -664,7 +627,7 @@ pub fn run_sampled_with_batch(
                     if fast_forwarded > 0 {
                         swaps += 1;
                     }
-                    AnyMachine::restore(spec.measure, config, fs.into_checkpoint(spec.measure))
+                    AnyMachine::restore(spec.measure, config, fs.into_checkpoint())
                 }
             };
             // A sampled unit opens with a warmup prefix (excluded from the
@@ -707,10 +670,10 @@ pub fn run_sampled_with_batch(
                 }
                 Phase::Functional(fs) => fs,
             };
-            let latency_before = fs.memory.stats().totals().latency_cycles;
+            let latency_before = fs.ckpt.memory.stats().totals().latency_cycles;
             let consumed = fs.advance(spec.unit_insts);
             if consumed > 0 {
-                let latency = fs.memory.stats().totals().latency_cycles - latency_before;
+                let latency = fs.ckpt.memory.stats().totals().latency_cycles - latency_before;
                 steady_obs.push(SteadyUnitObs {
                     insts: consumed,
                     aux_per_inst: latency as f64 / consumed as f64,
@@ -747,9 +710,9 @@ pub fn run_sampled_with_batch(
             )
         }
         Phase::Functional(fs) => (
-            fs.per_core.iter().map(|c| c.instructions).sum(),
-            fs.per_core.iter().map(|c| c.instructions).collect(),
-            fs.memory.stats(),
+            fs.ckpt.per_core.iter().map(|c| c.instructions).sum(),
+            fs.ckpt.per_core.iter().map(|c| c.instructions).collect(),
+            fs.ckpt.memory.stats(),
         ),
     };
     // The regression is only sound when the sampled units' latency counter

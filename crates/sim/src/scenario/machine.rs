@@ -54,16 +54,6 @@ impl MachineBaseline {
             )),
         }
     }
-
-    /// The core count the baseline carries before any override.
-    #[must_use]
-    pub fn default_cores(self) -> usize {
-        match self {
-            MachineBaseline::Hpca2010 => 1,
-            MachineBaseline::Fig8DualCoreL2 => 2,
-            MachineBaseline::Fig8QuadCore3d => 4,
-        }
-    }
 }
 
 /// Structured overrides applied on top of a [`MachineBaseline`]. The
@@ -99,14 +89,6 @@ pub struct MachineOverrides {
     /// Empty the old window on miss events (`false` removes the
     /// interval-length dependence; the other ablation knob).
     pub old_window_reset: Option<bool>,
-}
-
-impl MachineOverrides {
-    /// Whether this override set changes anything at all.
-    #[must_use]
-    pub fn is_noop(&self) -> bool {
-        *self == MachineOverrides::default()
-    }
 }
 
 /// A machine description: baseline, optional explicit core count, and

@@ -57,10 +57,13 @@ fn parse_hybrid(body: &str, context: &str) -> Result<HybridSpec, String> {
              (known: always-<base>, periodic-<N>, phase-cpi-<T>)"
         ));
     };
-    Ok(HybridSpec {
+    let spec = HybridSpec {
         policy,
         interval_insts,
-    })
+    };
+    spec.validate()
+        .map_err(|e| format!("invalid hybrid model `{context}`: {e}"))?;
+    Ok(spec)
 }
 
 /// Parses a sampled model string of the form
@@ -162,6 +165,9 @@ mod tests {
             "hybrid-periodic-4",                // missing quantum
             "hybrid-sometimes-4@2000",          // unknown policy
             "hybrid-periodic-x@2000",           // bad number
+            "hybrid-periodic-4@0",              // zero quantum
+            "hybrid-periodic-0@1000",           // zero period
+            "hybrid-always-interval@0",         // zero quantum
             "sampled-detailed-1in28",           // missing body
             "sampled-doom-1in28@350w60p6",      // unknown base
             "sampled-detailed-1in0@350w60p6",   // fails SamplingSpec::validate

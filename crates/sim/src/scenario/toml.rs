@@ -47,7 +47,7 @@ use crate::workload::WorkloadSpec;
 
 use super::machine::{MachineBaseline, MachineSpec};
 use super::modelspec::parse_model;
-use super::{ScenarioSpec, SweepSpec, Template};
+use super::{SweepSpec, Template};
 
 /// Schema marker every scenario file must carry.
 pub const SCHEMA: &str = "iss-scenario/v1";
@@ -454,25 +454,6 @@ fn render_workload_section(header: &str, workload: &WorkloadSpec) -> String {
     t
 }
 
-/// Parses a file that must expand to exactly one scenario (convenience for
-/// tools that want a single point rather than a sweep).
-///
-/// # Errors
-///
-/// Returns the parse error, or a message when the file expands to more
-/// than one point.
-pub fn single_scenario_from_toml(text: &str) -> Result<ScenarioSpec, String> {
-    let sweep = SweepSpec::from_toml(text)?;
-    let mut points = sweep.expand()?;
-    match points.len() {
-        1 => Ok(points.remove(0)),
-        n => Err(format!(
-            "expected a single-scenario file but `{}` expands to {n} points",
-            sweep.name
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,22 +617,6 @@ mod tests {
         "#;
         let sweep = SweepSpec::from_toml(text).unwrap();
         assert_eq!(sweep.name, "a#b");
-    }
-
-    #[test]
-    fn single_scenario_helper_enforces_one_point() {
-        let one = r#"
-            schema = "iss-scenario/v1"
-            name = "one"
-            [workload]
-            kind = "single"
-            benchmark = "gcc"
-            length = 1000
-        "#;
-        let spec = single_scenario_from_toml(one).unwrap();
-        assert_eq!(spec.workload.label(), "gcc");
-        let e = single_scenario_from_toml(fig5ish()).unwrap_err();
-        assert!(e.contains("4 points"), "got: {e}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Integration tests of the hybrid model-swapping subsystem: checkpoint
-//! round trips, bit-identity of pinned hybrid runs, worker-count invariance
-//! of hybrid batch rows, and the speed-vs-accuracy acceptance frontier.
+//! Integration tests of the hybrid model-swapping subsystem: cross-model
+//! restores, bit-identity of pinned hybrid runs, worker-count invariance of
+//! hybrid batch rows, and the speed-vs-accuracy acceptance frontier.
 
 use iss_sim::batch::run_batch_with_threads;
 use iss_sim::experiments::{builtin, default_hybrid_policies, ExperimentScale};
@@ -11,56 +11,6 @@ use iss_sim::{SimJob, SystemConfig, WorkloadSpec};
 
 fn machine(kind: BaseModel, spec: &WorkloadSpec, config: &SystemConfig, seed: u64) -> AnyMachine {
     AnyMachine::build(kind, config, spec.build(seed).unwrap())
-}
-
-/// `restore(checkpoint())` into the same model is an identity: continuing
-/// the restored machine produces the exact summary the original produces.
-#[test]
-fn checkpoint_restore_is_an_identity_for_each_model() {
-    let config = SystemConfig::hpca2010_baseline(1);
-    let spec = WorkloadSpec::single("gcc", 6_000);
-    for kind in [BaseModel::Interval, BaseModel::Detailed, BaseModel::OneIpc] {
-        let mut original = machine(kind, &spec, &config, 11);
-        original.step_interval(2_500);
-        let ckpt = original.checkpoint();
-        let mut restored = AnyMachine::restore(kind, &config, ckpt);
-        original.run_to_completion();
-        restored.run_to_completion();
-        let a = original.summary(kind.into(), "gcc".into());
-        let b = restored.summary(kind.into(), "gcc".into());
-        assert_eq!(
-            a.canonical_record(),
-            b.canonical_record(),
-            "same-model restore must be exact for {}",
-            kind.name()
-        );
-    }
-}
-
-/// The identity holds at multi-core checkpoints too (cores at different
-/// per-core times, shared L2 and synchronization state in flight).
-#[test]
-fn checkpoint_restore_is_an_identity_on_multicore_workloads() {
-    let config = SystemConfig::hpca2010_baseline(2);
-    let spec = WorkloadSpec::multithreaded("fluidanimate", 2, 30_000);
-    for kind in [BaseModel::Interval, BaseModel::Detailed, BaseModel::OneIpc] {
-        let mut original = machine(kind, &spec, &config, 5);
-        original.step_interval(9_000);
-        let ckpt = original.checkpoint();
-        let mut restored = AnyMachine::restore(kind, &config, ckpt);
-        original.run_to_completion();
-        restored.run_to_completion();
-        assert_eq!(
-            original
-                .summary(kind.into(), spec.label())
-                .canonical_record(),
-            restored
-                .summary(kind.into(), spec.label())
-                .canonical_record(),
-            "same-model restore must be exact for {}",
-            kind.name()
-        );
-    }
 }
 
 /// Cross-model restore preserves the functional execution: no instruction is
@@ -79,7 +29,7 @@ fn cross_model_restore_retires_exactly_the_remaining_instructions() {
             let mut m = machine(from, &spec, &config, 3);
             m.step_interval(3_000);
             let retired_at_swap = m.retired_instructions();
-            let ckpt = m.checkpoint_lean();
+            let ckpt = m.into_lean_checkpoint();
             let mut incoming = AnyMachine::restore(to, &config, ckpt);
             assert_eq!(
                 incoming.retired_instructions(),

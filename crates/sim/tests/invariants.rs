@@ -1,14 +1,24 @@
-//! Conservation invariants checked for every base model: each model retires
-//! exactly the workload's instructions, and no core commits faster than its
-//! dispatch width allows.
+//! Conservation invariants: every base model, a hybrid run and a sampled run
+//! each retire exactly the workload's instructions, and no core of a base
+//! model commits faster than its dispatch width allows.
 
 use proptest::prelude::*;
 
 use iss_sim::model::{AnyMachine, CpuModel};
-use iss_sim::runner::BaseModel;
-use iss_sim::{SystemConfig, WorkloadSpec};
+use iss_sim::runner::{run, BaseModel, CoreModel};
+use iss_sim::{HybridSpec, SamplingSpec, SystemConfig, WorkloadSpec};
 
 const MODELS: [BaseModel; 3] = [BaseModel::Interval, BaseModel::Detailed, BaseModel::OneIpc];
+
+/// Runs that cross models and functional warming through checkpoints: a
+/// phase-driven hybrid whose quantum is below the shortest case, and a
+/// sampled run with an exact prefix, warmed units and measured units.
+fn checkpointed_models() -> [CoreModel; 2] {
+    [
+        CoreModel::Hybrid(HybridSpec::phase_cpi(200, 250)),
+        CoreModel::Sampled(SamplingSpec::new(BaseModel::Detailed, 200, 3, 50, 1)),
+    ]
+}
 
 /// Instructions a core of `kind` can retire per cycle at most.
 fn dispatch_width(kind: BaseModel, config: &SystemConfig) -> u64 {
@@ -22,7 +32,9 @@ fn dispatch_width(kind: BaseModel, config: &SystemConfig) -> u64 {
 /// Runs `spec` to completion under every model and checks that it retires
 /// exactly `expected` instructions, that each core's cycles are at least its
 /// instructions divided by the dispatch width, and that the interval model's
-/// penalty accounting is internally consistent.
+/// penalty accounting is internally consistent. The hybrid and sampled runs
+/// are checked for conservation only: sampled per-core cycles are
+/// extrapolated, not counted.
 fn check_conservation(spec: &WorkloadSpec, seed: u64, expected: u64, perfect_memory: bool) {
     let mut config = SystemConfig::hpca2010_baseline(spec.num_cores());
     if perfect_memory {
@@ -65,6 +77,16 @@ fn check_conservation(spec: &WorkloadSpec, seed: u64, expected: u64, perfect_mem
                 assert!(s.bandwidth_residual_penalty <= s.long_latency_penalty);
             }
         }
+    }
+    for model in checkpointed_models() {
+        let summary = run(model, &config, spec, seed);
+        assert_eq!(summary.total_instructions, expected, "{}", model.name());
+        assert_eq!(
+            summary.per_core.iter().map(|c| c.instructions).sum::<u64>(),
+            expected,
+            "{}",
+            model.name()
+        );
     }
 }
 

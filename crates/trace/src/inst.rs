@@ -212,12 +212,6 @@ impl DynInst {
         self.op == OpClass::Serialize
     }
 
-    /// Whether the instruction carries a synchronization marker.
-    #[must_use]
-    pub fn is_sync(&self) -> bool {
-        self.sync.is_some()
-    }
-
     /// Execution latency of the instruction excluding memory-hierarchy misses.
     #[must_use]
     pub fn exec_latency(&self) -> u64 {

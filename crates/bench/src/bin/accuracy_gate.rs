@@ -24,21 +24,29 @@ const DEFAULT_PATH: &str = "ci/golden_accuracy.json";
 const DEFAULT_TOLERANCE: f64 = 0.02;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let write = args.iter().any(|a| a == "--write");
-    let path = args
-        .iter()
-        .skip(1)
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| DEFAULT_PATH.to_string());
+    let mut write = false;
+    let mut path = None;
+    for a in std::env::args().skip(1) {
+        match a.as_str() {
+            "--write" => write = true,
+            _ if !a.starts_with("--") && path.is_none() => path = Some(a),
+            _ => {
+                eprintln!("accuracy gate: unexpected argument `{a}`");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    let path = path.unwrap_or_else(|| DEFAULT_PATH.to_string());
 
     if write {
         let scale = ExperimentScale::quick();
         println!("computing golden accuracy rows at quick scale...");
         let rows = compute_accuracy_rows(&SPEC_QUICK, scale);
         let text = render_golden_accuracy(scale, DEFAULT_TOLERANCE, &rows);
-        std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        if let Err(e) = std::fs::write(&path, text) {
+            eprintln!("accuracy gate: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
         println!("wrote {} rows to {path}", rows.len());
         return ExitCode::SUCCESS;
     }

@@ -99,70 +99,75 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => run(&args[1..]),
-        Some("sweep") => sweep(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        Some("validate") => validate(&args[1..]),
-        Some("lint") => lint(&args[1..]),
-        Some("list") => list(&args[1..]),
-        Some("export") => export(&args[1..]),
-        _ => usage(),
-    }
+    let Some((cmd, rest)) = args.split_first() else {
+        return usage();
+    };
+    let result = match cmd.as_str() {
+        "run" => run(rest),
+        "sweep" => sweep(rest),
+        "serve" => serve(rest),
+        "validate" => validate(rest),
+        "lint" => lint(rest),
+        "list" => list(rest),
+        "export" => export(rest),
+        _ => return usage(),
+    };
+    // The one error exit: a subcommand returns its error, and it is
+    // reported here under the subcommand's name.
+    result.unwrap_or_else(|e| {
+        eprintln!("iss {cmd}: {e}");
+        ExitCode::FAILURE
+    })
 }
 
-fn export(args: &[String]) -> ExitCode {
-    let Some(name) = args.first() else {
-        return usage();
+/// The operand that follows `flag`, or the error naming what it needs.
+fn operand(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    needs: &str,
+) -> Result<String, String> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| format!("{flag} needs {needs}"))
+}
+
+/// Writes `text` to `path` and reports the write, or prints `text` when
+/// there is no path.
+fn emit(path: Option<&str>, text: &str) -> Result<(), String> {
+    match path {
+        Some(path) => {
+            std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+            println!("wrote {path}");
+        }
+        None => print!("{text}"),
+    }
+    Ok(())
+}
+
+fn export(args: &[String]) -> Result<ExitCode, String> {
+    let Some((name, rest)) = args.split_first() else {
+        return Ok(usage());
     };
     // `--jsonl` switches export from "emit the spec as TOML" to "run the
     // sweep and emit its records as line-delimited JSON" — one `Record`
     // object per line, quarantine rows included.
-    if args.iter().any(|a| a == "--jsonl") {
-        return export_jsonl(name, args.iter().skip(1).find(|a| *a != "--jsonl"));
+    let jsonl = args.iter().any(|a| a == "--jsonl");
+    let mut path = None;
+    for a in rest.iter().filter(|a| *a != "--jsonl") {
+        if a.starts_with("--") || path.is_some() {
+            return Err(format!("unexpected argument `{a}`"));
+        }
+        path = Some(a.as_str());
     }
-    let Some(sweep) = builtin(name, EXPERIMENT_SCALE.get()) else {
-        eprintln!("iss export: `{name}` is not a built-in sweep (see `iss list`)");
-        return ExitCode::FAILURE;
+    let text = if jsonl {
+        render_records_jsonl(&load(name)?.run_with_threads(THREADS.get())?)
+    } else {
+        builtin(name, EXPERIMENT_SCALE.get())
+            .ok_or_else(|| format!("`{name}` is not a built-in sweep (see `iss list`)"))?
+            .to_toml()
     };
-    let text = sweep.to_toml();
-    match args.get(1) {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("iss export: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {path}");
-        }
-        None => print!("{text}"),
-    }
-    ExitCode::SUCCESS
-}
-
-/// `iss export <target> --jsonl [path]`: runs the sweep and writes the
-/// JSONL columnar record stream to `path` (or stdout).
-fn export_jsonl(target: &str, path: Option<&String>) -> ExitCode {
-    let result = load(target)
-        .and_then(|sweep| sweep.run_with_threads(THREADS.get()))
-        .map(|records| render_records_jsonl(&records));
-    let text = match result {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("iss export: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("iss export: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {path}");
-        }
-        None => print!("{text}"),
-    }
-    ExitCode::SUCCESS
+    emit(path, &text)?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Loads a sweep from a file path or a built-in name.
@@ -194,85 +199,38 @@ fn parse_job_list(value: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-fn run(args: &[String]) -> ExitCode {
+fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut target = None;
-    let mut threads: Option<String> = None;
+    let mut threads = None;
     let mut reference = None;
-    let mut json_path: Option<PathBuf> = None;
-    let mut job_list: Option<Vec<usize>> = None;
+    let mut json_path = None;
+    let mut job_list = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threads" => match it.next() {
-                Some(v) => threads = Some(v.clone()),
-                None => {
-                    eprintln!("iss run: --threads needs {}", THREADS.accepts);
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--reference" => match it.next() {
-                Some(v) => reference = Some(v.clone()),
-                None => {
-                    eprintln!("iss run: --reference needs a variant name");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--json" => match it.next() {
-                Some(v) => json_path = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("iss run: --json needs an output path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match it.next().map(|v| parse_job_list(v)) {
-                Some(Ok(list)) => job_list = Some(list),
-                Some(Err(e)) => {
-                    eprintln!("iss run: {e}");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("iss run: --jobs needs a comma-separated index list");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other if !other.starts_with("--") && target.is_none() => {
-                target = Some(other.to_string());
+            "--threads" => threads = Some(operand(&mut it, a, THREADS.accepts)?),
+            "--reference" => reference = Some(operand(&mut it, a, "a variant name")?),
+            "--json" => json_path = Some(operand(&mut it, a, "an output path")?),
+            "--jobs" => {
+                let list = operand(&mut it, a, "a comma-separated index list")?;
+                job_list = Some(parse_job_list(&list)?);
             }
-            other => {
-                eprintln!("iss run: unexpected argument `{other}`");
-                return ExitCode::FAILURE;
-            }
+            other if !other.starts_with("--") && target.is_none() => target = Some(other),
+            other => return Err(format!("unexpected argument `{other}`")),
         }
     }
     let Some(target) = target else {
-        return usage();
+        return Ok(usage());
     };
-    let sweep = match load(&target) {
-        Ok(sweep) => sweep,
-        Err(e) => {
-            eprintln!("iss run: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let points = match sweep.expand() {
-        Ok(points) => points,
-        Err(e) => {
-            eprintln!("iss run: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let sweep = load(target)?;
     // Child mode of a sharded sweep: run the selected jobs serially and
     // stream one Record JSON line per job — no tables, no summaries.
+    // `run_shard_jobs` expands and validates the sweep itself.
     if let Some(indices) = job_list {
-        let mut stdout = std::io::stdout().lock();
-        return match run_shard_jobs(&sweep, &indices, &mut stdout) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("iss run: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        run_shard_jobs(&sweep, &indices, &mut std::io::stdout().lock())?;
+        return Ok(ExitCode::SUCCESS);
     }
+    let points = sweep.expand()?;
     // A sweep whose rows compare host wall-clocks (any sweep with hybrid or
     // sampled variants) runs on one worker by default: concurrent jobs
     // time-slicing against each other would contaminate exactly the
@@ -284,13 +242,7 @@ fn run(args: &[String]) -> ExitCode {
         .collect();
     let threads = match threads {
         None if !frontier.is_empty() => 1,
-        flag => match THREADS.resolve(flag.as_deref()) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("iss run: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        flag => THREADS.resolve(flag.as_deref())?,
     };
     println!(
         "running `{}`: {} scenario(s) on {} worker(s)\n",
@@ -298,13 +250,7 @@ fn run(args: &[String]) -> ExitCode {
         points.len(),
         threads
     );
-    let records = match sweep.run_with_threads(threads) {
-        Ok(records) => records,
-        Err(e) => {
-            eprintln!("iss run: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let records = sweep.run_with_threads(threads)?;
     print!("{}", report::format_records_table(&sweep.name, &records));
     // The reference variant: `--reference`, else `detailed` when the sweep
     // has one. Design-point sweeps label it per template (`2 cores +
@@ -313,11 +259,8 @@ fn run(args: &[String]) -> ExitCode {
     let reference = reference.unwrap_or_else(|| "detailed".to_string());
     let has_reference = explicit || records.iter().any(|r| r.variant == reference);
     if has_reference {
-        println!();
-        print!(
-            "{}",
-            report::format_comparison_table(&sweep.name, &records, &reference)
-        );
+        let table = report::format_comparison_table(&sweep.name, &records, &reference);
+        print!("\n{table}");
     }
     // The figure views follow from the sweep's own shape.
     let copies: BTreeSet<usize> = points
@@ -328,45 +271,26 @@ fn run(args: &[String]) -> ExitCode {
         })
         .collect();
     if copies.len() > 1 {
-        println!();
-        print!(
-            "{}",
-            report::format_stp_antt_table(
-                &format!("{} — STP and ANTT vs copies", sweep.name),
-                &records
-            )
-        );
+        let title = format!("{} — STP and ANTT vs copies", sweep.name);
+        print!("\n{}", report::format_stp_antt_table(&title, &records));
     }
     let multithreaded = points
         .iter()
         .any(|p| matches!(p.workload, WorkloadSpec::Multithreaded { .. }));
     if multithreaded && records.iter().any(|r| r.variant.ends_with(&reference)) {
-        println!();
-        print!(
-            "{}",
-            report::format_normalized_table(
-                &format!("{} — normalized execution time", sweep.name),
-                &records,
-                &reference
-            )
-        );
+        let title = format!("{} — normalized execution time", sweep.name);
+        let table = report::format_normalized_table(&title, &records, &reference);
+        print!("\n{table}");
     }
     if has_reference && !frontier.is_empty() {
-        println!();
-        print!(
-            "{}",
-            report::format_best_point(&records, &reference, &frontier)
-        );
+        let best = report::format_best_point(&records, &reference, &frontier);
+        print!("\n{best}");
     }
     if let Some(path) = json_path {
-        let json = render_records_json(&records);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("iss run: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("\nwrote {}", path.display());
+        println!();
+        emit(Some(&path), &render_records_json(&records))?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `iss serve`: simulation as a service. Binds the listener, prints the
@@ -374,78 +298,31 @@ fn run(args: &[String]) -> ExitCode {
 /// until a client sends `{"cmd": "shutdown"}` — then exits 0. Flags beat
 /// the `ISS_SERVE_WORKERS` / `ISS_CACHE_DIR` / `ISS_CACHE_MAX_MB`
 /// environment knobs, which beat the defaults.
-fn serve(args: &[String]) -> ExitCode {
+fn serve(args: &[String]) -> Result<ExitCode, String> {
     let mut addr = "127.0.0.1:0".to_string();
-    let mut workers: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut cache_max_mb: Option<String> = None;
+    let mut workers = None;
+    let mut cache_dir = None;
+    let mut cache_max_mb = None;
     let mut evict = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = v.clone(),
-                None => {
-                    eprintln!("iss serve: --addr needs a HOST:PORT operand");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--workers" => match it.next() {
-                Some(v) => workers = Some(v.clone()),
-                None => {
-                    eprintln!("iss serve: --workers needs {}", SERVE_WORKERS.accepts);
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--cache-dir" => match it.next() {
-                Some(v) => cache_dir = Some(v.clone()),
-                None => {
-                    eprintln!("iss serve: --cache-dir needs {}", CACHE_DIR.accepts);
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--cache-max-mb" => match it.next() {
-                Some(v) => cache_max_mb = Some(v.clone()),
-                None => {
-                    eprintln!("iss serve: --cache-max-mb needs {}", CACHE_MAX_MB.accepts);
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--addr" => addr = operand(&mut it, a, "a HOST:PORT operand")?,
+            "--workers" => workers = Some(operand(&mut it, a, SERVE_WORKERS.accepts)?),
+            "--cache-dir" => cache_dir = Some(operand(&mut it, a, CACHE_DIR.accepts)?),
+            "--cache-max-mb" => cache_max_mb = Some(operand(&mut it, a, CACHE_MAX_MB.accepts)?),
             "--evict" => evict = true,
-            other => {
-                eprintln!("iss serve: unexpected argument `{other}`");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    let options = match (|| -> Result<iss_sim::ServeOptions, String> {
-        Ok(iss_sim::ServeOptions {
-            workers: SERVE_WORKERS.resolve(workers.as_deref())?,
-            cache_dir: CACHE_DIR.resolve(cache_dir.as_deref())?,
-            cache_max_bytes: Some(CACHE_MAX_MB.resolve(cache_max_mb.as_deref())? << 20),
-            evict_on_start: evict,
-        })
-    })() {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("iss serve: {e}");
-            return ExitCode::FAILURE;
-        }
+    let options = iss_sim::ServeOptions {
+        workers: SERVE_WORKERS.resolve(workers.as_deref())?,
+        cache_dir: CACHE_DIR.resolve(cache_dir.as_deref())?,
+        cache_max_bytes: Some(CACHE_MAX_MB.resolve(cache_max_mb.as_deref())? << 20),
+        evict_on_start: evict,
     };
-    let server = match iss_sim::Server::bind(&addr, &options) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("iss serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let bound = match server.local_addr() {
-        Ok(bound) => bound,
-        Err(e) => {
-            eprintln!("iss serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let server = iss_sim::Server::bind(&addr, &options)?;
+    let bound = server.local_addr()?;
     let bound_mb = options
         .cache_max_bytes
         .map_or("unbounded".to_string(), |b| {
@@ -457,16 +334,9 @@ fn serve(args: &[String]) -> ExitCode {
         options.workers,
         options.cache_dir.display()
     );
-    match server.serve() {
-        Ok(()) => {
-            println!("iss serve: shut down cleanly");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("iss serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    server.serve()?;
+    println!("iss serve: shut down cleanly");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The fault-tolerant sharded supervisor: partitions the sweep's job list
@@ -474,95 +344,36 @@ fn serve(args: &[String]) -> ExitCode {
 /// merges deterministically, answering every point the result store already
 /// holds without a child. Exits 0 even when jobs were quarantined — the
 /// quarantine rows *are* the report; only spec/infrastructure defects fail.
-fn sweep(args: &[String]) -> ExitCode {
+fn sweep(args: &[String]) -> Result<ExitCode, String> {
     let mut target = None;
-    let mut shards: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut json_path: Option<PathBuf> = None;
-    let mut jsonl_path: Option<PathBuf> = None;
+    let mut shards = None;
+    let mut cache_dir = None;
+    let mut json_path = None;
+    let mut jsonl_path = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--shards" => match it.next() {
-                Some(v) => shards = Some(v.clone()),
-                None => {
-                    eprintln!("iss sweep: --shards needs {}", SHARDS.accepts);
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--cache-dir" => match it.next() {
-                Some(v) => cache_dir = Some(v.clone()),
-                None => {
-                    eprintln!("iss sweep: --cache-dir needs {}", CACHE_DIR.accepts);
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--json" => match it.next() {
-                Some(v) => json_path = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("iss sweep: --json needs an output path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jsonl" => match it.next() {
-                Some(v) => jsonl_path = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("iss sweep: --jsonl needs an output path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other if !other.starts_with("--") && target.is_none() => {
-                target = Some(other.to_string());
-            }
-            other => {
-                eprintln!("iss sweep: unexpected argument `{other}`");
-                return ExitCode::FAILURE;
-            }
+            "--shards" => shards = Some(operand(&mut it, a, SHARDS.accepts)?),
+            "--cache-dir" => cache_dir = Some(operand(&mut it, a, CACHE_DIR.accepts)?),
+            "--json" => json_path = Some(operand(&mut it, a, "an output path")?),
+            "--jsonl" => jsonl_path = Some(operand(&mut it, a, "an output path")?),
+            other if !other.starts_with("--") && target.is_none() => target = Some(other),
+            other => return Err(format!("unexpected argument `{other}`")),
         }
     }
     let Some(target) = target else {
-        return usage();
+        return Ok(usage());
     };
-    let sweep = match load(&target) {
-        Ok(sweep) => sweep,
-        Err(e) => {
-            eprintln!("iss sweep: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let points = match sweep.expand() {
-        Ok(points) => points,
-        Err(e) => {
-            eprintln!("iss sweep: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut options = match SHARDS.resolve(shards.as_deref()) {
-        Ok(shards) => ShardOptions::new(shards.min(points.len().max(1))),
-        Err(e) => {
-            eprintln!("iss sweep: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let sweep = load(target)?;
+    let points = sweep.expand()?;
+    let shards = SHARDS.resolve(shards.as_deref())?;
+    let mut options = ShardOptions::new(shards.min(points.len().max(1)));
     options.retries = SHARD_RETRIES.get();
     options.job_timeout_ms = JOB_TIMEOUT_MS.get();
-    let opened = CACHE_DIR.resolve(cache_dir.as_deref()).and_then(|dir| {
-        ResultStore::open(&dir, Some(CACHE_MAX_MB.get() << 20)).map(|store| (dir, store))
-    });
-    let (cache_dir, mut store) = match opened {
-        Ok(opened) => opened,
-        Err(e) => {
-            eprintln!("iss sweep: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("iss sweep: cannot locate my own executable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let cache_dir = CACHE_DIR.resolve(cache_dir.as_deref())?;
+    let mut store = ResultStore::open(&cache_dir, Some(CACHE_MAX_MB.get() << 20))?;
+    let exe =
+        std::env::current_exe().map_err(|e| format!("cannot locate my own executable: {e}"))?;
     println!(
         "sharded sweep `{}`: {} job(s) across {} shard(s), result store at {}",
         sweep.name,
@@ -573,37 +384,21 @@ fn sweep(args: &[String]) -> ExitCode {
     let mut launcher = |task: &iss_sim::ShardTask| {
         let list: Vec<String> = task.jobs.iter().map(usize::to_string).collect();
         let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("run")
-            .arg(&target)
-            .arg("--jobs")
-            .arg(list.join(","));
+        cmd.arg("run").arg(target).arg("--jobs").arg(list.join(","));
         cmd
     };
-    let outcome = match run_sharded_sweep(&sweep, &options, &mut store, &mut launcher) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("iss sweep: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!();
+    let outcome = run_sharded_sweep(&sweep, &options, &mut store, &mut launcher)?;
     print!(
-        "{}",
+        "\n{}",
         report::format_records_table(&sweep.name, &outcome.records)
     );
     if let Some(path) = jsonl_path {
-        if let Err(e) = std::fs::write(&path, render_records_jsonl(&outcome.records)) {
-            eprintln!("iss sweep: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("\nwrote {}", path.display());
+        println!();
+        emit(Some(&path), &render_records_jsonl(&outcome.records))?;
     }
     if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, render_records_json(&outcome.records)) {
-            eprintln!("iss sweep: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("\nwrote {}", path.display());
+        println!();
+        emit(Some(&path), &render_records_json(&outcome.records))?;
     }
     println!(
         "\nsweep complete: {} record(s), {} quarantined, {} from the result store, \
@@ -613,7 +408,7 @@ fn sweep(args: &[String]) -> ExitCode {
         outcome.cached,
         outcome.dispatches
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Spec files in a directory, sorted for deterministic output.
@@ -629,34 +424,31 @@ fn spec_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// The spec files `iss <cmd>` checks: each argument as given, or a
-/// directory's spec files in its place. `None`, after the error message,
-/// when a directory holds none.
-fn spec_targets(cmd: &str, args: &[String]) -> Option<Vec<PathBuf>> {
+/// The spec files `iss validate` and `iss lint` check: each argument as
+/// given, or a directory's spec files in its place. A directory that holds
+/// none is an error.
+fn spec_targets(args: &[String]) -> Result<Vec<PathBuf>, String> {
     let mut targets = Vec::new();
     for a in args {
         let path = Path::new(a);
         if path.is_dir() {
             let found = spec_files(path);
             if found.is_empty() {
-                eprintln!("iss {cmd}: no .toml files in {}", path.display());
-                return None;
+                return Err(format!("no .toml files in {}", path.display()));
             }
             targets.extend(found);
         } else {
             targets.push(path.to_path_buf());
         }
     }
-    Some(targets)
+    Ok(targets)
 }
 
-fn validate(args: &[String]) -> ExitCode {
+fn validate(args: &[String]) -> Result<ExitCode, String> {
     if args.is_empty() {
-        return usage();
+        return Ok(usage());
     }
-    let Some(targets) = spec_targets("validate", args) else {
-        return ExitCode::FAILURE;
-    };
+    let targets = spec_targets(args)?;
     let mut failures = 0;
     for path in &targets {
         let outcome = std::fs::read_to_string(path)
@@ -692,22 +484,19 @@ fn validate(args: &[String]) -> ExitCode {
             }
         }
     }
-    if failures == 0 {
-        println!("{} spec file(s) valid", targets.len());
-        ExitCode::SUCCESS
-    } else {
+    if failures > 0 {
         eprintln!("{failures} of {} spec file(s) invalid", targets.len());
-        ExitCode::FAILURE
+        return Ok(ExitCode::FAILURE);
     }
+    println!("{} spec file(s) valid", targets.len());
+    Ok(ExitCode::SUCCESS)
 }
 
-fn lint(args: &[String]) -> ExitCode {
+fn lint(args: &[String]) -> Result<ExitCode, String> {
     if args.is_empty() {
-        return usage();
+        return Ok(usage());
     }
-    let Some(targets) = spec_targets("lint", args) else {
-        return ExitCode::FAILURE;
-    };
+    let targets = spec_targets(args)?;
     // The cost estimate needs the perf baseline; without one the lint
     // still runs, it just reports instructions instead of seconds.
     let mips = std::fs::read_to_string("ci/BENCH_baseline.json")
@@ -748,27 +537,27 @@ fn lint(args: &[String]) -> ExitCode {
             }
         }
     }
-    if errors == 0 {
-        println!("{} spec file(s) lint clean", targets.len());
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "{errors} lint error(s) across {} spec file(s)",
-            targets.len()
-        );
-        ExitCode::FAILURE
+    if errors > 0 {
+        let files = targets.len();
+        eprintln!("{errors} lint error(s) across {files} spec file(s)");
+        return Ok(ExitCode::FAILURE);
     }
+    println!("{} spec file(s) lint clean", targets.len());
+    Ok(ExitCode::SUCCESS)
 }
 
-fn list(args: &[String]) -> ExitCode {
+fn list(args: &[String]) -> Result<ExitCode, String> {
+    let dir = match args {
+        [] => DEFAULT_SCENARIO_DIR,
+        [dir] if !dir.starts_with("--") => dir.as_str(),
+        [extra] | [_, extra, ..] => return Err(format!("unexpected argument `{extra}`")),
+    };
     println!("built-in sweeps (run with `iss run <name>`):");
     for (name, description, _) in BUILTINS {
         println!("  {name:<14} {description}");
     }
-    let dir = args
-        .first()
-        .map_or_else(|| PathBuf::from(DEFAULT_SCENARIO_DIR), PathBuf::from);
-    let files = spec_files(&dir);
+    let dir = Path::new(dir);
+    let files = spec_files(dir);
     if files.is_empty() {
         println!("\nno scenario files found under {}", dir.display());
     } else {
@@ -777,5 +566,5 @@ fn list(args: &[String]) -> ExitCode {
             println!("  {}", f.display());
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -24,6 +24,10 @@ fn read(path: &str) -> Result<PerfFile, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(extra) = args.get(2) {
+        eprintln!("perf gate: unexpected argument `{extra}`");
+        return ExitCode::FAILURE;
+    }
     let baseline_path = args.first().map_or(DEFAULT_BASELINE, String::as_str);
     let fresh_path = args.get(1).map_or(DEFAULT_FRESH, String::as_str);
     let (baseline, fresh) = match (read(baseline_path), read(fresh_path)) {

@@ -2,9 +2,9 @@
 //!
 //! This is the wire format of the sharded sweep machinery: child shard
 //! processes stream one record object per line over stdout, the result
-//! store keeps the same encoding, and `iss export --jsonl` emits it for
-//! downstream tooling. Unlike the old
-//! fixed-precision report rendering, the codec round-trips every
+//! store keeps the same encoding, and `iss export --jsonl` and
+//! `iss sweep --jsonl` emit it for downstream tooling. Unlike the
+//! fixed-precision report tables, the codec round-trips every
 //! deterministic field exactly — `u64` counts stay integers and floats use
 //! Rust's shortest-round-trip `Display` — so a parsed record compares equal
 //! (canonically) to the in-process original.
@@ -238,7 +238,7 @@ pub fn parse_record_line(line: &str) -> Result<Record, String> {
 
 /// Renders records as line-delimited JSON: one object per line, blank-line
 /// free, trailing newline. The columnar format of `iss export --jsonl` and
-/// the sweep checkpoint body.
+/// `iss sweep --jsonl`.
 #[must_use]
 pub fn render_records_jsonl(records: &[Record]) -> String {
     let mut out = String::new();

@@ -73,7 +73,7 @@ use iss_sim::experiments::{builtin, BUILTINS};
 use iss_sim::report;
 use iss_sim::scenario::{render_records_json, render_records_jsonl};
 use iss_sim::shard::{run_shard_jobs, run_sharded_sweep, ShardOptions};
-use iss_sim::{CoreModel, ResultStore, SweepSpec, WorkloadSpec};
+use iss_sim::{CoreModel, ResultStore, ScenarioSpec, SweepSpec, WorkloadSpec};
 
 const DEFAULT_SCENARIO_DIR: &str = "examples/scenarios";
 
@@ -150,7 +150,8 @@ fn export(args: &[String]) -> Result<ExitCode, String> {
     };
     // `--jsonl` switches export from "emit the spec as TOML" to "run the
     // sweep and emit its records as line-delimited JSON" — one `Record`
-    // object per line, quarantine rows included.
+    // object per line, quarantine rows included — on the worker count
+    // `run` picks, so the records' `host_seconds` compare with `run`'s.
     let jsonl = args.iter().any(|a| a == "--jsonl");
     let mut path = None;
     for a in rest.iter().filter(|a| *a != "--jsonl") {
@@ -160,7 +161,9 @@ fn export(args: &[String]) -> Result<ExitCode, String> {
         path = Some(a.as_str());
     }
     let text = if jsonl {
-        render_records_jsonl(&load(name)?.run_with_threads(THREADS.get())?)
+        let sweep = load(name)?;
+        let points = sweep.expand()?;
+        render_records_jsonl(&sweep.run_points(&points, workers(&points, None)?)?)
     } else {
         builtin(name, EXPERIMENT_SCALE.get())
             .ok_or_else(|| format!("`{name}` is not a built-in sweep (see `iss list`)"))?
@@ -184,6 +187,23 @@ fn load(target: &str) -> Result<SweepSpec, String> {
             "`{target}` is neither a readable spec file nor a built-in sweep \
              (see `iss list`)"
         )),
+    }
+}
+
+/// Whether a point's record compares host wall-clocks (a hybrid or sampled
+/// point, whose speedup column is the point of the sweep).
+fn is_frontier(point: &ScenarioSpec) -> bool {
+    matches!(point.model, CoreModel::Hybrid(_) | CoreModel::Sampled(_))
+}
+
+/// Worker count for running `points`: the `--threads` operand when given,
+/// else one worker when any point is a frontier point (concurrent jobs
+/// time-slicing against each other would contaminate exactly the speedup
+/// columns such sweeps exist to report), else `ISS_THREADS`.
+fn workers(points: &[ScenarioSpec], flag: Option<&str>) -> Result<usize, String> {
+    match flag {
+        None if points.iter().any(is_frontier) => Ok(1),
+        flag => THREADS.resolve(flag),
     }
 }
 
@@ -231,26 +251,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     let points = sweep.expand()?;
-    // A sweep whose rows compare host wall-clocks (any sweep with hybrid or
-    // sampled variants) runs on one worker by default: concurrent jobs
-    // time-slicing against each other would contaminate exactly the
-    // speedup columns such sweeps exist to report. `--threads` overrides.
-    let frontier: Vec<&str> = points
-        .iter()
-        .filter(|p| matches!(p.model, CoreModel::Hybrid(_) | CoreModel::Sampled(_)))
-        .map(|p| p.variant.as_str())
-        .collect();
-    let threads = match threads {
-        None if !frontier.is_empty() => 1,
-        flag => THREADS.resolve(flag.as_deref())?,
-    };
+    let threads = workers(&points, threads.as_deref())?;
     println!(
         "running `{}`: {} scenario(s) on {} worker(s)\n",
         sweep.name,
         points.len(),
         threads
     );
-    let records = sweep.run_with_threads(threads)?;
+    let records = sweep.run_points(&points, threads)?;
     print!("{}", report::format_records_table(&sweep.name, &records));
     // The reference variant: `--reference`, else `detailed` when the sweep
     // has one. Design-point sweeps label it per template (`2 cores +
@@ -282,6 +290,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         let table = report::format_normalized_table(&title, &records, &reference);
         print!("\n{table}");
     }
+    let frontier: Vec<&str> = points
+        .iter()
+        .filter(|p| is_frontier(p))
+        .map(|p| p.variant.as_str())
+        .collect();
     if has_reference && !frontier.is_empty() {
         let best = report::format_best_point(&records, &reference, &frontier);
         print!("\n{best}");
@@ -387,7 +400,7 @@ fn sweep(args: &[String]) -> Result<ExitCode, String> {
         cmd.arg("run").arg(target).arg("--jobs").arg(list.join(","));
         cmd
     };
-    let outcome = run_sharded_sweep(&sweep, &options, &mut store, &mut launcher)?;
+    let outcome = run_sharded_sweep(&sweep, &points, &options, &mut store, &mut launcher)?;
     print!(
         "\n{}",
         report::format_records_table(&sweep.name, &outcome.records)

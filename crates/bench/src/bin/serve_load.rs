@@ -10,8 +10,9 @@
 //! ```
 //!
 //! Requests round-robin over the spec files (`--requests` total,
-//! `--concurrency` client threads, each request on a fresh connection
-//! like a real client). The harness also verifies the cache contract as
+//! `--concurrency` client threads). Like a real client, each thread keeps
+//! one connection open for all its requests and reconnects only after an
+//! error. The harness also verifies the cache contract as
 //! it goes: every response for a given spec must be **byte-identical** to
 //! the first response observed for that spec — a cached record that
 //! drifts from the simulation that populated it is a correctness failure,
@@ -133,40 +134,52 @@ fn replay(options: &Options) -> Result<Tally, String> {
     let threads = options.concurrency.min(options.requests).max(1);
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= options.requests {
-                    break;
-                }
-                let spec_index = i % options.specs.len();
-                let (path, text) = &options.specs[spec_index];
-                let timer = HostTimer::start();
-                let outcome = Client::connect(&options.addr).and_then(|mut c| c.run(text));
-                let latency_ms = timer.elapsed_seconds() * 1e3;
-                let mut t = tally
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                match outcome {
-                    Ok(outcome) => {
-                        t.jobs += outcome.jobs as u64;
-                        t.hits += outcome.hits as u64;
-                        t.misses += outcome.misses as u64;
-                        t.coalesced += outcome.coalesced as u64;
-                        t.latencies_ms.push(latency_ms);
-                        match &t.baselines[spec_index] {
-                            Some(baseline) => {
-                                if baseline != &outcome.record_lines {
-                                    t.identity_violations += 1;
-                                    t.errors.push(format!(
-                                        "{path}: response drifted from the first \
-                                         response for this spec"
-                                    ));
-                                }
-                            }
-                            None => t.baselines[spec_index] = Some(outcome.record_lines),
-                        }
+            scope.spawn(|| {
+                let mut client: Option<Client> = None;
+                loop {
+                    let i = next.fetch_add(1, Ordering::SeqCst);
+                    if i >= options.requests {
+                        break;
                     }
-                    Err(e) => t.errors.push(format!("{path}: {e}")),
+                    let spec_index = i % options.specs.len();
+                    let (path, text) = &options.specs[spec_index];
+                    let timer = HostTimer::start();
+                    let outcome = match client.take() {
+                        Some(c) => Ok(c),
+                        None => Client::connect(&options.addr),
+                    }
+                    .and_then(|mut c| {
+                        let outcome = c.run(text)?;
+                        // Only a connection that just answered is kept.
+                        client = Some(c);
+                        Ok(outcome)
+                    });
+                    let latency_ms = timer.elapsed_seconds() * 1e3;
+                    let mut t = tally
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    match outcome {
+                        Ok(outcome) => {
+                            t.jobs += outcome.jobs as u64;
+                            t.hits += outcome.hits as u64;
+                            t.misses += outcome.misses as u64;
+                            t.coalesced += outcome.coalesced as u64;
+                            t.latencies_ms.push(latency_ms);
+                            match &t.baselines[spec_index] {
+                                Some(baseline) => {
+                                    if baseline != &outcome.record_lines {
+                                        t.identity_violations += 1;
+                                        t.errors.push(format!(
+                                            "{path}: response drifted from the first \
+                                             response for this spec"
+                                        ));
+                                    }
+                                }
+                                None => t.baselines[spec_index] = Some(outcome.record_lines),
+                            }
+                        }
+                        Err(e) => t.errors.push(format!("{path}: {e}")),
+                    }
                 }
             });
         }

@@ -450,7 +450,21 @@ impl SweepSpec {
     ///
     /// Propagates expansion/validation errors.
     pub fn run_with_threads(&self, threads: usize) -> Result<Vec<Record>, String> {
-        let points = self.expand()?;
+        self.run_points(&self.expand()?, threads)
+    }
+
+    /// [`SweepSpec::run_with_threads`] over points the caller has already
+    /// expanded with [`SweepSpec::expand`], so a caller that needs the
+    /// points for its own views expands the sweep once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates validation errors.
+    pub fn run_points(
+        &self,
+        points: &[ScenarioSpec],
+        threads: usize,
+    ) -> Result<Vec<Record>, String> {
         let jobs = points
             .iter()
             .map(ScenarioSpec::to_job)

@@ -37,6 +37,17 @@
 //! slot and reuse its record, so a thundering herd of one hot scenario
 //! costs one simulation. Quarantined (failed) records are returned but
 //! never cached — a crash must not be memoized as an answer.
+//!
+//! ## Latency
+//!
+//! A store hit costs well under a millisecond, so nothing on a kept-open
+//! connection may wait on TCP's small-packet rules. Both ends set
+//! `TCP_NODELAY`, and every line goes out in one write, text and newline
+//! together; otherwise Nagle's algorithm holds the tail of a line until
+//! the peer's delayed ACK arrives (88 ms per request on a Linux loopback).
+//! A request that needs one request thread — every one-point request, and
+//! every request to a one-worker server — is answered on the connection
+//! thread; only a multi-point request fans out to scoped request threads.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -338,6 +349,9 @@ pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
 /// Reads request lines off one connection until EOF, shutdown, or a line
 /// longer than [`MAX_REQUEST_BYTES`].
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, self_addr: &str) {
+    // Otherwise Nagle's algorithm holds responses for the client's delayed
+    // ACK (see the module doc's Latency section).
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -390,19 +404,17 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, self_addr: &str) {
 fn send_error(writer: &Mutex<TcpStream>, message: &str) {
     send_line(
         writer,
-        &format!(
+        format!(
             "{{\"event\": \"error\", \"message\": \"{}\"}}",
             jsonval::escape(message)
         ),
     );
 }
 
-/// Writes one response line, ignoring a disconnected client.
-fn send_line(writer: &Mutex<TcpStream>, line: &str) {
-    let mut w = lock(writer);
-    let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
-    let _ = w.flush();
+/// Writes one response line in one write, ignoring a disconnected client.
+fn send_line(writer: &Mutex<TcpStream>, mut line: String) {
+    line.push('\n');
+    let _ = lock(writer).write_all(line.as_bytes());
 }
 
 /// Dispatches one request line. Returns `Ok(false)` when the connection
@@ -427,20 +439,20 @@ fn handle_request(
             Ok(true)
         }
         "stats" => {
-            send_line(writer, &render_stats_line(&snapshot_stats(shared)));
+            send_line(writer, render_stats_line(&snapshot_stats(shared)));
             Ok(true)
         }
         "evict" => {
             let dropped = lock(&shared.store).clear()?;
             send_line(
                 writer,
-                &format!("{{\"event\": \"evicted\", \"entries\": {dropped}}}"),
+                format!("{{\"event\": \"evicted\", \"entries\": {dropped}}}"),
             );
             Ok(true)
         }
         "shutdown" => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            send_line(writer, "{\"event\": \"shutdown\"}");
+            send_line(writer, "{\"event\": \"shutdown\"}".to_string());
             Ok(false)
         }
         other => Err(format!(
@@ -479,29 +491,37 @@ fn handle_run(
     let results: Vec<Mutex<Option<PointOutcome>>> = (0..total).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let request_threads = shared.workers.min(total).max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..request_threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= total {
-                    break;
-                }
-                let outcome = answer_point(shared, &points[i], &jobs[i], &keys[i], &sweep.name);
-                if let Ok((_, source)) = &outcome {
-                    send_line(
-                        writer,
-                        &format!(
-                            "{{\"event\": \"job\", \"index\": {i}, \"total\": {total}, \
-                             \"name\": \"{}\", \"digest\": \"{}\", \"source\": \"{source}\"}}",
-                            jsonval::escape(&points[i].name),
-                            keys[i].digest()
-                        ),
-                    );
-                }
-                *lock(&results[i]) = Some(outcome);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::SeqCst);
+        if i >= total {
+            break;
         }
-    });
+        let outcome = answer_point(shared, &points[i], &jobs[i], &keys[i], &sweep.name);
+        if let Ok((_, source)) = &outcome {
+            send_line(
+                writer,
+                format!(
+                    "{{\"event\": \"job\", \"index\": {i}, \"total\": {total}, \
+                     \"name\": \"{}\", \"digest\": \"{}\", \"source\": \"{source}\"}}",
+                    jsonval::escape(&points[i].name),
+                    keys[i].digest()
+                ),
+            );
+        }
+        *lock(&results[i]) = Some(outcome);
+    };
+    // A one-point request (or a one-worker server) is answered on the
+    // connection thread: a thread per request would cost more than a store
+    // hit does.
+    if request_threads == 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..request_threads {
+                scope.spawn(work);
+            }
+        });
+    }
 
     let mut records = Vec::with_capacity(total);
     let (mut hits, mut misses, mut coalesced, mut failures) = (0u64, 0u64, 0u64, 0u64);
@@ -541,7 +561,7 @@ fn handle_run(
         done.push_str(&render_record_line(record));
     }
     done.push_str("]}");
-    send_line(writer, &done);
+    send_line(writer, done);
     Ok(())
 }
 
@@ -723,17 +743,20 @@ impl Client {
     pub fn connect(addr: &str) -> Result<Client, String> {
         let stream =
             TcpStream::connect(addr).map_err(|e| format!("cannot connect to `{addr}`: {e}"))?;
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("cannot set TCP_NODELAY on `{addr}`: {e}"))?;
         Ok(Client {
             reader: BufReader::new(stream),
         })
     }
 
-    fn send(&mut self, line: &str) -> Result<(), String> {
-        let stream = self.reader.get_mut();
-        stream
+    /// Sends one request line in one write.
+    fn send(&mut self, mut line: String) -> Result<(), String> {
+        line.push('\n');
+        self.reader
+            .get_mut()
             .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .and_then(|()| stream.flush())
             .map_err(|e| format!("cannot send request: {e}"))
     }
 
@@ -763,7 +786,7 @@ impl Client {
     ///
     /// Returns transport errors and server-side `error` events.
     pub fn run(&mut self, spec_toml: &str) -> Result<RunOutcome, String> {
-        self.send(&format!(
+        self.send(format!(
             "{{\"cmd\": \"run\", \"spec_toml\": \"{}\"}}",
             jsonval::escape(spec_toml)
         ))?;
@@ -834,7 +857,7 @@ impl Client {
     ///
     /// Returns transport and protocol errors.
     pub fn stats(&mut self) -> Result<ServeStats, String> {
-        self.send("{\"cmd\": \"stats\"}")?;
+        self.send("{\"cmd\": \"stats\"}".to_string())?;
         stats_from_json(&self.read_event()?)
     }
 
@@ -844,7 +867,7 @@ impl Client {
     ///
     /// Returns transport and protocol errors.
     pub fn evict(&mut self) -> Result<usize, String> {
-        self.send("{\"cmd\": \"evict\"}")?;
+        self.send("{\"cmd\": \"evict\"}".to_string())?;
         self.read_event()?
             .get("entries")
             .and_then(Json::as_usize)
@@ -857,7 +880,7 @@ impl Client {
     ///
     /// Returns transport and protocol errors.
     pub fn shutdown(&mut self) -> Result<(), String> {
-        self.send("{\"cmd\": \"shutdown\"}")?;
+        self.send("{\"cmd\": \"shutdown\"}".to_string())?;
         match self.read_event()?.get("event").and_then(Json::as_str) {
             Some("shutdown") => Ok(()),
             other => Err(format!("unexpected shutdown response {other:?}")),

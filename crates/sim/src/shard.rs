@@ -40,7 +40,7 @@ use crate::batch::{try_run_batch_with_threads, FailureKind, JobFailure};
 use crate::env::{FaultKind, FAULT_INJECT, JOB_TIMEOUT_MS, SHARD_RETRIES};
 use crate::host_time::HostTimer;
 use crate::scenario::jsonl::{parse_record_line, render_record_line};
-use crate::scenario::{Record, SweepSpec};
+use crate::scenario::{Record, ScenarioSpec, SweepSpec};
 use crate::store::ResultStore;
 
 /// Exit status of a child taken down by an injected `exit` fault.
@@ -267,6 +267,8 @@ fn backoff_seconds(options: &ShardOptions, attempts: u32) -> f64 {
 /// poison job. The store key is (version, point digest, seed, scale), so a
 /// changed spec or binary simply misses.
 ///
+/// `points` is the sweep's expansion ([`SweepSpec::expand`]), which a
+/// caller already holds for its own job count; job indices refer to it.
 /// The returned records are in expansion order, independent of the shard
 /// count, the failure schedule and the retry history; a job whose child
 /// keeps dying is quarantined as a structured failure row rather than
@@ -274,11 +276,12 @@ fn backoff_seconds(options: &ShardOptions, attempts: u32) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns expansion/validation errors, store write errors, and internal
+/// Returns store-key errors, store write errors, and internal
 /// supervisor defects. Child failures are *not* errors — they surface as
 /// quarantined records.
 pub fn run_sharded_sweep(
     sweep: &SweepSpec,
+    points: &[ScenarioSpec],
     options: &ShardOptions,
     store: &mut ResultStore,
     launcher: &mut dyn FnMut(&ShardTask) -> Command,
@@ -286,7 +289,6 @@ pub fn run_sharded_sweep(
     if options.shards == 0 {
         return Err("shard count must be positive".to_string());
     }
-    let points = sweep.expand()?;
     let keys = points
         .iter()
         .map(|p| store.key_for(p))
@@ -645,6 +647,16 @@ mod tests {
         opts
     }
 
+    /// [`run_sharded_sweep`] over the sweep's own expansion.
+    fn run_sharded(
+        sweep: &SweepSpec,
+        opts: &ShardOptions,
+        store: &mut ResultStore,
+        launcher: &mut dyn FnMut(&ShardTask) -> Command,
+    ) -> ShardedOutcome {
+        run_sharded_sweep(sweep, &sweep.expand().unwrap(), opts, store, launcher).unwrap()
+    }
+
     #[test]
     fn shard_partition_and_digest_are_deterministic() {
         assert_eq!(
@@ -704,8 +716,7 @@ mod tests {
                 sh(format!("cat '{}'", path.display()))
             };
             let mut store = fresh_store(&dir, &format!("s{shards}"));
-            let outcome =
-                run_sharded_sweep(&sweep, &fast_opts(shards), &mut store, &mut launcher).unwrap();
+            let outcome = run_sharded(&sweep, &fast_opts(shards), &mut store, &mut launcher);
             assert_eq!(outcome.quarantined, 0, "shards={shards}");
             assert_eq!(outcome.cached, 0);
             // Full equality, host_seconds included: the lines round-trip.
@@ -737,7 +748,7 @@ mod tests {
             }
         };
         let mut store = fresh_store(&dir, "crash");
-        let outcome = run_sharded_sweep(&sweep, &fast_opts(2), &mut store, &mut launcher).unwrap();
+        let outcome = run_sharded(&sweep, &fast_opts(2), &mut store, &mut launcher);
         assert_eq!(outcome.quarantined, 1);
         // Initial [0,2] and [1,3], then the bisection of [1,3] into [1]+[3].
         assert_eq!(outcome.dispatches, 4);
@@ -787,7 +798,7 @@ mod tests {
         let mut opts = fast_opts(2);
         opts.job_timeout_ms = 250;
         let mut store = fresh_store(&dir, "stall");
-        let outcome = run_sharded_sweep(&sweep, &opts, &mut store, &mut launcher).unwrap();
+        let outcome = run_sharded(&sweep, &opts, &mut store, &mut launcher);
         assert_eq!(outcome.quarantined, 1);
         let failure = outcome.records[POISON].failure.as_ref().unwrap();
         assert_eq!(failure.kind, FailureKind::Timeout);
@@ -832,8 +843,7 @@ mod tests {
                 sh(format!("cat '{}'", path.display()))
             };
             let mut store = fresh_store(&dir, tag);
-            let outcome =
-                run_sharded_sweep(&sweep, &fast_opts(2), &mut store, &mut launcher).unwrap();
+            let outcome = run_sharded(&sweep, &fast_opts(2), &mut store, &mut launcher);
             assert_eq!(outcome.quarantined, 1, "{tag}");
             let failure = outcome.records[POISON].failure.as_ref().unwrap();
             assert_eq!(failure.kind, FailureKind::MalformedOutput, "{tag}");
@@ -864,8 +874,7 @@ mod tests {
                 sh(format!("cat '{}'", path.display()))
             };
             let mut store = ResultStore::open(&store_dir, None).unwrap();
-            let outcome =
-                run_sharded_sweep(sweep, &fast_opts(2), &mut store, &mut launcher).unwrap();
+            let outcome = run_sharded(sweep, &fast_opts(2), &mut store, &mut launcher);
             requested.sort_unstable();
             (outcome, requested)
         };

@@ -134,8 +134,11 @@ fn hybrid_batch_rows_are_worker_count_invariant() {
 }
 
 /// The acceptance frontier: at quick scale, the hybrid sweep contains a
-/// policy point that is at least 2x faster (host wall-clock) than pure
-/// detailed simulation while staying within 5% CPI error.
+/// policy point within 5% CPI error of pure detailed simulation that runs
+/// at least 2x faster on the host. The error bar reads the records. The
+/// speed bar re-times each such point and its detailed reference three
+/// times back to back and compares the fastest runs, so one run slowed by
+/// sibling tests on a loaded host cannot decide it.
 #[test]
 fn frontier_contains_a_2x_faster_point_within_5_percent_error() {
     let scale = ExperimentScale::quick();
@@ -143,21 +146,47 @@ fn frontier_contains_a_2x_faster_point_within_5_percent_error() {
     let mut sweep = builtin("hybrid", scale).unwrap();
     sweep.benchmarks.truncate(4);
     assert_eq!(sweep.benchmarks, ["gcc", "gzip", "mcf", "twolf"]);
-    let records = sweep.run_with_threads(1).unwrap();
+    let points = sweep.expand().unwrap();
+    let records = sweep.run_points(&points, 1).unwrap();
     // One detailed reference plus one hybrid record per policy, per
     // benchmark.
     assert_eq!(records.len(), 4 * (1 + policies.len()));
-    let winner = iss_sim::report::groups(&records).into_iter().any(|group| {
-        let detailed = group.variant("detailed").expect("reference per group");
-        group.records.iter().any(|r| {
-            r.variant != "detailed"
-                && r.speedup_vs(detailed) >= 2.0
-                && r.cpi_error_vs(detailed) <= 0.05
+    let reference = |i: usize| {
+        records
+            .iter()
+            .position(|r| r.group == records[i].group && r.variant == "detailed")
+            .expect("reference per group")
+    };
+    // Points within 5% CPI error, the fastest recorded first.
+    let mut within: Vec<usize> = (0..records.len())
+        .filter(|&i| {
+            records[i].variant != "detailed"
+                && records[i].cpi_error_vs(&records[reference(i)]) <= 0.05
         })
+        .collect();
+    within.sort_by(|&a, &b| {
+        let speedup = |i: usize| records[i].speedup_vs(&records[reference(i)]);
+        speedup(b).total_cmp(&speedup(a))
     });
+    // Fastest of three runs each of a point and its reference, taken in
+    // turns so that both see the same load.
+    let retimed_speedup = |i: usize| {
+        let jobs = [
+            points[reference(i)].to_job().unwrap(),
+            points[i].to_job().unwrap(),
+        ];
+        let (mut detailed, mut hybrid) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..3 {
+            let summaries = run_batch_with_threads(&jobs, 1);
+            detailed = detailed.min(summaries[0].host_seconds);
+            hybrid = hybrid.min(summaries[1].host_seconds);
+        }
+        detailed / hybrid
+    };
+    let winner = within.iter().any(|&i| retimed_speedup(i) >= 2.0);
     assert!(
         winner,
-        "no (benchmark, policy) point met the 2x / 5% bar; frontier:\n{}",
+        "no (benchmark, policy) point met the 2x / 5% bar on re-timing; frontier:\n{}",
         iss_sim::report::format_comparison_table("hybrid", &records, "detailed")
     );
 }

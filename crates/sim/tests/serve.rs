@@ -9,6 +9,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use iss_sim::host_time::HostTimer;
 use iss_sim::{Client, Record, ServeOptions, Server};
 
 /// A 4-point sweep (2 benchmarks × 2 models), small enough to simulate
@@ -119,6 +120,28 @@ fn a_warm_replay_is_all_hits_and_byte_identical() {
         Ok(()),
         "shutdown must be clean"
     );
+}
+
+/// A kept-open connection answers store hits in well under a millisecond.
+/// A line that leaves in two writes without `TCP_NODELAY` waits for the
+/// peer's delayed ACK instead: 88 ms per request on a Linux loopback.
+#[test]
+fn store_hits_on_a_kept_open_connection_do_not_wait_for_delayed_acks() {
+    let (addr, handle) = start("latency", 2);
+    let mut client = Client::connect(&addr).expect("connect");
+    assert_eq!(client.run(POINT_SPEC).expect("cold run").misses, 1);
+    let requests = 50;
+    let timer = HostTimer::start();
+    for _ in 0..requests {
+        assert_eq!(client.run(POINT_SPEC).expect("warm run").hits, 1);
+    }
+    let mean_ms = timer.elapsed_seconds() * 1e3 / f64::from(requests);
+    assert!(
+        mean_ms < 20.0,
+        "a store hit on a kept-open connection took {mean_ms:.2} ms on average"
+    );
+    client.shutdown().expect("shutdown");
+    assert_eq!(handle.join().expect("join"), Ok(()));
 }
 
 #[test]

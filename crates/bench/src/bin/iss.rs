@@ -400,7 +400,7 @@ fn sweep(args: &[String]) -> Result<ExitCode, String> {
         cmd.arg("run").arg(target).arg("--jobs").arg(list.join(","));
         cmd
     };
-    let outcome = run_sharded_sweep(&sweep, &points, &options, &mut store, &mut launcher)?;
+    let outcome = run_sharded_sweep(&sweep.name, &points, &options, &mut store, &mut launcher)?;
     print!(
         "\n{}",
         report::format_records_table(&sweep.name, &outcome.records)

@@ -45,9 +45,10 @@
 //! `TCP_NODELAY`, and every line goes out in one write, text and newline
 //! together; otherwise Nagle's algorithm holds the tail of a line until
 //! the peer's delayed ACK arrives (88 ms per request on a Linux loopback).
-//! A request that needs one request thread — every one-point request, and
-//! every request to a one-worker server — is answered on the connection
-//! thread; only a multi-point request fans out to scoped request threads.
+//! The connection thread is itself one of a request's request threads, so
+//! a request that needs one — every one-point request, and every request
+//! to a one-worker server — spawns no thread; a multi-point request adds
+//! scoped helpers.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -510,18 +511,15 @@ fn handle_run(
         }
         *lock(&results[i]) = Some(outcome);
     };
-    // A one-point request (or a one-worker server) is answered on the
-    // connection thread: a thread per request would cost more than a store
-    // hit does.
-    if request_threads == 1 {
+    // The connection thread is one of the request threads, so a one-point
+    // request (or a one-worker server) spawns nothing: a thread per request
+    // would cost more than a store hit does.
+    std::thread::scope(|scope| {
+        for _ in 1..request_threads {
+            scope.spawn(work);
+        }
         work();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..request_threads {
-                scope.spawn(work);
-            }
-        });
-    }
+    });
 
     let mut records = Vec::with_capacity(total);
     let (mut hits, mut misses, mut coalesced, mut failures) = (0u64, 0u64, 0u64, 0u64);

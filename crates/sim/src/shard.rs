@@ -267,8 +267,10 @@ fn backoff_seconds(options: &ShardOptions, attempts: u32) -> f64 {
 /// poison job. The store key is (version, point digest, seed, scale), so a
 /// changed spec or binary simply misses.
 ///
-/// `points` is the sweep's expansion ([`SweepSpec::expand`]), which a
-/// caller already holds for its own job count; job indices refer to it.
+/// The sweep is given by its name and its expansion
+/// ([`SweepSpec::expand`]), which a caller already holds for its own job
+/// count; job indices refer to that expansion, which every child re-derives
+/// from the same spec.
 /// The returned records are in expansion order, independent of the shard
 /// count, the failure schedule and the retry history; a job whose child
 /// keeps dying is quarantined as a structured failure row rather than
@@ -280,7 +282,7 @@ fn backoff_seconds(options: &ShardOptions, attempts: u32) -> f64 {
 /// supervisor defects. Child failures are *not* errors — they surface as
 /// quarantined records.
 pub fn run_sharded_sweep(
-    sweep: &SweepSpec,
+    sweep_name: &str,
     points: &[ScenarioSpec],
     options: &ShardOptions,
     store: &mut ResultStore,
@@ -298,7 +300,7 @@ pub fn run_sharded_sweep(
     let mut done: BTreeMap<usize, Record> = BTreeMap::new();
     for (i, (point, key)) in points.iter().zip(&keys).enumerate() {
         if let Some(record) = store.get(key) {
-            done.insert(i, point.relabel(&sweep.name, record));
+            done.insert(i, point.relabel(sweep_name, record));
         }
     }
     let cached = done.len();
@@ -367,7 +369,7 @@ pub fn run_sharded_sweep(
             attempts,
         };
         let record = Record::from_failure(
-            &sweep.name,
+            sweep_name,
             &point.group,
             &point.variant,
             point.benchmark.as_deref(),
@@ -654,7 +656,7 @@ mod tests {
         store: &mut ResultStore,
         launcher: &mut dyn FnMut(&ShardTask) -> Command,
     ) -> ShardedOutcome {
-        run_sharded_sweep(sweep, &sweep.expand().unwrap(), opts, store, launcher).unwrap()
+        run_sharded_sweep(&sweep.name, &sweep.expand().unwrap(), opts, store, launcher).unwrap()
     }
 
     #[test]

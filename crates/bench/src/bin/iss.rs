@@ -77,6 +77,39 @@ use iss_sim::{CoreModel, ResultStore, ScenarioSpec, SweepSpec, WorkloadSpec};
 
 const DEFAULT_SCENARIO_DIR: &str = "examples/scenarios";
 
+/// The error of a write to a stdout whose reader has gone, as in `iss run
+/// fig5 | head -1`. `main` ends the command quietly on it.
+const STDOUT_CLOSED: &str = "stdout closed";
+
+/// The one stdout writer. Unlike `print!`, it returns a failed write as an
+/// error instead of panicking.
+fn write_stdout(args: std::fmt::Arguments) -> Result<(), String> {
+    std::io::Write::write_fmt(&mut std::io::stdout().lock(), args).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.to_string()
+        } else {
+            format!("cannot write to stdout: {e}")
+        }
+    })
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  iss run <spec.toml | builtin> [--threads N] [--reference VARIANT] \
@@ -113,11 +146,16 @@ fn main() -> ExitCode {
         _ => return usage(),
     };
     // The one error exit: a subcommand returns its error, and it is
-    // reported here under the subcommand's name.
-    result.unwrap_or_else(|e| {
-        eprintln!("iss {cmd}: {e}");
-        ExitCode::FAILURE
-    })
+    // reported here under the subcommand's name. A closed stdout only
+    // means nobody reads the rest.
+    match result {
+        Ok(code) => code,
+        Err(e) if e == STDOUT_CLOSED => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("iss {cmd}: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// The operand that follows `flag`, or the error naming what it needs.
@@ -137,9 +175,9 @@ fn emit(path: Option<&str>, text: &str) -> Result<(), String> {
     match path {
         Some(path) => {
             std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("wrote {path}");
+            outln!("wrote {path}")?;
         }
-        None => print!("{text}"),
+        None => out!("{text}")?,
     }
     Ok(())
 }
@@ -252,14 +290,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
     let points = sweep.expand()?;
     let threads = workers(&points, threads.as_deref())?;
-    println!(
+    outln!(
         "running `{}`: {} scenario(s) on {} worker(s)\n",
         sweep.name,
         points.len(),
         threads
-    );
+    )?;
     let records = sweep.run_points(&points, threads)?;
-    print!("{}", report::format_records_table(&sweep.name, &records));
+    out!("{}", report::format_records_table(&sweep.name, &records))?;
     // The reference variant: `--reference`, else `detailed` when the sweep
     // has one. Design-point sweeps label it per template (`2 cores +
     // L2/detailed`); the normalized view matches it by suffix.
@@ -268,7 +306,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let has_reference = explicit || records.iter().any(|r| r.variant == reference);
     if has_reference {
         let table = report::format_comparison_table(&sweep.name, &records, &reference);
-        print!("\n{table}");
+        out!("\n{table}")?;
     }
     // The figure views follow from the sweep's own shape.
     let copies: BTreeSet<usize> = points
@@ -280,7 +318,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         .collect();
     if copies.len() > 1 {
         let title = format!("{} — STP and ANTT vs copies", sweep.name);
-        print!("\n{}", report::format_stp_antt_table(&title, &records));
+        out!("\n{}", report::format_stp_antt_table(&title, &records))?;
     }
     let multithreaded = points
         .iter()
@@ -288,7 +326,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     if multithreaded && records.iter().any(|r| r.variant.ends_with(&reference)) {
         let title = format!("{} — normalized execution time", sweep.name);
         let table = report::format_normalized_table(&title, &records, &reference);
-        print!("\n{table}");
+        out!("\n{table}")?;
     }
     let frontier: Vec<&str> = points
         .iter()
@@ -297,10 +335,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         .collect();
     if has_reference && !frontier.is_empty() {
         let best = report::format_best_point(&records, &reference, &frontier);
-        print!("\n{best}");
+        out!("\n{best}")?;
     }
     if let Some(path) = json_path {
-        println!();
+        outln!()?;
         emit(Some(&path), &render_records_json(&records))?;
     }
     Ok(ExitCode::SUCCESS)
@@ -341,14 +379,14 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         .map_or("unbounded".to_string(), |b| {
             format!("{} MiB", b / (1024 * 1024))
         });
-    println!("iss serve: listening on {bound}");
-    println!(
+    outln!("iss serve: listening on {bound}")?;
+    outln!(
         "iss serve: {} worker(s), cache at {} ({bound_mb})",
         options.workers,
         options.cache_dir.display()
-    );
+    )?;
     server.serve()?;
-    println!("iss serve: shut down cleanly");
+    outln!("iss serve: shut down cleanly")?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -387,13 +425,13 @@ fn sweep(args: &[String]) -> Result<ExitCode, String> {
     let mut store = ResultStore::open(&cache_dir, Some(CACHE_MAX_MB.get() << 20))?;
     let exe =
         std::env::current_exe().map_err(|e| format!("cannot locate my own executable: {e}"))?;
-    println!(
+    outln!(
         "sharded sweep `{}`: {} job(s) across {} shard(s), result store at {}",
         sweep.name,
         points.len(),
         options.shards,
         cache_dir.display()
-    );
+    )?;
     let mut launcher = |task: &iss_sim::ShardTask| {
         let list: Vec<String> = task.jobs.iter().map(usize::to_string).collect();
         let mut cmd = std::process::Command::new(&exe);
@@ -401,26 +439,26 @@ fn sweep(args: &[String]) -> Result<ExitCode, String> {
         cmd
     };
     let outcome = run_sharded_sweep(&sweep.name, &points, &options, &mut store, &mut launcher)?;
-    print!(
+    out!(
         "\n{}",
         report::format_records_table(&sweep.name, &outcome.records)
-    );
+    )?;
     if let Some(path) = jsonl_path {
-        println!();
+        outln!()?;
         emit(Some(&path), &render_records_jsonl(&outcome.records))?;
     }
     if let Some(path) = json_path {
-        println!();
+        outln!()?;
         emit(Some(&path), &render_records_json(&outcome.records))?;
     }
-    println!(
+    outln!(
         "\nsweep complete: {} record(s), {} quarantined, {} from the result store, \
          {} child dispatch(es)",
         outcome.records.len(),
         outcome.quarantined,
         outcome.cached,
         outcome.dispatches
-    );
+    )?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -470,12 +508,12 @@ fn validate(args: &[String]) -> Result<ExitCode, String> {
             .and_then(|sweep| sweep.expand().map(|points| (sweep, points)));
         match outcome {
             Ok((sweep, points)) => {
-                println!(
+                outln!(
                     "{}: OK (`{}`, {} scenario(s))",
                     path.display(),
                     sweep.name,
                     points.len()
-                );
+                )?;
                 // Validation accepts duplicate design points (they simulate
                 // fine, just redundantly); nudge toward the deeper check.
                 let mut digests = BTreeSet::new();
@@ -484,11 +522,11 @@ fn validate(args: &[String]) -> Result<ExitCode, String> {
                     .filter_map(|p| p.digest().ok())
                     .any(|d| !digests.insert(d))
                 {
-                    println!(
+                    outln!(
                         "  note: expands to duplicate design points — run \
                          `iss lint {}` for details",
                         path.display()
-                    );
+                    )?;
                 }
             }
             Err(e) => {
@@ -501,7 +539,7 @@ fn validate(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("{failures} of {} spec file(s) invalid", targets.len());
         return Ok(ExitCode::FAILURE);
     }
-    println!("{} spec file(s) valid", targets.len());
+    outln!("{} spec file(s) valid", targets.len())?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -527,20 +565,20 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
                 let cost = report.estimated_seconds.map_or(String::new(), |s| {
                     format!(", est {s:.2}s at baseline throughput")
                 });
-                println!(
+                outln!(
                     "{}: `{}` expands to {} point(s), {} instructions{cost}",
                     path.display(),
                     report.name,
                     report.points,
                     report.instructions
-                );
+                )?;
                 for f in &report.findings {
                     match f.severity {
                         spec_lint::Severity::Error => {
                             errors += 1;
-                            println!("  error: {}", f.message);
+                            outln!("  error: {}", f.message)?;
                         }
-                        spec_lint::Severity::Warning => println!("  warning: {}", f.message),
+                        spec_lint::Severity::Warning => outln!("  warning: {}", f.message)?,
                     }
                 }
             }
@@ -555,7 +593,7 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("{errors} lint error(s) across {files} spec file(s)");
         return Ok(ExitCode::FAILURE);
     }
-    println!("{} spec file(s) lint clean", targets.len());
+    outln!("{} spec file(s) lint clean", targets.len())?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -565,18 +603,18 @@ fn list(args: &[String]) -> Result<ExitCode, String> {
         [dir] if !dir.starts_with("--") => dir.as_str(),
         [extra] | [_, extra, ..] => return Err(format!("unexpected argument `{extra}`")),
     };
-    println!("built-in sweeps (run with `iss run <name>`):");
+    outln!("built-in sweeps (run with `iss run <name>`):")?;
     for (name, description, _) in BUILTINS {
-        println!("  {name:<14} {description}");
+        outln!("  {name:<14} {description}")?;
     }
     let dir = Path::new(dir);
     let files = spec_files(dir);
     if files.is_empty() {
-        println!("\nno scenario files found under {}", dir.display());
+        outln!("\nno scenario files found under {}", dir.display())?;
     } else {
-        println!("\nscenario files under {}:", dir.display());
+        outln!("\nscenario files under {}:", dir.display())?;
         for f in files {
-            println!("  {}", f.display());
+            outln!("  {}", f.display())?;
         }
     }
     Ok(ExitCode::SUCCESS)

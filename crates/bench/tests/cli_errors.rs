@@ -131,6 +131,39 @@ fn error_paths_exit_1_with_their_pinned_message() {
     check_error_rows(env!("CARGO_BIN_EXE_iss"), ERROR_ROWS);
 }
 
+/// Commands whose reader has gone before their first line, as in `iss run
+/// fig5 | head -1`: each stops quietly, with status 0 and nothing on
+/// stderr, instead of panicking in `print!`.
+const CLOSED_STDOUT_ROWS: &[&str] = &[
+    "run fig5",
+    "export fig5",
+    "list",
+    "validate examples/scenarios",
+];
+
+#[test]
+fn a_closed_stdout_stops_the_command_quietly() {
+    let mut mismatches = Vec::new();
+    for row in CLOSED_STDOUT_ROWS {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_iss"))
+            .args(row.split_whitespace())
+            .current_dir(root())
+            .stdout(writer)
+            .output()
+            .expect("spawn iss");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if out.status.code() != Some(0) || !stderr.is_empty() {
+            mismatches.push(format!(
+                "{row}: status {:?}, stderr {stderr:?}",
+                out.status.code()
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
 #[test]
 fn gates_reject_arguments_they_do_not_read() {
     // A typo such as `--wrte` must not fall through to a full gate run.

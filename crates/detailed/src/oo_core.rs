@@ -10,13 +10,26 @@
 //! misprediction is modeled by stalling fetch until the branch resolves, the
 //! same simplification the interval model's penalty formula captures).
 //!
+//! The issue stage is driven by wakeups, as an issue queue is, rather than
+//! by a walk over the ROB. At dispatch an entry counts the sources whose
+//! producer has not issued yet, registering itself with each such producer,
+//! and keeps the latest completion time of those that have. When a producer
+//! issues, its completion time goes to its consumers, and a consumer with no
+//! unissued producer left waits in a time-ordered queue for its ready cycle.
+//! Each cycle the stage visits only the ready entries, oldest first, under
+//! the issue width and the per-class unit limits. Every latency is at least
+//! one cycle, so nothing an issue wakes can issue in the same cycle. The
+//! whole-ROB scan this replaced stays in the tests as the oracle that the
+//! stage issues the same entries in every cycle.
+//!
 //! The core is stepped cycle by cycle only while something moves. After a
 //! cycle in which no stage made progress, it tells the machine the earliest
 //! cycle in which anything can change and charges the cycles skipped until
 //! then to its stall counters, so its statistics are exactly those of a
 //! core stepped every cycle.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use iss_branch::{BranchPredictorConfig, BranchUnit};
 use iss_interval::{CoreWarmParts, SimCore};
@@ -39,10 +52,9 @@ struct FetchEntry {
     dispatch_ready_at: u64,
 }
 
-/// Sequence numbers of the in-flight producers one instruction waits for:
+/// Sequence numbers of the in-flight producers one instruction depends on:
 /// at most two register sources plus one store-to-load memory dependence, so
-/// the list lives inline in the ROB entry — dispatching an instruction
-/// allocates nothing.
+/// the list is inline and dispatching an instruction allocates nothing.
 #[derive(Debug, Clone, Copy, Default)]
 struct DepList {
     seqs: [u64; 3],
@@ -68,10 +80,84 @@ struct RobEntry {
     /// Position in dispatch order: consecutive over the ROB, so the entry of
     /// an in-flight producer is `rob[seq - head.seq]`.
     seq: u64,
-    /// In-flight producers this instruction waits for.
-    deps: DepList,
+    /// Producer sources that have not issued yet, one per source: a
+    /// producer feeding both register sources counts twice.
+    waiting: u8,
+    /// The latest completion among the producers that have issued.
+    ready_at: u64,
     issued: bool,
     complete_at: u64,
+    /// The in-flight producers at dispatch, read only by the whole-ROB scan
+    /// the tests check the ready list against.
+    #[cfg(test)]
+    deps: DepList,
+}
+
+/// The issue stage's wakeup state, over ROB slots `seq & mask`. There are at
+/// least as many slots as ROB entries, so the in-flight entries sit in
+/// distinct slots, in age order from the head's slot round the ring.
+#[derive(Debug, Clone)]
+struct ReadyList {
+    mask: u64,
+    /// One bit per slot whose entry may issue now.
+    ready: Vec<u64>,
+    /// Per slot, the entries that wait for that slot's entry to issue, once
+    /// per source it feeds. A list empties when its producer issues, and
+    /// keeps its capacity for the slot's next occupant.
+    consumers: Vec<Vec<u64>>,
+    /// Entries whose producers have all issued, by (ready cycle, seq), until
+    /// that cycle comes.
+    pending: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Completion times of issued entries; those at or before the current
+    /// cycle are dropped when the stage runs.
+    completions: BinaryHeap<Reverse<u64>>,
+}
+
+impl ReadyList {
+    fn new(rob_entries: usize) -> Self {
+        let slots = rob_entries.next_power_of_two().max(64);
+        ReadyList {
+            mask: slots as u64 - 1,
+            ready: vec![0; slots / 64],
+            consumers: vec![Vec::new(); slots],
+            pending: BinaryHeap::new(),
+            completions: BinaryHeap::new(),
+        }
+    }
+
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
+    }
+
+    fn mark_ready(&mut self, seq: u64) {
+        let slot = self.slot(seq);
+        self.ready[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Drops completions at or before `now` and readies the pending entries
+    /// whose cycle has come.
+    fn advance(&mut self, now: u64) {
+        while self
+            .completions
+            .peek()
+            .is_some_and(|&Reverse(at)| at <= now)
+        {
+            self.completions.pop();
+        }
+        while let Some(&Reverse((at, seq))) = self.pending.peek() {
+            if at > now {
+                break;
+            }
+            self.pending.pop();
+            self.mark_ready(seq);
+        }
+    }
+
+    /// The earliest completion after the cycle of the last [`Self::advance`],
+    /// among entries issued before it.
+    fn next_completion(&self) -> u64 {
+        self.completions.peek().map_or(u64::MAX, |&Reverse(at)| at)
+    }
 }
 
 /// A step in which no stage made progress. Until `wake` every step repeats
@@ -125,6 +211,8 @@ pub struct OutOfOrderCore<S> {
     fetch_wait_branch: Option<u64>,
 
     rob: VecDeque<RobEntry>,
+    ready_list: ReadyList,
+    /// Dispatched entries that have not issued.
     iq_occupancy: usize,
     lsq_occupancy: usize,
     /// Dispatch is blocked behind an uncommitted serializing instruction.
@@ -177,6 +265,7 @@ impl<S: InstructionStream> SimCore for OutOfOrderCore<S> {
             fetch_blocked_until: 0,
             fetch_wait_branch: None,
             rob: VecDeque::new(),
+            ready_list: ReadyList::new(config.rob_entries),
             iq_occupancy: 0,
             lsq_occupancy: 0,
             serialize_stall: false,
@@ -200,7 +289,7 @@ impl<S: InstructionStream> SimCore for OutOfOrderCore<S> {
             idle.charge_skipped(&mut self.stats, now);
         }
         let committed = self.commit(now);
-        let (issued, next_completion) = self.issue(now, mem);
+        let issued = self.issue(now, mem);
         let dispatch = self.dispatch(now, sync);
         let fetched = self.fetch(now, mem);
 
@@ -208,7 +297,7 @@ impl<S: InstructionStream> SimCore for OutOfOrderCore<S> {
             if !(committed || issued || fetched) {
                 self.idle = Some(IdleStep {
                     at: now,
-                    wake: self.wake_time(now, next_completion),
+                    wake: self.wake_time(now),
                     serializing,
                 });
             }
@@ -302,10 +391,9 @@ impl<S: InstructionStream> SimCore for OutOfOrderCore<S> {
 }
 
 impl<S: InstructionStream> OutOfOrderCore<S> {
-    /// The earliest time after `now` at which an idle step can change,
-    /// given the earliest completion after `now` in the ROB.
-    fn wake_time(&self, now: u64, next_completion: u64) -> u64 {
-        let mut wake = next_completion;
+    /// The earliest time after `now` at which an idle step can change.
+    fn wake_time(&self, now: u64) -> u64 {
+        let mut wake = self.ready_list.next_completion();
         if self.fetch_wait_branch.is_none() && self.fetch_blocked_until > now {
             wake = wake.min(self.fetch_blocked_until);
         }
@@ -359,100 +447,116 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
         Some(e)
     }
 
-    fn deps_ready(&self, deps: &DepList, now: u64) -> bool {
-        deps.as_slice().iter().all(|&seq| match self.producer(seq) {
-            None => true,
-            Some(p) => p.issued && p.complete_at <= now,
-        })
-    }
-
-    /// Issues ready instructions. Returns whether any issued, and the
-    /// earliest completion after `now` among entries issued in earlier
-    /// steps.
-    fn issue(&mut self, now: u64, mem: &mut MemoryHierarchy) -> (bool, u64) {
+    /// Issues ready entries, oldest first, within the issue width and the
+    /// per-class unit limits; returns whether any issued.
+    fn issue(&mut self, now: u64, mem: &mut MemoryHierarchy) -> bool {
+        self.ready_list.advance(now);
+        let Some(head) = self.rob.front().map(|e| e.seq) else {
+            return false;
+        };
         let mut issued = 0;
         let mut int_used = 0;
         let mut mem_used = 0;
         let mut fp_used = 0;
-        let mut next_completion = u64::MAX;
-        let core = self.core_id;
-        for idx in 0..self.rob.len() {
-            if issued >= self.config.issue_width {
-                break;
+        let mask = self.ready_list.mask;
+        let words = self.ready_list.ready.len();
+        let start = self.ready_list.slot(head);
+        // Walk the ready bits round the ring from the head's slot: the head's
+        // word from its bit up, the other words, then the head's word below
+        // its bit.
+        for k in 0..=words {
+            let w = (start / 64 + k) % words;
+            let mut bits = self.ready_list.ready[w];
+            if k == 0 {
+                bits &= u64::MAX << (start % 64);
+            } else if k == words {
+                bits &= !(u64::MAX << (start % 64));
             }
-            let (op, is_issued, complete_at) = {
-                let e = &self.rob[idx];
-                (e.inst.op, e.issued, e.complete_at)
-            };
-            if is_issued {
-                if complete_at > now {
-                    next_completion = next_completion.min(complete_at);
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let slot = w * 64 + bit as usize;
+                let idx = ((slot as u64).wrapping_sub(start as u64) & mask) as usize;
+                let op = self.rob[idx].inst.op;
+                let (used, units) = if op.is_memory() {
+                    (&mut mem_used, self.config.mem_units)
+                } else if op.is_float() {
+                    (&mut fp_used, self.config.fp_units)
+                } else {
+                    (&mut int_used, self.config.int_units)
+                };
+                if *used >= units {
+                    continue;
                 }
-                continue;
-            }
-            let unit_available = if op.is_memory() {
-                mem_used < self.config.mem_units
-            } else if op.is_float() {
-                fp_used < self.config.fp_units
-            } else {
-                int_used < self.config.int_units
-            };
-            if !unit_available {
-                continue;
-            }
-            let ready = {
-                let e = &self.rob[idx];
-                self.deps_ready(&e.deps, now)
-            };
-            if !ready {
-                continue;
-            }
-            // Issue: loads and stores access the memory hierarchy now, which
-            // is what lets independent misses overlap (MLP) and contend for
-            // the shared L2 and DRAM bandwidth.
-            let extra = {
-                let e = &self.rob[idx];
-                match &e.inst.mem {
-                    Some(acc) => {
-                        let resp = mem.access_data(core, acc.vaddr, acc.is_store, now);
-                        if acc.is_store {
-                            self.stats.stores += 1;
-                            // Stores retire from the store buffer off the
-                            // critical path; their miss latency is not part
-                            // of the dependence chain.
-                            0
-                        } else {
-                            self.stats.loads += 1;
-                            resp.latency
-                        }
-                    }
-                    None => 0,
+                *used += 1;
+                self.ready_list.ready[w] &= !(1 << bit);
+                let complete_at = self.issue_entry(idx, now, mem);
+                self.wake_consumers(slot, head, complete_at);
+                issued += 1;
+                if issued >= self.config.issue_width {
+                    return true;
                 }
-            };
-            let e = &mut self.rob[idx];
-            e.issued = true;
-            e.complete_at = now + e.inst.exec_latency() + extra;
-            let complete_at = e.complete_at;
-            let inst_seq = e.inst.seq;
-            self.iq_occupancy -= 1;
-            if self.fetch_wait_branch == Some(inst_seq) {
-                // The mispredicted branch resolves when it executes; fetch is
-                // redirected the cycle after. (The front-end refill itself is
-                // already modeled by the fetch-to-dispatch latency of the
-                // newly fetched instructions.)
-                self.fetch_blocked_until = self.fetch_blocked_until.max(complete_at + 1);
-                self.fetch_wait_branch = None;
             }
-            if op.is_memory() {
-                mem_used += 1;
-            } else if op.is_float() {
-                fp_used += 1;
-            } else {
-                int_used += 1;
-            }
-            issued += 1;
         }
-        (issued > 0, next_completion)
+        issued > 0
+    }
+
+    /// Starts ROB entry `idx` executing at `now`; returns its completion time.
+    fn issue_entry(&mut self, idx: usize, now: u64, mem: &mut MemoryHierarchy) -> u64 {
+        // Loads and stores access the memory hierarchy at issue, which is
+        // what lets independent misses overlap (MLP) and contend for the
+        // shared L2 and DRAM bandwidth.
+        let extra = match &self.rob[idx].inst.mem {
+            Some(acc) => {
+                let resp = mem.access_data(self.core_id, acc.vaddr, acc.is_store, now);
+                if acc.is_store {
+                    self.stats.stores += 1;
+                    // Stores retire from the store buffer off the critical
+                    // path; their miss latency is not part of the dependence
+                    // chain.
+                    0
+                } else {
+                    self.stats.loads += 1;
+                    resp.latency
+                }
+            }
+            None => 0,
+        };
+        let e = &mut self.rob[idx];
+        e.issued = true;
+        e.complete_at = now + e.inst.exec_latency() + extra;
+        let complete_at = e.complete_at;
+        // Every latency is at least one cycle, so no consumer this wakes can
+        // issue in the cycle its producer issued in.
+        debug_assert!(complete_at > now, "an issued entry completes after now");
+        let inst_seq = e.inst.seq;
+        self.iq_occupancy -= 1;
+        self.ready_list.completions.push(Reverse(complete_at));
+        if self.fetch_wait_branch == Some(inst_seq) {
+            // The mispredicted branch resolves when it executes; fetch is
+            // redirected the cycle after. (The front-end refill itself is
+            // already modeled by the fetch-to-dispatch latency of the newly
+            // fetched instructions.)
+            self.fetch_blocked_until = self.fetch_blocked_until.max(complete_at + 1);
+            self.fetch_wait_branch = None;
+        }
+        complete_at
+    }
+
+    /// Hands the completion time of the producer in `slot` to its consumers;
+    /// a consumer with no unissued producer left waits for its ready cycle.
+    fn wake_consumers(&mut self, slot: usize, head: u64, complete_at: u64) {
+        let mut consumers = std::mem::take(&mut self.ready_list.consumers[slot]);
+        for &seq in &consumers {
+            let e = &mut self.rob[(seq - head) as usize];
+            e.ready_at = e.ready_at.max(complete_at);
+            e.waiting -= 1;
+            if e.waiting == 0 {
+                self.ready_list.pending.push(Reverse((e.ready_at, seq)));
+            }
+        }
+        consumers.clear();
+        self.ready_list.consumers[slot] = consumers;
     }
 
     fn dispatch(&mut self, now: u64, sync: &mut SyncController) -> Dispatch {
@@ -563,13 +667,49 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
             if inst.is_serializing() {
                 self.serialize_stall = true;
             }
+            // Wait on the producers that have not issued; take the latest
+            // completion of those that have.
+            let mut waiting = 0;
+            let mut ready_at = 0;
+            for &pseq in deps.as_slice() {
+                let Some(&RobEntry {
+                    issued,
+                    complete_at,
+                    ..
+                }) = self.producer(pseq)
+                else {
+                    continue;
+                };
+                if issued {
+                    ready_at = ready_at.max(complete_at);
+                } else {
+                    waiting += 1;
+                    let slot = self.ready_list.slot(pseq);
+                    self.ready_list.consumers[slot].push(seq);
+                }
+            }
+            debug_assert!(
+                self.ready_list.consumers[self.ready_list.slot(seq)].is_empty(),
+                "a slot's consumers leave when its entry issues"
+            );
+            if waiting == 0 {
+                // The stage next runs at `now + 1` or later.
+                if ready_at <= now + 1 {
+                    self.ready_list.mark_ready(seq);
+                } else {
+                    self.ready_list.pending.push(Reverse((ready_at, seq)));
+                }
+            }
             self.iq_occupancy += 1;
             self.rob.push_back(RobEntry {
                 inst,
                 seq,
-                deps,
+                waiting,
+                ready_at,
                 issued: false,
                 complete_at: 0,
+                #[cfg(test)]
+                deps,
             });
             dispatched += 1;
         }
@@ -640,7 +780,7 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
 mod tests {
     use super::*;
     use iss_mem::MemoryConfig;
-    use iss_trace::{catalog, SyntheticStream};
+    use iss_trace::{catalog, MemAccess, OpClass, SyntheticStream, ThreadedWorkload};
 
     /// Runs `name` on one core, stepped every cycle, to completion; returns
     /// the core and the cycle after its last step.
@@ -677,6 +817,200 @@ mod tests {
     ) -> DetailedCoreStats {
         let (core, now) = run_core(name, len, branch_cfg, mem_cfg);
         core.stats(now)
+    }
+
+    impl<S: InstructionStream> OutOfOrderCore<S> {
+        /// The issue stage the ready list replaced, kept as its oracle: a
+        /// walk over the whole ROB, oldest first, that issues every entry
+        /// whose producers have committed or completed by `now`, within the
+        /// issue width and the unit limits. Returns the sequence numbers it
+        /// would issue from the current state, and issues none.
+        fn scan_issue(&self, now: u64) -> Vec<u64> {
+            let mut issued = Vec::new();
+            let completed = |seq: u64, issued: &[u64]| match self.producer(seq) {
+                None => true,
+                // Issued earlier in this walk: it completes after its
+                // latency, and a load after its memory access too.
+                Some(p) if issued.contains(&seq) => !p.inst.is_load() && p.inst.exec_latency() == 0,
+                Some(p) => p.issued && p.complete_at <= now,
+            };
+            let (mut int_used, mut mem_used, mut fp_used) = (0, 0, 0);
+            for e in &self.rob {
+                if issued.len() >= self.config.issue_width as usize {
+                    break;
+                }
+                let (used, units) = if e.inst.op.is_memory() {
+                    (&mut mem_used, self.config.mem_units)
+                } else if e.inst.op.is_float() {
+                    (&mut fp_used, self.config.fp_units)
+                } else {
+                    (&mut int_used, self.config.int_units)
+                };
+                let ready = e.deps.as_slice().iter().all(|&p| completed(p, &issued));
+                if !e.issued && *used < units && ready {
+                    *used += 1;
+                    issued.push(e.seq);
+                }
+            }
+            issued
+        }
+    }
+
+    /// Steps `cores` as the machine does, skipping the cycles they report
+    /// idle, and checks every core's issue stage against the whole-ROB scan:
+    /// in each stepped cycle both issue the same entries, and in each
+    /// skipped cycle the scan issues none. Returns the entries issued.
+    fn check_against_scan<S: InstructionStream>(
+        mut cores: Vec<OutOfOrderCore<S>>,
+        mem: &mut MemoryHierarchy,
+        sync: &mut SyncController,
+    ) -> u64 {
+        let mut now = 0;
+        let mut total = 0;
+        while cores.iter().any(|c| !c.is_done()) {
+            assert!(now < 50_000_000, "the cores must finish");
+            for core in &mut cores {
+                let expected = core.scan_issue(now);
+                let unissued: Vec<u64> = core
+                    .rob
+                    .iter()
+                    .filter(|e| !e.issued)
+                    .map(|e| e.seq)
+                    .collect();
+                core.step_cycle(now, mem, sync);
+                let issued: Vec<u64> = unissued
+                    .into_iter()
+                    .filter(|&seq| core.producer(seq).is_some_and(|e| e.issued))
+                    .collect();
+                assert_eq!(issued, expected, "core {} at cycle {now}", core.core_id);
+                total += issued.len() as u64;
+            }
+            let next = cores
+                .iter()
+                .filter(|c| !c.is_done())
+                .map(|c| c.next_event(now))
+                .min()
+                .map_or(now + 1, |t| t.max(now + 1));
+            if next > now + 1 {
+                // No core's state changes before `next`, and a later cycle
+                // only readies more entries.
+                for core in &cores {
+                    assert_eq!(
+                        core.scan_issue(next - 1),
+                        [],
+                        "core {} skipped cycles {now}..{next}",
+                        core.core_id
+                    );
+                }
+            }
+            now = next;
+        }
+        total
+    }
+
+    fn check_workload(workload: ThreadedWorkload) {
+        let (streams, mut sync) = workload.into_parts();
+        let len: u64 = streams.iter().map(|s| s.remaining_hint().unwrap()).sum();
+        let mut mem = MemoryHierarchy::new(&MemoryConfig::hpca2010_baseline(streams.len()));
+        let cores = streams
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| {
+                OutOfOrderCore::new(
+                    i,
+                    &DetailedCoreConfig::hpca2010_baseline(),
+                    &BranchPredictorConfig::hpca2010_baseline(),
+                    s,
+                )
+            })
+            .collect();
+        assert_eq!(check_against_scan(cores, &mut mem, &mut sync), len);
+    }
+
+    #[test]
+    fn ready_list_issues_what_the_rob_scan_issues_on_spec() {
+        for name in ["gcc", "gzip", "mcf", "twolf", "swim", "mesa"] {
+            let profile = catalog::spec_profile(name).unwrap();
+            check_workload(ThreadedWorkload::single(&profile, 7, 15_000));
+        }
+    }
+
+    #[test]
+    fn ready_list_issues_what_the_rob_scan_issues_under_locks_and_barriers() {
+        let profile = catalog::parsec_profile("fluidanimate").unwrap();
+        assert!(profile.sync.lock_period > 0 && profile.sync.barrier_period > 0);
+        check_workload(ThreadedWorkload::multithreaded(&profile, 4, 7, 120_000));
+    }
+
+    /// Replays a fixed list of instructions.
+    struct Replay(VecDeque<DynInst>);
+
+    impl InstructionStream for Replay {
+        fn next_inst(&mut self) -> Option<DynInst> {
+            self.0.pop_front()
+        }
+    }
+
+    /// A hand-built stream that stresses the wakeup: four registers, so
+    /// producers have many consumers; both sources on one producer in about
+    /// half of the instructions; loads from the lines of earlier stores;
+    /// 20-cycle integer and floating-point divides; serializing
+    /// instructions; and more loads and stores per cycle than memory units.
+    fn hand_built(len: u64, seed: u64) -> Vec<DynInst> {
+        let mut x = seed;
+        (0..len)
+            .map(|seq| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let reg = |shift: u32| Some(1 + ((x >> shift) % 4) as u16);
+                let op = match x % 16 {
+                    0..=4 => OpClass::Load,
+                    5..=6 => OpClass::Store,
+                    7 => OpClass::IntDiv,
+                    8 => OpClass::FpDiv,
+                    9 => OpClass::FpAlu,
+                    10 => OpClass::IntMul,
+                    11 if (x >> 40) & 7 == 0 => OpClass::Serialize,
+                    12 => OpClass::Branch,
+                    _ => OpClass::IntAlu,
+                };
+                let mut inst = DynInst::nop(seq, 0x4000 + 4 * seq);
+                inst.op = op;
+                inst.srcs = [reg(8), if (x >> 12) & 1 == 0 { reg(8) } else { reg(16) }];
+                if !matches!(op, OpClass::Store | OpClass::Branch | OpClass::Serialize) {
+                    inst.dst = reg(20);
+                }
+                if op.is_memory() {
+                    inst.mem = Some(MemAccess {
+                        vaddr: (((x >> 24) % 16) << 16) | (((x >> 32) % 8) * 8),
+                        size: 8,
+                        is_store: op == OpClass::Store,
+                        shared: false,
+                    });
+                }
+                inst
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ready_list_issues_what_the_rob_scan_issues_on_hand_built_streams() {
+        for seed in 1..=4 {
+            let insts = hand_built(6_000, seed);
+            assert!(insts.iter().any(|i| i.is_serializing()));
+            assert!(insts.iter().any(|i| i.op == OpClass::IntDiv));
+            assert!(insts.iter().any(|i| i.srcs[0] == i.srcs[1]));
+            let core = OutOfOrderCore::new(
+                0,
+                &DetailedCoreConfig::hpca2010_baseline(),
+                &BranchPredictorConfig::hpca2010_baseline(),
+                Replay(insts.into()),
+            );
+            let mut mem = MemoryHierarchy::new(&MemoryConfig::hpca2010_baseline(1));
+            let mut sync = SyncController::new(1);
+            assert_eq!(check_against_scan(vec![core], &mut mem, &mut sync), 6_000);
+        }
     }
 
     #[test]

@@ -263,6 +263,26 @@ struct Shared {
     shutdown: AtomicBool,
     timer: HostTimer,
     workers: usize,
+    /// Connection threads still running; `serve` returns once none is.
+    connections: Mutex<usize>,
+    closed: Condvar,
+}
+
+/// Counts a connection thread as running until it ends, by a panic too.
+struct LiveConnection(Arc<Shared>);
+
+impl LiveConnection {
+    fn open(shared: &Arc<Shared>) -> LiveConnection {
+        *lock(&shared.connections) += 1;
+        LiveConnection(Arc::clone(shared))
+    }
+}
+
+impl Drop for LiveConnection {
+    fn drop(&mut self) {
+        *lock(&self.0.connections) -= 1;
+        self.0.closed.notify_all();
+    }
 }
 
 /// The `iss serve` server: a bound listener plus the shared store, worker
@@ -296,6 +316,8 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 timer: HostTimer::start(),
                 workers: options.workers.max(1),
+                connections: Mutex::new(0),
+                closed: Condvar::new(),
             }),
         })
     }
@@ -313,30 +335,33 @@ impl Server {
     }
 
     /// Accepts connections until a `shutdown` command arrives, one thread
-    /// per connection, then joins every live connection thread and returns.
+    /// per connection, then waits for every connection thread to end and
+    /// returns.
     ///
     /// # Errors
     ///
     /// Returns accept-loop failures; a clean shutdown returns `Ok(())`.
     pub fn serve(self) -> Result<(), String> {
         let addr = self.local_addr()?;
-        let mut handles = Vec::new();
         for stream in self.listener.incoming() {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             let stream = stream.map_err(|e| format!("accept failed: {e}"))?;
-            let shared = Arc::clone(&self.shared);
+            let live = LiveConnection::open(&self.shared);
             let self_addr = addr.clone();
-            // Reap connections that have closed: an exited thread keeps its
-            // stack mapped until it is joined.
-            handles.retain(|h: &std::thread::JoinHandle<()>| !h.is_finished());
-            handles.push(std::thread::spawn(move || {
-                handle_connection(&shared, stream, &self_addr);
-            }));
+            // Detached, so a closed connection's thread frees its stack as
+            // it exits; a joinable thread keeps it mapped until joined. A
+            // panic still reaches stderr through the panic hook.
+            std::thread::spawn(move || handle_connection(&live.0, stream, &self_addr));
         }
-        for handle in handles {
-            let _ = handle.join();
+        let mut live = lock(&self.shared.connections);
+        while *live > 0 {
+            live = self
+                .shared
+                .closed
+                .wait(live)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         Ok(())
     }

@@ -9,7 +9,7 @@
 //! * a `warming` row: the sampled runner's own functional-warming loop
 //!   ([`iss_sim::sampling::warm_functionally`]) with no timing model
 //!   attached, the speed sampled simulation is Amdahl-bound on,
-//! * a `kernels` array: the four batch kernels of [`iss_bench::kernels`] in
+//! * a `kernels` array: the six batch kernels of [`iss_bench::kernels`] in
 //!   MOPS on harvested columns,
 //! * the host kernel's speed ([`iss_sim::host_time::host_kernel_mops`]),
 //!   which `perf_gate` divides every rate by,
@@ -147,7 +147,8 @@ fn main() {
             .sum()
     }));
     let model_count = rows.len();
-    rows.extend(batch_kernels(&columns, &config).into_iter().map(|mut k| {
+    let kernels = batch_kernels(&columns, &config, scale.seed);
+    rows.extend(kernels.into_iter().map(|mut k| {
         timed(k.name, move || {
             for _ in 0..KERNEL_PASSES {
                 (k.run)();

@@ -453,9 +453,10 @@ pub fn parse_perf(text: &str) -> Result<PerfFile, String> {
 /// divided by its run's host-kernel MOPS first, so a uniformly slow or
 /// loaded host cancels out and the margin gates simulator regressions
 /// only. A model or kernel regresses when its normalized rate falls below
-/// `1 - MAX_REGRESSION` of the baseline's; a row the fresh run lacks and
-/// an empty section on either side are violations too. Speedups never
-/// fail the gate.
+/// `1 - MAX_REGRESSION` of the baseline's; a row the fresh run lacks, a
+/// fresh row the baseline lacks (it would never be gated) and an empty
+/// section on either side are violations too. Speedups never fail the
+/// gate.
 #[must_use]
 pub fn diff_perf(baseline: &PerfFile, fresh: &PerfFile) -> Vec<String> {
     let mut violations = Vec::new();
@@ -469,6 +470,18 @@ pub fn diff_perf(baseline: &PerfFile, fresh: &PerfFile) -> Vec<String> {
                 "perf baseline has no {section} rows — the gate would pass vacuously; \
                  regenerate it with the `perf` binary"
             ));
+        } else {
+            // A row the baseline lacks would never be gated. (An empty
+            // baseline is reported once above, not row by row.)
+            for f in fresh_rows {
+                if !base_rows.iter().any(|b| b.name == f.name) {
+                    violations.push(format!(
+                        "{label}{}: present in the fresh run but missing from the baseline \
+                         — add its row to the baseline",
+                        f.name
+                    ));
+                }
+            }
         }
         if fresh_rows.is_empty() {
             violations.push(format!(
@@ -826,6 +839,25 @@ mod tests {
         assert_eq!(violations.len(), 1);
         assert!(
             violations[0].contains("threshold_scan") && violations[0].contains("missing"),
+            "got: {violations:?}"
+        );
+    }
+
+    #[test]
+    fn a_fresh_row_the_baseline_lacks_fails_the_gate() {
+        let models = [("interval", 5.0)];
+        // A kernel added to `perf` without a baseline row would never be
+        // gated: flagged by name, however fast it runs.
+        let mut grown = KERNELS.to_vec();
+        grown.push(("soa_decode", 20.0));
+        let violations = diff_perf(
+            &perf(800.0, &models, &KERNELS),
+            &perf(800.0, &models, &grown),
+        );
+        assert_eq!(violations.len(), 1, "got: {violations:?}");
+        assert!(
+            violations[0].starts_with("kernel soa_decode:")
+                && violations[0].contains("missing from the baseline"),
             "got: {violations:?}"
         );
     }

@@ -1,6 +1,5 @@
-//! The batch kernels behind the warming and interval hot loops, defined
-//! once for both throughput harnesses: `perf`'s `kernels[]` rows and the
-//! `batch_kernels` criterion group.
+//! The batch kernels behind the warming and interval hot loops: `perf`'s
+//! gated `kernels[]` rows.
 //!
 //! Each kernel replays realistic input: the structure-of-arrays columns of
 //! one benchmark decoded front to back at the warming batch size
@@ -8,7 +7,7 @@
 
 use iss_branch::BranchUnit;
 use iss_mem::tlb::TlbConfig;
-use iss_mem::{Cache, CacheConfig, LineState, Tlb};
+use iss_mem::{Cache, CacheConfig, LineState, MemoryHierarchy, Tlb};
 use iss_sim::{SystemConfig, WorkloadSpec};
 use iss_trace::{
     catalog, fast_forward_batched, geo_classify, geo_classify_head, geo_threshold_table,
@@ -25,6 +24,10 @@ pub const WARM_BATCH: usize = 64;
 
 /// Generator draws the threshold-scan kernel classifies per pass.
 const DRAWS: usize = 1 << 16;
+
+/// Instruction-fetch line size (log2 bytes) of the cache-probe kernel, the
+/// sampled runner's.
+const IFETCH_LINE_SHIFT: u32 = 6;
 
 /// One harvested warming batch: copies of the columns
 /// `fast_forward_batched` produced.
@@ -43,14 +46,9 @@ pub struct Columns {
     pub br_info: Vec<BranchInfo>,
 }
 
-/// Decodes `benchmark` (`length` instructions, `seed`) front to back at
-/// the warming batch size, handing each batch to `visit`; returns the
-/// instructions decoded.
-///
-/// # Panics
-///
-/// Panics when `benchmark` is not in the catalog.
-pub fn decode(benchmark: &str, length: u64, seed: u64, visit: &mut dyn FnMut(&InstBatch)) -> u64 {
+/// [`harvest`]'s decode loop, handing each batch to `visit` instead of
+/// keeping it; returns the instructions decoded.
+fn decode(benchmark: &str, length: u64, seed: u64, visit: &mut dyn FnMut(&InstBatch)) -> u64 {
     let workload = WorkloadSpec::single(benchmark, length)
         .build(seed)
         .unwrap_or_else(|e| panic!("kernel workload {benchmark} failed: {e}"));
@@ -75,7 +73,12 @@ pub fn decode(benchmark: &str, length: u64, seed: u64, visit: &mut dyn FnMut(&In
     )
 }
 
-/// Every batch [`decode`] produces for `benchmark`, its columns retained.
+/// Decodes `benchmark` (`length` instructions, `seed`) front to back at
+/// the warming batch size and keeps the columns of every batch.
+///
+/// # Panics
+///
+/// Panics when `benchmark` is not in the catalog.
 #[must_use]
 pub fn harvest(benchmark: &str, length: u64, seed: u64) -> Vec<Columns> {
     let mut columns = Vec::new();
@@ -95,8 +98,8 @@ pub fn harvest(benchmark: &str, length: u64, seed: u64) -> Vec<Columns> {
 /// One batch kernel, ready to time: each call of `run` is one pass over its
 /// input, `ops` kernel operations.
 pub struct BatchKernel<'a> {
-    /// Row name (`tag_compare`, `tlb_access_batch`, `threshold_scan`,
-    /// `branch_update_batch`).
+    /// Row name (`soa_decode`, `cache_probe_batch`, `tag_compare`,
+    /// `tlb_access_batch`, `threshold_scan`, `branch_update_batch`).
     pub name: &'static str,
     /// Kernel operations per pass.
     pub ops: u64,
@@ -104,17 +107,53 @@ pub struct BatchKernel<'a> {
     pub run: Box<dyn FnMut() + 'a>,
 }
 
-/// The four batch kernels over `columns`: the set-major tag compare of the
-/// widest cache, the batched TLB translate, the generator's geometric
-/// threshold scan, and the batched branch-unit update.
+/// The six batch kernels over `columns`, which [`harvest`] decoded with
+/// `seed`: the warming path's two stages (decoding that stream again into
+/// `InstBatch` columns, and the hierarchy's batched cache/TLB probe), the
+/// set-major tag compare of the widest cache, the batched TLB translate,
+/// the generator's geometric threshold scan, and the batched branch-unit
+/// update.
 ///
 /// # Panics
 ///
 /// Panics when [`HARVEST_BENCHMARK`] is not in the catalog.
 #[must_use]
-pub fn batch_kernels<'a>(columns: &'a [Columns], config: &SystemConfig) -> Vec<BatchKernel<'a>> {
+pub fn batch_kernels<'a>(
+    columns: &'a [Columns],
+    config: &SystemConfig,
+    seed: u64,
+) -> Vec<BatchKernel<'a>> {
+    let instructions: u64 = columns.iter().map(|c| c.pc.len() as u64).sum();
     let accesses: u64 = columns.iter().map(|c| c.mem_addr.len() as u64).sum();
     let branches: u64 = columns.iter().map(|c| c.br_pc.len() as u64).sum();
+
+    let soa_decode = move || {
+        decode(HARVEST_BENCHMARK, instructions, seed, &mut |b| {
+            std::hint::black_box(b.len());
+        });
+    };
+
+    // One warming hierarchy across passes, as a sampled run keeps it
+    // across warming batches.
+    let mut memory = MemoryHierarchy::new(&config.memory);
+    memory.set_warming(true);
+    let cache_probe_batch = move || {
+        let mut last_iline = u64::MAX;
+        let mut now = 0;
+        for c in columns {
+            memory.warm_access_batch(
+                0,
+                &c.pc,
+                &c.mem_pos,
+                &c.mem_addr,
+                &c.mem_store,
+                IFETCH_LINE_SHIFT,
+                &mut last_iline,
+                now,
+            );
+            now += c.pc.len() as u64;
+        }
+    };
 
     // The L2 (8 ways), pre-populated with every harvested line so a pass
     // is pure lookups: hits and capacity misses.
@@ -172,6 +211,16 @@ pub fn batch_kernels<'a>(columns: &'a [Columns], config: &SystemConfig) -> Vec<B
 
     vec![
         BatchKernel {
+            name: "soa_decode",
+            ops: instructions,
+            run: Box::new(soa_decode),
+        },
+        BatchKernel {
+            name: "cache_probe_batch",
+            ops: instructions,
+            run: Box::new(cache_probe_batch),
+        },
+        BatchKernel {
             name: "tag_compare",
             ops: accesses,
             run: Box::new(tag_compare),
@@ -203,11 +252,13 @@ mod tests {
         let columns = harvest(HARVEST_BENCHMARK, 2_000, 42);
         let kept: u64 = columns.iter().map(|c| c.pc.len() as u64).sum();
         assert_eq!(kept, 2_000);
-        let kernels = batch_kernels(&columns, &SystemConfig::hpca2010_baseline(1));
+        let kernels = batch_kernels(&columns, &SystemConfig::hpca2010_baseline(1), 42);
         let names: Vec<_> = kernels.iter().map(|k| k.name).collect();
         assert_eq!(
             names,
             [
+                "soa_decode",
+                "cache_probe_batch",
                 "tag_compare",
                 "tlb_access_batch",
                 "threshold_scan",

@@ -7,9 +7,8 @@
 //! under `examples/scenarios/` (see [`iss_sim::experiments::builtin`]);
 //! `table1` prints the Table 1 configuration. The gate binaries
 //! (`accuracy_gate`, `perf`, `perf_gate`) pin accuracy and speed in CI
-//! ([`gates`]); `perf` and the `throughput` Criterion bench share the batch
-//! kernels of [`kernels`]. `iss lint` runs the static spec checks of
-//! [`spec_lint`].
+//! ([`gates`]); `perf` times the batch kernels of [`kernels`]. `iss lint`
+//! runs the static spec checks of [`spec_lint`].
 //!
 //! The instruction budget of the built-in sweeps is controlled by the
 //! `ISS_EXPERIMENT_SCALE` environment variable: `quick` (default for CI

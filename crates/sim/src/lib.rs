@@ -48,7 +48,6 @@ pub mod scenario;
 pub mod serve;
 pub mod shard;
 pub mod store;
-pub mod tomldoc;
 pub mod workload;
 
 pub use batch::{run_batch, run_batch_with_threads, SimJob};

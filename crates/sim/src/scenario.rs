@@ -39,6 +39,7 @@ pub mod machine;
 pub mod modelspec;
 pub mod record;
 pub mod toml;
+mod tomldoc;
 
 pub use jsonl::{
     parse_record_line, parse_records_json, parse_records_jsonl, render_record_line,

@@ -42,26 +42,15 @@
 //! ```
 
 use crate::runner::CoreModel;
-use crate::tomldoc::{section_label, ArraySpec, Doc, DocSpec};
 use crate::workload::WorkloadSpec;
 
 use super::machine::{MachineBaseline, MachineSpec};
 use super::modelspec::parse_model;
+use super::tomldoc::{section_label, Doc};
 use super::{SweepSpec, Template};
 
 /// Schema marker every scenario file must carry.
 pub const SCHEMA: &str = "iss-scenario/v1";
-
-/// The document shape of a scenario file, fed to the shared
-/// [`crate::tomldoc`] codec: four fixed sections plus `[[scenario]]`
-/// blocks with `machine`/`workload` subsections.
-const SCENARIO_DOC: DocSpec = DocSpec {
-    sections: &["machine", "workload", "sweep", "model"],
-    array: Some(ArraySpec {
-        name: "scenario",
-        subsections: &["machine", "workload"],
-    }),
-};
 
 // --- section builders ------------------------------------------------------
 
@@ -191,7 +180,7 @@ impl SweepSpec {
     /// type mismatches, malformed model strings, workload shapes missing
     /// required fields.
     pub fn from_toml(text: &str) -> Result<Self, String> {
-        let mut doc = Doc::parse(text, &SCENARIO_DOC)?;
+        let mut doc = Doc::parse(text)?;
         match doc.take_str("", "schema")? {
             Some(s) if s == SCHEMA => {}
             Some(s) => {

@@ -1,53 +1,26 @@
-//! Generic strict TOML-subset document parser.
+//! The strict TOML-subset document parser behind scenario files.
 //!
-//! Scenario files use one grammar: `key = value` pairs, `[section]`
-//! headers, one optional `[[name]]` table array, double-quoted strings,
-//! unsigned integers, booleans and homogeneous one-line arrays. The
-//! workspace links no serialization framework, so this module is the
-//! hand-rolled codec behind them. Parsing is **strict**: unknown sections,
-//! unknown keys (enforced by callers via [`Doc::unused`]), duplicate keys,
-//! negative numbers and type mismatches are errors carrying the offending
-//! line — a typo in a config file must never silently change what gets
-//! simulated.
-//!
-//! A caller describes its document shape with a [`DocSpec`] and reads
-//! typed values through the `take_*` accessors:
-//!
-//! ```
-//! use iss_sim::tomldoc::{ArraySpec, Doc, DocSpec};
-//!
-//! const SPEC: DocSpec = DocSpec {
-//!     sections: &["limits"],
-//!     array: Some(ArraySpec { name: "rule", subsections: &[] }),
-//! };
-//! let mut doc = Doc::parse("max = 4\n[limits]\nceiling = 9\n[[rule]]\nid = \"a\"", &SPEC).unwrap();
-//! assert_eq!(doc.take_u64("", "max").unwrap(), Some(4));
-//! assert_eq!(doc.take_u64("limits", "ceiling").unwrap(), Some(9));
-//! assert_eq!(doc.take_str("rule.0", "id").unwrap().as_deref(), Some("a"));
-//! assert!(doc.unused().is_none());
-//! ```
+//! The grammar: `key = value` pairs, `[section]` headers, `[[scenario]]`
+//! table arrays, double-quoted strings, unsigned integers, booleans and
+//! homogeneous one-line arrays. The workspace links no serialization
+//! framework, so this is a hand-rolled codec. Parsing is **strict**:
+//! unknown sections, unknown keys (enforced by the caller via
+//! [`Doc::unused`]), duplicate keys, negative numbers and type mismatches
+//! are errors carrying the offending line — a typo in a config file must
+//! never silently change what gets simulated. The scenario codec reads
+//! typed values through the `take_*` accessors.
 
-/// Shape of the documents a parser accepts: the fixed `[section]` names and
-/// the (at most one) `[[name]]` table array with its dotted subsections.
-#[derive(Debug, Clone, Copy)]
-pub struct DocSpec {
-    /// Names valid as plain `[section]` headers. The empty string (top
-    /// level) is always implicitly valid.
-    pub sections: &'static [&'static str],
-    /// The table array the document may carry, if any.
-    pub array: Option<ArraySpec>,
-}
+/// Names valid as plain `[section]` headers. The empty string (top level)
+/// is always implicitly valid.
+const SECTIONS: [&str; 4] = ["machine", "workload", "sweep", "model"];
 
-/// The `[[name]]` table array a [`DocSpec`] permits.
-#[derive(Debug, Clone, Copy)]
-pub struct ArraySpec {
-    /// Header name: `[[name]]` opens a new block whose entries live in
-    /// section `name.<index>`.
-    pub name: &'static str,
-    /// Subsection names valid as `[name.sub]` inside a block; entries land
-    /// in `name.<index>.<sub>`.
-    pub subsections: &'static [&'static str],
-}
+/// The table array: `[[scenario]]` opens a new block whose entries live in
+/// section `scenario.<index>`.
+const ARRAY: &str = "scenario";
+
+/// Subsection names valid as `[scenario.sub]` inside a block; entries land
+/// in `scenario.<index>.<sub>`.
+const SUBSECTIONS: [&str; 2] = ["machine", "workload"];
 
 /// A parsed scalar or one-line array value.
 #[derive(Debug, Clone, PartialEq)]
@@ -213,14 +186,14 @@ fn split_top_level_commas(body: &str) -> Vec<String> {
 }
 
 impl Doc {
-    /// Parses `text` against `spec`.
+    /// Parses `text` as a scenario document.
     ///
     /// # Errors
     ///
     /// Returns a message with the offending line for any syntactic defect:
     /// malformed lines or keys, unknown or misplaced sections, duplicate
     /// keys, bad scalars or inhomogeneous arrays.
-    pub fn parse(text: &str, spec: &DocSpec) -> Result<Doc, String> {
+    pub fn parse(text: &str) -> Result<Doc, String> {
         let mut doc = Doc {
             entries: Vec::new(),
             blocks: 0,
@@ -237,58 +210,39 @@ impl Doc {
             }
             if let Some(header) = line.strip_prefix("[[").and_then(|h| h.strip_suffix("]]")) {
                 let header = header.trim();
-                match spec.array {
-                    Some(a) if a.name == header => {
-                        section = format!("{}.{}", a.name, doc.blocks);
-                        doc.blocks += 1;
-                    }
-                    Some(a) => {
-                        return Err(format!(
-                            "line {line_no}: only [[{}]] table arrays are supported, \
-                             got [[{header}]]",
-                            a.name
-                        ))
-                    }
-                    None => {
-                        return Err(format!(
-                            "line {line_no}: table arrays are not supported here ([[{header}]])"
-                        ))
-                    }
+                if header != ARRAY {
+                    return Err(format!(
+                        "line {line_no}: only [[{ARRAY}]] table arrays are supported, \
+                         got [[{header}]]"
+                    ));
                 }
+                section = format!("{ARRAY}.{}", doc.blocks);
+                doc.blocks += 1;
                 continue;
             }
             if let Some(header) = line.strip_prefix('[').and_then(|h| h.strip_suffix(']')) {
                 let header = header.trim();
-                let array_sub = spec
-                    .array
-                    .and_then(|a| header.strip_prefix(&format!("{}.", a.name)).map(|s| (a, s)));
-                if let Some((a, sub)) = array_sub {
+                if let Some(sub) = header.strip_prefix(ARRAY).and_then(|h| h.strip_prefix('.')) {
                     if doc.blocks == 0 {
                         return Err(format!(
-                            "line {line_no}: [{}.{sub}] appears before any [[{}]] block",
-                            a.name, a.name
+                            "line {line_no}: [{ARRAY}.{sub}] appears before any [[{ARRAY}]] block"
                         ));
                     }
-                    if !a.subsections.contains(&sub) {
+                    if !SUBSECTIONS.contains(&sub) {
                         return Err(format!(
-                            "line {line_no}: unknown {} subsection [{}.{sub}] (known: {})",
-                            a.name,
-                            a.name,
-                            a.subsections.join(", ")
+                            "line {line_no}: unknown {ARRAY} subsection [{ARRAY}.{sub}] \
+                             (known: {})",
+                            SUBSECTIONS.join(", ")
                         ));
                     }
-                    section = format!("{}.{}.{sub}", a.name, doc.blocks - 1);
-                } else if spec.sections.contains(&header) {
+                    section = format!("{ARRAY}.{}.{sub}", doc.blocks - 1);
+                } else if SECTIONS.contains(&header) {
                     section = header.to_string();
                 } else {
-                    let mut known: Vec<String> =
-                        spec.sections.iter().map(ToString::to_string).collect();
-                    if let Some(a) = spec.array {
-                        known.push(format!("and [[{}]] blocks", a.name));
-                    }
                     return Err(format!(
-                        "line {line_no}: unknown section [{header}] (known: {})",
-                        known.join(", ")
+                        "line {line_no}: unknown section [{header}] (known: {}, and [[{ARRAY}]] \
+                         blocks)",
+                        SECTIONS.join(", ")
                     ));
                 }
                 continue;
@@ -477,46 +431,33 @@ impl Doc {
 mod tests {
     use super::*;
 
-    const SPEC: DocSpec = DocSpec {
-        sections: &["alpha", "beta"],
-        array: Some(ArraySpec {
-            name: "item",
-            subsections: &["inner"],
-        }),
-    };
-
-    const FLAT: DocSpec = DocSpec {
-        sections: &[],
-        array: None,
-    };
-
     #[test]
     fn sections_and_blocks_namespace_keys() {
         let text = r#"
             top = 1
-            [alpha]
+            [machine]
             x = "a"
-            [[item]]
+            [[scenario]]
             x = "first"
-            [item.inner]
+            [scenario.machine]
             y = [1, 2]
-            [[item]]
+            [[scenario]]
             x = "second"
         "#;
-        let mut doc = Doc::parse(text, &SPEC).unwrap();
+        let mut doc = Doc::parse(text).unwrap();
         assert_eq!(doc.blocks(), 2);
         assert_eq!(doc.take_u64("", "top").unwrap(), Some(1));
-        assert_eq!(doc.take_str("alpha", "x").unwrap().as_deref(), Some("a"));
+        assert_eq!(doc.take_str("machine", "x").unwrap().as_deref(), Some("a"));
         assert_eq!(
-            doc.take_str("item.0", "x").unwrap().as_deref(),
+            doc.take_str("scenario.0", "x").unwrap().as_deref(),
             Some("first")
         );
         assert_eq!(
-            doc.take_u64_list("item.0.inner", "y").unwrap(),
+            doc.take_u64_list("scenario.0.machine", "y").unwrap(),
             Some(vec![1, 2])
         );
         assert_eq!(
-            doc.take_str("item.1", "x").unwrap().as_deref(),
+            doc.take_str("scenario.1", "x").unwrap().as_deref(),
             Some("second")
         );
         assert!(doc.unused().is_none());
@@ -524,37 +465,34 @@ mod tests {
 
     #[test]
     fn shape_violations_are_line_numbered_errors() {
-        let e = Doc::parse("[gamma]\n", &SPEC).unwrap_err();
+        let e = Doc::parse("[gamma]\n").unwrap_err();
         assert!(e.contains("[gamma]") && e.contains("line 1"), "got: {e}");
 
-        let e = Doc::parse("[[other]]\n", &SPEC).unwrap_err();
+        let e = Doc::parse("[[other]]\n").unwrap_err();
         assert!(e.contains("[[other]]"), "got: {e}");
 
-        let e = Doc::parse("[[item]]\n", &FLAT).unwrap_err();
-        assert!(e.contains("not supported"), "got: {e}");
-
-        let e = Doc::parse("[item.inner]\n", &SPEC).unwrap_err();
+        let e = Doc::parse("[scenario.machine]\n").unwrap_err();
         assert!(e.contains("before any"), "got: {e}");
 
-        let e = Doc::parse("[[item]]\n[item.bogus]\n", &SPEC).unwrap_err();
-        assert!(e.contains("bogus") && e.contains("inner"), "got: {e}");
+        let e = Doc::parse("[[scenario]]\n[scenario.bogus]\n").unwrap_err();
+        assert!(e.contains("bogus") && e.contains("machine"), "got: {e}");
 
-        let e = Doc::parse("x = 1\nx = 2\n", &FLAT).unwrap_err();
+        let e = Doc::parse("x = 1\nx = 2\n").unwrap_err();
         assert!(e.contains("duplicate") && e.contains("line 2"), "got: {e}");
 
-        let e = Doc::parse("x = -4\n", &FLAT).unwrap_err();
+        let e = Doc::parse("x = -4\n").unwrap_err();
         assert!(e.contains("negative"), "got: {e}");
 
-        let e = Doc::parse("x = [1, \"a\"]\n", &FLAT).unwrap_err();
+        let e = Doc::parse("x = [1, \"a\"]\n").unwrap_err();
         assert!(e.contains("homogeneous"), "got: {e}");
 
-        let e = Doc::parse("just words\n", &FLAT).unwrap_err();
+        let e = Doc::parse("just words\n").unwrap_err();
         assert!(e.contains("key = value"), "got: {e}");
     }
 
     #[test]
     fn unused_reports_the_first_unconsumed_entry() {
-        let mut doc = Doc::parse("a = 1\nb = 2\n", &FLAT).unwrap();
+        let mut doc = Doc::parse("a = 1\nb = 2\n").unwrap();
         assert_eq!(doc.take_u64("", "a").unwrap(), Some(1));
         let stray = doc.unused().unwrap();
         assert_eq!(stray.key, "b");
@@ -563,7 +501,7 @@ mod tests {
 
     #[test]
     fn narrowing_rejects_out_of_range_values() {
-        let mut doc = Doc::parse("w = 4294967298\n", &FLAT).unwrap();
+        let mut doc = Doc::parse("w = 4294967298\n").unwrap();
         let e = doc.take_narrow::<u32>("", "w").unwrap_err();
         assert!(e.contains("out of range"), "got: {e}");
     }

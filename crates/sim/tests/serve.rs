@@ -5,12 +5,13 @@
 //! requests deduplicate to one simulation, and shutdown is clean.
 
 use std::io::{BufRead, BufReader, Read, Write};
+use std::net::Shutdown;
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use iss_sim::host_time::HostTimer;
-use iss_sim::{Client, Record, ServeOptions, Server};
+use iss_sim::{Client, Record, ServeOptions, ServeStats, Server};
 
 /// A 4-point sweep (2 benchmarks × 2 models), small enough to simulate
 /// in milliseconds.
@@ -380,4 +381,116 @@ fn an_over_long_request_line_is_an_error_and_closes_the_connection() {
         .shutdown()
         .expect("shutdown");
     assert_eq!(handle.join().expect("join"), Ok(()));
+}
+
+/// How long a request to a healthy server may take before the test calls
+/// the server wedged.
+const DEADLINE: Duration = Duration::from_secs(10);
+
+/// Runs `f` on its own thread and returns its result, failing the test
+/// if it takes longer than [`DEADLINE`] instead of hanging it.
+fn within_deadline<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(DEADLINE) {
+        Ok(value) => value,
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what} did not return within {DEADLINE:?}"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
+    }
+}
+
+/// A fresh client's `stats`, answered within [`DEADLINE`].
+fn fresh_stats(addr: &str) -> ServeStats {
+    let addr = addr.to_string();
+    within_deadline("a fresh client's stats", move || {
+        Client::connect(&addr).and_then(|mut c| c.stats())
+    })
+    .expect("stats")
+}
+
+/// Reads until the server closes the connection; every line it sent on
+/// the way must be an error event.
+fn expect_closed_with_errors_only(mut reader: BufReader<std::net::TcpStream>) {
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => {
+            let text = String::from_utf8_lossy(&rest);
+            assert!(
+                text.lines().all(|l| l.contains("\"event\": \"error\"")),
+                "{text}"
+            );
+        }
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+}
+
+/// Clients that break the line protocol wedge nothing: after half a line
+/// and a half-close, after a `run` whose client hangs up before reading,
+/// and after a non-UTF-8 line, a fresh client is still answered. The
+/// abandoned request's simulation lands in the store, not in the
+/// coalescing map, and shutdown still returns.
+#[test]
+fn misbehaving_clients_wedge_nothing() {
+    let (addr, handle) = start("misbehave", 2);
+
+    // Half a request line, then a half-close: EOF arrives mid-line.
+    let (mut stream, reader) = raw_connect(&addr);
+    stream.write_all(b"{\"cmd\": \"sta").expect("send");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    expect_closed_with_errors_only(reader);
+    drop(stream);
+    assert_eq!(fresh_stats(&addr).requests, 0);
+
+    // A `run` whose client hangs up before reading a line of the answer.
+    let (mut stream, reader) = raw_connect(&addr);
+    let request = format!(
+        "{{\"cmd\": \"run\", \"spec_toml\": \"{}\"}}\n",
+        iss_sim::jsonval::escape(POINT_SPEC)
+    );
+    stream.write_all(request.as_bytes()).expect("send");
+    drop((stream, reader));
+    // The server finishes the request for nobody; wait until it counts it.
+    let timer = HostTimer::start();
+    let mut stats = fresh_stats(&addr);
+    while stats.requests == 0 {
+        assert!(
+            timer.elapsed_seconds() < DEADLINE.as_secs_f64(),
+            "the abandoned run was never finished: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+        stats = fresh_stats(&addr);
+    }
+    assert_eq!(stats.misses, 1, "{stats:?}");
+
+    // A non-UTF-8 line.
+    let (mut stream, reader) = raw_connect(&addr);
+    stream.write_all(b"\xff\xfe{\x80}\n").expect("send");
+    expect_closed_with_errors_only(reader);
+    drop(stream);
+    let stats = fresh_stats(&addr);
+    assert_eq!((stats.requests, stats.misses), (1, 1), "{stats:?}");
+
+    // The replay is a store hit: the abandoned simulation was kept. With
+    // the store emptied, the point simulates afresh; a coalescing slot the
+    // abandoned request left behind would answer it instead.
+    let replay_addr = addr.clone();
+    let (replay, rerun, misses) = within_deadline("the replay and re-run", move || {
+        let mut client = Client::connect(&replay_addr).expect("connect");
+        let replay = client.run(POINT_SPEC).expect("replay");
+        let after_replay = client.stats().expect("stats").misses;
+        assert_eq!(client.evict().expect("evict"), 1);
+        let rerun = client.run(POINT_SPEC).expect("re-run");
+        let after_rerun = client.stats().expect("stats").misses;
+        client.shutdown().expect("shutdown");
+        (replay, rerun, [after_replay, after_rerun])
+    });
+    assert_eq!(replay.hits, 1);
+    assert_eq!(replay.events[0].source, "cache");
+    assert_eq!(rerun.events[0].source, "simulated");
+    assert_eq!(misses, [1, 2]);
+
+    let served = within_deadline("serve after shutdown", move || handle.join());
+    assert_eq!(served.expect("join"), Ok(()));
 }

@@ -75,18 +75,6 @@ pub fn profile(name: &str) -> Option<WorkloadProfile> {
     spec_profile(name).or_else(|| parsec_profile(name))
 }
 
-/// All SPEC CPU2000 profiles, in catalog order.
-#[must_use]
-pub fn all_spec_profiles() -> Vec<WorkloadProfile> {
-    SPEC_CPU2000.iter().map(|n| build_spec(n)).collect()
-}
-
-/// All PARSEC profiles, in catalog order.
-#[must_use]
-pub fn all_parsec_profiles() -> Vec<WorkloadProfile> {
-    PARSEC.iter().map(|n| build_parsec(n)).collect()
-}
-
 /// Knobs from which a benchmark personality is constructed.
 struct Knobs {
     suite: Suite,
@@ -327,8 +315,6 @@ mod tests {
     fn catalog_counts_match_paper() {
         assert_eq!(SPEC_CPU2000.len(), 26);
         assert_eq!(PARSEC.len(), 9);
-        assert_eq!(all_spec_profiles().len(), 26);
-        assert_eq!(all_parsec_profiles().len(), 9);
     }
 
     #[test]

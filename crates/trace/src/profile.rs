@@ -170,23 +170,6 @@ impl MemoryBehavior {
         }
     }
 
-    /// Memory-bound default: large footprint, frequent L2/DRAM accesses.
-    #[must_use]
-    pub fn memory_bound() -> Self {
-        MemoryBehavior {
-            hot_bytes: 24 * 1024,
-            warm_bytes: 3 * 1024 * 1024,
-            cold_bytes: 256 * 1024 * 1024,
-            p_hot: 0.70,
-            p_warm: 0.22,
-            p_stream: 0.2,
-            pointer_chase: 0.25,
-            shared_frac: 0.0,
-            shared_write_frac: 0.0,
-            shared_bytes: 0,
-        }
-    }
-
     /// Validates region sizes and probabilities.
     ///
     /// # Errors
@@ -347,18 +330,6 @@ impl SyncBehavior {
         }
     }
 
-    /// Data-parallel behaviour: infrequent barriers, few locks.
-    #[must_use]
-    pub fn data_parallel() -> Self {
-        SyncBehavior {
-            barrier_period: 200_000,
-            lock_period: 0,
-            critical_section_len: 0,
-            num_locks: 1,
-            imbalance: 0.05,
-        }
-    }
-
     /// Validates the parameters.
     ///
     /// # Errors
@@ -495,7 +466,6 @@ mod tests {
     #[test]
     fn memory_defaults_are_valid() {
         MemoryBehavior::cache_friendly().validate().unwrap();
-        MemoryBehavior::memory_bound().validate().unwrap();
     }
 
     #[test]
@@ -528,7 +498,7 @@ mod tests {
 
     #[test]
     fn sync_rejects_lock_without_cs() {
-        let mut s = SyncBehavior::data_parallel();
+        let mut s = SyncBehavior::none();
         s.lock_period = 100;
         s.critical_section_len = 0;
         assert!(s.validate().is_err());

@@ -18,8 +18,9 @@
 //! Usage: `perf [output-path]`; the path defaults to `BENCH_interval.json`.
 
 use iss_bench::gates::{render_perf, PerfFile, PerfRow};
-use iss_bench::kernels::{batch_kernels, harvest, HARVEST_BENCHMARK, WARM_BATCH};
+use iss_bench::kernels::{batch_kernels, harvest, HARVEST_BENCHMARK};
 use iss_bench::{EXPERIMENT_SCALE, SPEC_QUICK};
+use iss_sim::env::DEFAULT_WARM_BATCH;
 use iss_sim::experiments::{default_sampling_specs, ExperimentScale};
 use iss_sim::host_time::{host_kernel_mops, HostTimer};
 use iss_sim::runner::CoreModel;
@@ -142,7 +143,7 @@ fn main() {
                 let workload = WorkloadSpec::single(b, scale.spec_length)
                     .build(scale.seed)
                     .unwrap_or_else(|e| panic!("warming workload failed: {e}"));
-                warm_functionally(&config, workload, WARM_BATCH)
+                warm_functionally(&config, workload, DEFAULT_WARM_BATCH)
             })
             .sum()
     }));

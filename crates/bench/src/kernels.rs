@@ -8,6 +8,7 @@
 use iss_branch::BranchUnit;
 use iss_mem::tlb::TlbConfig;
 use iss_mem::{Cache, CacheConfig, LineState, MemoryHierarchy, Tlb};
+use iss_sim::env::DEFAULT_WARM_BATCH;
 use iss_sim::{SystemConfig, WorkloadSpec};
 use iss_trace::{
     catalog, fast_forward_batched, geo_classify, geo_classify_head, geo_threshold_table,
@@ -17,10 +18,6 @@ use iss_trace::{
 /// The benchmark whose columns the kernels replay: the quick-set workload
 /// with the richest mix of memory and branch traffic.
 pub const HARVEST_BENCHMARK: &str = "mcf";
-
-/// Structure-of-arrays batch size of the harvest and of `perf`'s warming
-/// row: the default warming batch of sampled runs.
-pub const WARM_BATCH: usize = 64;
 
 /// Generator draws the threshold-scan kernel classifies per pass.
 const DRAWS: usize = 1 << 16;
@@ -62,7 +59,7 @@ fn decode(benchmark: &str, length: u64, seed: u64, visit: &mut dyn FnMut(&InstBa
         };
         streams.len()
     ];
-    let mut batch = InstBatch::with_capacity(WARM_BATCH);
+    let mut batch = InstBatch::with_capacity(DEFAULT_WARM_BATCH);
     fast_forward_batched(
         &mut streams,
         &mut sync,

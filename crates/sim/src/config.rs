@@ -42,48 +42,6 @@ impl SystemConfig {
         self.memory.num_cores
     }
 
-    /// Figure 4(a): perfect branch predictor, perfect I-cache/I-TLB and
-    /// perfect L2; only the L1 D-cache is real — isolates the accuracy of the
-    /// effective dispatch-rate model.
-    #[must_use]
-    pub fn fig4_effective_dispatch_rate() -> Self {
-        let mut c = Self::hpca2010_baseline(1);
-        c.branch = BranchPredictorConfig::perfect();
-        c.memory = c.memory.with_perfect_instruction_side().with_perfect_l2();
-        c
-    }
-
-    /// Figure 4(b): perfect branch predictor and perfect D-side; only the
-    /// I-cache and I-TLB are real.
-    #[must_use]
-    pub fn fig4_icache() -> Self {
-        let mut c = Self::hpca2010_baseline(1);
-        c.branch = BranchPredictorConfig::perfect();
-        c.memory = c.memory.with_perfect_data_side();
-        c
-    }
-
-    /// Figure 4(c): all caches perfect; only the branch predictor is real.
-    #[must_use]
-    pub fn fig4_branch_prediction() -> Self {
-        let mut c = Self::hpca2010_baseline(1);
-        c.memory = c
-            .memory
-            .with_perfect_instruction_side()
-            .with_perfect_data_side();
-        c
-    }
-
-    /// Figure 4(d): perfect branch predictor and perfect I-side; the L1
-    /// D-cache and L2 are real.
-    #[must_use]
-    pub fn fig4_l2() -> Self {
-        let mut c = Self::hpca2010_baseline(1);
-        c.branch = BranchPredictorConfig::perfect();
-        c.memory = c.memory.with_perfect_instruction_side();
-        c
-    }
-
     /// Figure 8, first design point: dual core, 4 MB L2, external DRAM behind
     /// a 16-byte bus.
     #[must_use]
@@ -146,18 +104,26 @@ mod tests {
 
     #[test]
     fn fig4_variants_isolate_components() {
-        let a = SystemConfig::fig4_effective_dispatch_rate();
+        let machine = |name: &str| {
+            crate::experiments::builtin(name, crate::experiments::ExperimentScale::quick())
+                .expect("builtin resolves")
+                .templates[0]
+                .machine
+                .resolve(1)
+                .unwrap()
+        };
+        let a = machine("fig4-dispatch");
         assert_eq!(a.branch.kind, DirectionPredictorKind::Perfect);
         assert!(a.memory.perfect_l1i && a.memory.perfect_l2 && !a.memory.perfect_l1d);
 
-        let b = SystemConfig::fig4_icache();
+        let b = machine("fig4-icache");
         assert!(b.memory.perfect_l1d && !b.memory.perfect_l1i);
 
-        let c = SystemConfig::fig4_branch_prediction();
+        let c = machine("fig4-branch");
         assert_eq!(c.branch.kind, DirectionPredictorKind::Local);
         assert!(c.memory.perfect_l1i && c.memory.perfect_l1d);
 
-        let d = SystemConfig::fig4_l2();
+        let d = machine("fig4-l2");
         assert_eq!(d.branch.kind, DirectionPredictorKind::Perfect);
         assert!(d.memory.perfect_l1i && !d.memory.perfect_l1d && !d.memory.perfect_l2);
     }

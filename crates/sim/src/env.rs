@@ -131,19 +131,23 @@ pub const EXPERIMENT_SCALE: Knob<ExperimentScale> = Knob {
     parser: scale,
 };
 
+/// The warming batch an unset [`WARM_BATCH`] selects, in instructions:
+/// it amortizes the per-batch column passes while keeping the buffers
+/// inside the L1 data cache.
+pub const DEFAULT_WARM_BATCH: usize = 64;
+
 /// `ISS_WARM_BATCH`: functional-warming batch size of the
 /// structure-of-arrays hot path in sampled runs.
 ///
 /// Every size is bit-identical (batch `1` degenerates to the scalar path);
-/// `0` would make the warming loop spin without retiring instructions. The
-/// default of 64 instructions amortizes the per-batch column passes while
-/// keeping the buffers inside the L1 data cache.
+/// `0` would make the warming loop spin without retiring instructions.
+/// Unset, it is [`DEFAULT_WARM_BATCH`].
 pub const WARM_BATCH: Knob<usize> = Knob {
     var: "ISS_WARM_BATCH",
     flag: None,
     accepts: "a positive integer of instructions",
     default: "a batch of 64",
-    fallback: || 64,
+    fallback: || DEFAULT_WARM_BATCH,
     parser: positive,
 };
 

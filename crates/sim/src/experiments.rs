@@ -17,7 +17,7 @@
 //! seed)`, so the rows are identical whether `ISS_THREADS` is 1 or 64.
 
 use crate::hybrid::HybridSpec;
-use crate::runner::{BaseModel, CoreModel};
+use crate::runner::CoreModel;
 use crate::sampling::SamplingSpec;
 use crate::scenario::SweepSpec;
 use crate::workload::WorkloadSpec;
@@ -212,39 +212,42 @@ fn sampling_unit_factor(scale: ExperimentScale) -> u64 {
     (sampling_length(scale) / sampling_length(ExperimentScale::quick())).max(1)
 }
 
-/// The default policy sweep of the hybrid frontier: pin-interval (the fast
-/// extreme), periodic detailed sampling, and phase-triggered swapping. The
-/// interval quantum is a tenth of the per-benchmark budget (at least 500)
-/// so every run crosses several swap decisions.
+/// The hybrid policies of the `hybrid` built-in at `scale`, in file order:
+/// pin-interval (the fast extreme), periodic detailed sampling, and
+/// phase-triggered swapping, each on a quantum of a tenth of the SPEC
+/// budget (at least 500) so every run crosses several swap decisions.
 #[must_use]
 pub fn default_hybrid_policies(scale: ExperimentScale) -> Vec<HybridSpec> {
-    let quantum = hybrid_quantum(scale);
-    vec![
-        HybridSpec::always(BaseModel::Interval, quantum),
-        HybridSpec::periodic(4, quantum),
-        HybridSpec::phase_cpi(200, quantum),
-    ]
+    builtin_models("hybrid", scale)
+        .filter_map(|model| match model {
+            CoreModel::Hybrid(spec) => Some(spec),
+            _ => None,
+        })
+        .collect()
 }
 
-/// The default sampling sweep of the frontier: a sparse and a dense
-/// detailed-measurement config plus an interval-measurement config, all
-/// sized relative to the per-benchmark budget so every run crosses several
-/// measured units.
+/// The sampled configurations of the `sampling` built-in at `scale`, in
+/// file order. Tuned at the quick-scale sampling budget, they span the
+/// frontier: a sparse detailed-measurement config (the ≥5×-at-≤5%-average
+/// acceptance point), a dense one (the accuracy end, ~3% average error at
+/// ~3×), and an interval-measurement config (the speed extreme, ~9× with
+/// a confidence interval attached). Units and warmups grow with the
+/// sampling budget so every run crosses several measured units.
 #[must_use]
 pub fn default_sampling_specs(scale: ExperimentScale) -> Vec<SamplingSpec> {
-    // Tuned at the quick-scale sampling budget (100k instructions) and
-    // scaled proportionally beyond it. The three points span the frontier:
-    // a sparse detailed-measurement config (the ≥5×-at-≤5%-average
-    // acceptance point), a dense detailed-measurement config (the accuracy
-    // end, ~3% average error at ~3×), and an interval-measurement config
-    // (the speed extreme — interval-model systematic error on top, but
-    // ~9× with a confidence interval attached).
-    let m = sampling_unit_factor(scale);
-    vec![
-        SamplingSpec::new(BaseModel::Detailed, 350 * m, 28, 60 * m, 6),
-        SamplingSpec::new(BaseModel::Detailed, 500 * m, 6, 100 * m, 4),
-        SamplingSpec::new(BaseModel::Interval, 500 * m, 12, 100 * m, 4),
-    ]
+    builtin_models("sampling", scale)
+        .filter_map(|model| match model {
+            CoreModel::Sampled(spec) => Some(spec),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The model axis of the `name` built-in at `scale`.
+fn builtin_models(name: &str, scale: ExperimentScale) -> impl Iterator<Item = CoreModel> {
+    builtin(name, scale)
+        .into_iter()
+        .flat_map(|sweep| sweep.models)
 }
 
 /// The per-benchmark instruction budget of the sampled-simulation figure:

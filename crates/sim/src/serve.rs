@@ -20,17 +20,19 @@
 //!   and answer every point, from cache when possible;
 //! * `{"cmd": "stats"}` — server counters (see [`ServeStats`]);
 //! * `{"cmd": "evict"}` — drop every cache entry;
-//! * `{"cmd": "shutdown"}` — acknowledge, then stop accepting and exit
-//!   the accept loop cleanly.
+//! * `{"cmd": "shutdown"}` — acknowledge, then stop accepting, end every
+//!   connection's reads (a response being written still goes out) and
+//!   exit the accept loop cleanly.
 //!
 //! A `run` streams progress — one
 //! `{"event": "job", "index": i, "total": n, "name": ..., "digest": ...,
 //! "source": "cache"|"simulated"|"coalesced"}` line per point as it
 //! completes (completion order, the index identifies the point) — then a
 //! final `{"event": "done", ...}` carrying every record in expansion
-//! order. Failures are `{"event": "error", "message": ...}`. A request
-//! line longer than [`MAX_REQUEST_BYTES`] gets one error event, and then
-//! the server closes the connection.
+//! order. Failures are `{"event": "error", "message": ...}`; so is the
+//! answer to a line that is not UTF-8 or not JSON, and the connection
+//! stays open. A request line longer than [`MAX_REQUEST_BYTES`] gets one
+//! error event, and then the server closes the connection.
 //!
 //! Identical points racing through different connections **coalesce**:
 //! the first requester simulates, the rest block on the same in-flight
@@ -52,7 +54,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -264,23 +266,34 @@ struct Shared {
     timer: HostTimer,
     workers: usize,
     /// Connection threads still running; `serve` returns once none is.
-    connections: Mutex<usize>,
+    connections: Mutex<Connections>,
     closed: Condvar,
 }
 
+/// The running connection threads, each by id with a clone of its
+/// stream, so that shutdown can end a read that would wait forever.
+#[derive(Default)]
+struct Connections {
+    next_id: u64,
+    live: BTreeMap<u64, TcpStream>,
+}
+
 /// Counts a connection thread as running until it ends, by a panic too.
-struct LiveConnection(Arc<Shared>);
+struct LiveConnection(Arc<Shared>, u64);
 
 impl LiveConnection {
-    fn open(shared: &Arc<Shared>) -> LiveConnection {
-        *lock(&shared.connections) += 1;
-        LiveConnection(Arc::clone(shared))
+    fn open(shared: &Arc<Shared>, stream: TcpStream) -> LiveConnection {
+        let mut connections = lock(&shared.connections);
+        let id = connections.next_id;
+        connections.next_id += 1;
+        connections.live.insert(id, stream);
+        LiveConnection(Arc::clone(shared), id)
     }
 }
 
 impl Drop for LiveConnection {
     fn drop(&mut self) {
-        *lock(&self.0.connections) -= 1;
+        lock(&self.0.connections).live.remove(&self.1);
         self.0.closed.notify_all();
     }
 }
@@ -316,7 +329,7 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 timer: HostTimer::start(),
                 workers: options.workers.max(1),
-                connections: Mutex::new(0),
+                connections: Mutex::new(Connections::default()),
                 closed: Condvar::new(),
             }),
         })
@@ -335,8 +348,8 @@ impl Server {
     }
 
     /// Accepts connections until a `shutdown` command arrives, one thread
-    /// per connection, then waits for every connection thread to end and
-    /// returns.
+    /// per connection, then ends every connection's reads, waits for
+    /// every connection thread to end and returns.
     ///
     /// # Errors
     ///
@@ -348,19 +361,28 @@ impl Server {
                 break;
             }
             let stream = stream.map_err(|e| format!("accept failed: {e}"))?;
-            let live = LiveConnection::open(&self.shared);
+            let Ok(clone) = stream.try_clone() else {
+                continue;
+            };
+            let live = LiveConnection::open(&self.shared, clone);
             let self_addr = addr.clone();
             // Detached, so a closed connection's thread frees its stack as
             // it exits; a joinable thread keeps it mapped until joined. A
             // panic still reaches stderr through the panic hook.
             std::thread::spawn(move || handle_connection(&live.0, stream, &self_addr));
         }
-        let mut live = lock(&self.shared.connections);
-        while *live > 0 {
-            live = self
+        let mut connections = lock(&self.shared.connections);
+        // A client that sends nothing would keep its thread in a read
+        // forever. With the read half shut, that read returns EOF, while a
+        // response still being written goes out whole.
+        for stream in connections.live.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        while !connections.live.is_empty() {
+            connections = self
                 .shared
                 .closed
-                .wait(live)
+                .wait(connections)
                 .unwrap_or_else(PoisonError::into_inner);
         }
         Ok(())
@@ -404,7 +426,8 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, self_addr: &str) {
             break;
         }
         let Ok(line) = std::str::from_utf8(&buf) else {
-            break;
+            send_error(&writer, "request line is not UTF-8");
+            continue;
         };
         if line.trim().is_empty() {
             continue;

@@ -1,15 +1,10 @@
 //! The built-in sweeps are their checked-in scenario files: at quick scale
 //! a builtin renders back to its file byte for byte, and at every scale its
-//! scale-dependent values are the ones the default frontier helpers (which
-//! other harnesses call directly) compute.
+//! workload lengths and seeds follow the scale.
 
 use std::path::PathBuf;
 
-use iss_sim::experiments::{
-    builtin, default_hybrid_policies, default_sampling_specs, sampling_length, ExperimentScale,
-    BUILTINS,
-};
-use iss_sim::runner::CoreModel;
+use iss_sim::experiments::{builtin, sampling_length, ExperimentScale, BUILTINS};
 use iss_sim::WorkloadSpec;
 
 fn scenario_file(name: &str) -> String {
@@ -53,26 +48,7 @@ fn quick_builtins_render_to_their_checked_in_files() {
 #[test]
 fn frontier_builtins_scale_like_the_default_helpers() {
     for scale in scales() {
-        let hybrid = builtin("hybrid", scale).unwrap();
-        let expected: Vec<CoreModel> = std::iter::once(CoreModel::Detailed)
-            .chain(
-                default_hybrid_policies(scale)
-                    .into_iter()
-                    .map(CoreModel::Hybrid),
-            )
-            .collect();
-        assert_eq!(hybrid.models, expected, "hybrid models at {scale:?}");
-
         let sampling = builtin("sampling", scale).unwrap();
-        let expected: Vec<CoreModel> = [CoreModel::Detailed, CoreModel::Interval]
-            .into_iter()
-            .chain(
-                default_sampling_specs(scale)
-                    .into_iter()
-                    .map(CoreModel::Sampled),
-            )
-            .collect();
-        assert_eq!(sampling.models, expected, "sampling models at {scale:?}");
         assert!(
             matches!(sampling.templates[0].workload, WorkloadSpec::Single { length, .. }
                 if length == sampling_length(scale)),

@@ -428,7 +428,8 @@ fn expect_closed_with_errors_only(mut reader: BufReader<std::net::TcpStream>) {
 
 /// Clients that break the line protocol wedge nothing: after half a line
 /// and a half-close, after a `run` whose client hangs up before reading,
-/// and after a non-UTF-8 line, a fresh client is still answered. The
+/// and after a non-UTF-8 line (an error event on a connection that stays
+/// open), a fresh client is still answered. The
 /// abandoned request's simulation lands in the store, not in the
 /// coalescing map, and shutdown still returns.
 #[test]
@@ -464,11 +465,17 @@ fn misbehaving_clients_wedge_nothing() {
     }
     assert_eq!(stats.misses, 1, "{stats:?}");
 
-    // A non-UTF-8 line.
-    let (mut stream, reader) = raw_connect(&addr);
+    // A non-UTF-8 line is an error event, and the connection still
+    // answers the next request.
+    let (mut stream, mut reader) = raw_connect(&addr);
     stream.write_all(b"\xff\xfe{\x80}\n").expect("send");
-    expect_closed_with_errors_only(reader);
-    drop(stream);
+    let answer = read_line(&mut reader);
+    assert!(answer.contains("\"event\": \"error\""), "{answer}");
+    assert!(answer.contains("UTF-8"), "{answer}");
+    stream.write_all(b"{\"cmd\": \"stats\"}\n").expect("send");
+    let stats = read_line(&mut reader);
+    assert!(stats.contains("\"event\": \"stats\""), "{stats}");
+    drop((stream, reader));
     let stats = fresh_stats(&addr);
     assert_eq!((stats.requests, stats.misses), (1, 1), "{stats:?}");
 
@@ -493,4 +500,30 @@ fn misbehaving_clients_wedge_nothing() {
 
     let served = within_deadline("serve after shutdown", move || handle.join());
     assert_eq!(served.expect("join"), Ok(()));
+}
+
+/// A client that stays connected without sending anything does not keep
+/// `serve` from returning after a `shutdown`; it reads EOF instead.
+#[test]
+fn an_idle_connection_does_not_block_shutdown() {
+    let (addr, handle) = start("idle", 1);
+    // One answered request proves the server has accepted the connection
+    // and its thread now waits for the next line.
+    let (mut idle, mut reader) = raw_connect(&addr);
+    idle.write_all(b"{\"cmd\": \"stats\"}\n").expect("send");
+    let stats = read_line(&mut reader);
+    assert!(stats.contains("\"event\": \"stats\""), "{stats}");
+
+    let shutdown_addr = addr.clone();
+    within_deadline("shutdown", move || {
+        Client::connect(&shutdown_addr).and_then(|mut c| c.shutdown())
+    })
+    .expect("shutdown");
+    let served = within_deadline("serve with an idle client connected", move || handle.join());
+    assert_eq!(served.expect("join"), Ok(()));
+
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("EOF");
+    assert!(rest.is_empty(), "{}", String::from_utf8_lossy(&rest));
+    drop(idle);
 }

@@ -6,6 +6,7 @@
 //! the same performance trends, and never produces nonsensical IPCs.
 
 use interval_sim::sim::config::SystemConfig;
+use interval_sim::sim::experiments::{builtin, ExperimentScale};
 use interval_sim::sim::metrics;
 use interval_sim::sim::runner::{run, CoreModel};
 use interval_sim::sim::workload::WorkloadSpec;
@@ -80,7 +81,12 @@ fn interval_is_faster_to_simulate_than_detailed() {
 fn perfect_component_configuration_gives_high_ipc_under_both_models() {
     // Figure 4(a)-style sanity: with a perfect branch predictor, I-side and
     // L2, both models should report healthy IPCs for an ILP-rich benchmark.
-    let config = SystemConfig::fig4_effective_dispatch_rate();
+    let config = builtin("fig4-dispatch", ExperimentScale::quick())
+        .expect("builtin resolves")
+        .templates[0]
+        .machine
+        .resolve(1)
+        .unwrap();
     let (detailed, interval) = ipc_pair("swim", &config);
     assert!(detailed > 1.0, "detailed IPC {detailed:.3}");
     assert!(interval > 1.0, "interval IPC {interval:.3}");

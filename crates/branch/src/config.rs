@@ -1,47 +1,28 @@
 //! Branch predictor configuration.
 
-/// Which conditional-direction predictor the front-end uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DirectionPredictorKind {
-    /// All predictions are correct — used by the component-isolation
-    /// experiments of Figure 4 ("the branch predictor is perfect").
-    Perfect,
-    /// Table of 2-bit saturating counters indexed by PC.
-    Bimodal,
-    /// Global history XOR-ed with the PC indexing 2-bit counters.
-    Gshare,
-    /// Two-level local-history predictor (per-branch histories), the paper's
-    /// baseline (12 Kbit).
-    Local,
-    /// Tournament of a local and a gshare component with a choice table.
-    Tournament,
-}
-
 /// Configuration of the complete branch prediction front-end of one core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchPredictorConfig {
-    /// Direction predictor kind.
-    pub kind: DirectionPredictorKind,
+    /// Whether the whole front-end is perfect: every direction and target
+    /// is predicted correctly and no table is consulted. The component
+    /// isolation experiments of Figure 4 use this ("the branch predictor is
+    /// perfect"); otherwise the front-end is the local predictor, BTB and
+    /// RAS below.
+    pub perfect: bool,
     /// Entries of the local history table (first level) of the local
     /// predictor.
     pub local_history_entries: usize,
     /// Bits of local history per branch (second-level index width).
     pub local_history_bits: u32,
-    /// Entries of the 2-bit counter table (bimodal / gshare / local second
+    /// Entries of the 2-bit counter table (the local predictor's second
     /// level).
     pub counter_entries: usize,
-    /// Global history bits used by gshare/tournament.
-    pub global_history_bits: u32,
     /// Entries in the branch target buffer.
     pub btb_entries: usize,
     /// BTB associativity.
     pub btb_ways: usize,
     /// Entries in the return address stack.
     pub ras_entries: usize,
-    /// Whether the BTB/RAS are bypassed (perfect target prediction); the
-    /// paper's "perfect branch predictor" experiments imply perfect targets
-    /// as well.
-    pub perfect_targets: bool,
 }
 
 impl BranchPredictorConfig {
@@ -51,15 +32,13 @@ impl BranchPredictorConfig {
     #[must_use]
     pub fn hpca2010_baseline() -> Self {
         BranchPredictorConfig {
-            kind: DirectionPredictorKind::Local,
+            perfect: false,
             local_history_entries: 1024,
             local_history_bits: 10,
             counter_entries: 1024,
-            global_history_bits: 12,
             btb_entries: 2048,
             btb_ways: 8,
             ras_entries: 32,
-            perfect_targets: false,
         }
     }
 
@@ -67,8 +46,7 @@ impl BranchPredictorConfig {
     #[must_use]
     pub fn perfect() -> Self {
         BranchPredictorConfig {
-            kind: DirectionPredictorKind::Perfect,
-            perfect_targets: true,
+            perfect: true,
             ..Self::hpca2010_baseline()
         }
     }
@@ -77,21 +55,10 @@ impl BranchPredictorConfig {
     /// check that the baseline matches the paper's 12 Kbit budget.
     #[must_use]
     pub fn direction_storage_bits(&self) -> usize {
-        match self.kind {
-            DirectionPredictorKind::Perfect => 0,
-            DirectionPredictorKind::Bimodal => self.counter_entries * 2,
-            DirectionPredictorKind::Gshare => self.counter_entries * 2,
-            DirectionPredictorKind::Local => {
-                self.local_history_entries * self.local_history_bits as usize
-                    + self.counter_entries * 2
-            }
-            DirectionPredictorKind::Tournament => {
-                // local + gshare + chooser
-                self.local_history_entries * self.local_history_bits as usize
-                    + self.counter_entries * 2
-                    + self.counter_entries * 2
-                    + self.counter_entries * 2
-            }
+        if self.perfect {
+            0
+        } else {
+            self.local_history_entries * self.local_history_bits as usize + self.counter_entries * 2
         }
     }
 
@@ -102,9 +69,6 @@ impl BranchPredictorConfig {
     ///
     /// Returns a description of the offending parameter.
     pub fn validate(&self) -> Result<(), String> {
-        if self.kind == DirectionPredictorKind::Perfect {
-            return Ok(());
-        }
         for (name, v) in [
             ("local_history_entries", self.local_history_entries),
             ("counter_entries", self.counter_entries),
@@ -132,9 +96,6 @@ impl BranchPredictorConfig {
         }
         if self.local_history_bits == 0 || self.local_history_bits > 20 {
             return Err("local_history_bits must be in 1..=20".to_string());
-        }
-        if self.global_history_bits == 0 || self.global_history_bits > 24 {
-            return Err("global_history_bits must be in 1..=24".to_string());
         }
         Ok(())
     }

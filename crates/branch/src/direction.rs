@@ -1,155 +1,30 @@
-//! Conditional branch direction predictors.
-//!
-//! All predictors share the [`DirectionPredictor`] trait: `predict` returns
-//! the predicted direction for a PC, `update` trains the structure with the
-//! resolved direction. Predictors are deliberately simple, table-based
-//! structures — exactly what the miss-event simulators of the paper model.
+//! The conditional branch direction predictor: the paper's two-level local
+//! predictor. `predict` returns the predicted direction for a PC, `update`
+//! trains the tables with the resolved direction. It is a deliberately
+//! simple, table-based structure — exactly what the miss-event simulators of
+//! the paper model.
 
 use crate::config::BranchPredictorConfig;
 
-/// Two-bit saturating counter used throughout the predictors.
+/// Two-bit saturating counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Counter2(u8);
+struct Counter2(u8);
 
 impl Counter2 {
-    pub(crate) fn weakly_taken() -> Self {
+    fn weakly_taken() -> Self {
         Counter2(2)
     }
 
-    pub(crate) fn predict(self) -> bool {
+    fn predict(self) -> bool {
         self.0 >= 2
     }
 
-    pub(crate) fn update(&mut self, taken: bool) {
+    fn update(&mut self, taken: bool) {
         if taken {
             self.0 = (self.0 + 1).min(3);
         } else {
             self.0 = self.0.saturating_sub(1);
         }
-    }
-}
-
-/// A predictor of conditional branch directions.
-pub trait DirectionPredictor {
-    /// Predicts the direction of the branch at `pc`.
-    fn predict(&self, pc: u64) -> bool;
-
-    /// Trains the predictor with the architecturally resolved direction.
-    fn update(&mut self, pc: u64, taken: bool);
-
-    /// Convenience: predict, compare against the outcome, train, and report
-    /// whether the prediction was correct.
-    fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
-        let predicted = self.predict(pc);
-        self.update(pc, taken);
-        predicted == taken
-    }
-}
-
-/// Perfect direction predictor: never mispredicts.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PerfectPredictor;
-
-impl DirectionPredictor for PerfectPredictor {
-    fn predict(&self, _pc: u64) -> bool {
-        // The caller compares against the resolved direction; by construction
-        // `predict_and_update` below always reports a correct prediction.
-        true
-    }
-
-    fn update(&mut self, _pc: u64, _taken: bool) {}
-
-    fn predict_and_update(&mut self, _pc: u64, _taken: bool) -> bool {
-        true
-    }
-}
-
-/// Bimodal predictor: a table of 2-bit counters indexed by the PC.
-#[derive(Debug, Clone)]
-pub struct BimodalPredictor {
-    counters: Vec<Counter2>,
-    mask: u64,
-}
-
-impl BimodalPredictor {
-    /// Creates a bimodal predictor with `entries` counters (a power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is zero or not a power of two.
-    #[must_use]
-    pub fn new(entries: usize) -> Self {
-        assert!(
-            entries.is_power_of_two() && entries > 0,
-            "entries must be a power of two"
-        );
-        BimodalPredictor {
-            counters: vec![Counter2::weakly_taken(); entries],
-            mask: entries as u64 - 1,
-        }
-    }
-
-    fn index(&self, pc: u64) -> usize {
-        ((pc >> 2) & self.mask) as usize
-    }
-}
-
-impl DirectionPredictor for BimodalPredictor {
-    fn predict(&self, pc: u64) -> bool {
-        self.counters[self.index(pc)].predict()
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        let i = self.index(pc);
-        self.counters[i].update(taken);
-    }
-}
-
-/// Gshare predictor: global history XOR-ed with the PC indexes the counters.
-#[derive(Debug, Clone)]
-pub struct GsharePredictor {
-    counters: Vec<Counter2>,
-    mask: u64,
-    history: u64,
-    history_mask: u64,
-}
-
-impl GsharePredictor {
-    /// Creates a gshare predictor with `entries` counters and `history_bits`
-    /// bits of global history.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is not a power of two or `history_bits == 0`.
-    #[must_use]
-    pub fn new(entries: usize, history_bits: u32) -> Self {
-        assert!(
-            entries.is_power_of_two() && entries > 0,
-            "entries must be a power of two"
-        );
-        assert!(history_bits > 0, "history_bits must be non-zero");
-        GsharePredictor {
-            counters: vec![Counter2::weakly_taken(); entries],
-            mask: entries as u64 - 1,
-            history: 0,
-            history_mask: (1 << history_bits) - 1,
-        }
-    }
-
-    fn index(&self, pc: u64) -> usize {
-        (((pc >> 2) ^ self.history) & self.mask) as usize
-    }
-}
-
-impl DirectionPredictor for GsharePredictor {
-    fn predict(&self, pc: u64) -> bool {
-        self.counters[self.index(pc)].predict()
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        let i = self.index(pc);
-        self.counters[i].update(taken);
-        self.history = ((self.history << 1) | u64::from(taken)) & self.history_mask;
     }
 }
 
@@ -172,34 +47,18 @@ impl LocalPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if the table sizes are not powers of two.
+    /// Panics if either table size is not a power of two or the history
+    /// width is zero.
     #[must_use]
     pub fn new(config: &BranchPredictorConfig) -> Self {
-        Self::with_geometry(
-            config.local_history_entries,
-            config.local_history_bits,
-            config.counter_entries,
-        )
-    }
-
-    /// Creates a local predictor with explicit geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either table size is not a power of two or `history_bits`
-    /// is zero.
-    #[must_use]
-    pub fn with_geometry(
-        history_entries: usize,
-        history_bits: u32,
-        counter_entries: usize,
-    ) -> Self {
+        let history_entries = config.local_history_entries;
+        let counter_entries = config.counter_entries;
         assert!(history_entries.is_power_of_two() && history_entries > 0);
         assert!(counter_entries.is_power_of_two() && counter_entries > 0);
-        assert!(history_bits > 0);
+        assert!(config.local_history_bits > 0);
         LocalPredictor {
             histories: vec![0; history_entries],
-            history_mask: (1 << history_bits) - 1,
+            history_mask: (1 << config.local_history_bits) - 1,
             counters: vec![Counter2::weakly_taken(); counter_entries],
             counter_mask: counter_entries as u64 - 1,
             l1_mask: history_entries as u64 - 1,
@@ -213,143 +72,29 @@ impl LocalPredictor {
     fn l2_index(&self, history: u64) -> usize {
         (history & self.counter_mask) as usize
     }
-}
 
-impl DirectionPredictor for LocalPredictor {
-    fn predict(&self, pc: u64) -> bool {
+    /// Predicts the direction of the branch at `pc`.
+    #[must_use]
+    pub fn predict(&self, pc: u64) -> bool {
         let history = self.histories[self.l1_index(pc)];
         self.counters[self.l2_index(history)].predict()
     }
 
-    fn update(&mut self, pc: u64, taken: bool) {
+    /// Trains the predictor with the architecturally resolved direction.
+    pub fn update(&mut self, pc: u64, taken: bool) {
         let l1 = self.l1_index(pc);
         let history = self.histories[l1];
         let l2 = self.l2_index(history);
         self.counters[l2].update(taken);
         self.histories[l1] = ((history << 1) | u64::from(taken)) & self.history_mask;
     }
-}
 
-/// Tournament predictor: chooses between a local and a gshare component with
-/// a per-PC chooser table (Alpha 21264 style).
-#[derive(Debug, Clone)]
-pub struct TournamentPredictor {
-    local: LocalPredictor,
-    global: GsharePredictor,
-    chooser: Vec<Counter2>,
-    chooser_mask: u64,
-}
-
-impl TournamentPredictor {
-    /// Creates a tournament predictor from the structural parameters of
-    /// `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table sizes are not powers of two.
-    #[must_use]
-    pub fn new(config: &BranchPredictorConfig) -> Self {
-        TournamentPredictor {
-            local: LocalPredictor::new(config),
-            global: GsharePredictor::new(config.counter_entries, config.global_history_bits),
-            chooser: vec![Counter2::weakly_taken(); config.counter_entries],
-            chooser_mask: config.counter_entries as u64 - 1,
-        }
-    }
-
-    fn chooser_index(&self, pc: u64) -> usize {
-        ((pc >> 2) & self.chooser_mask) as usize
-    }
-}
-
-impl DirectionPredictor for TournamentPredictor {
-    fn predict(&self, pc: u64) -> bool {
-        // Chooser counter >= 2 selects the global component.
-        if self.chooser[self.chooser_index(pc)].predict() {
-            self.global.predict(pc)
-        } else {
-            self.local.predict(pc)
-        }
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        let local_correct = self.local.predict(pc) == taken;
-        let global_correct = self.global.predict(pc) == taken;
-        let ci = self.chooser_index(pc);
-        if global_correct != local_correct {
-            // Train towards the component that was right.
-            self.chooser[ci].update(global_correct);
-        }
-        self.local.update(pc, taken);
-        self.global.update(pc, taken);
-    }
-}
-
-/// Closed sum of the direction predictors, dispatched with a `match`.
-///
-/// The branch unit predicts once per dynamic branch — several million times
-/// per simulated second — so the predictor lives here as an enum rather than
-/// a `Box<dyn DirectionPredictor>`: no virtual call on the per-instruction
-/// hot path, no heap indirection, and the whole unit stays `Clone`.
-#[derive(Debug, Clone)]
-pub enum AnyDirectionPredictor {
-    /// Never mispredicts.
-    Perfect(PerfectPredictor),
-    /// PC-indexed 2-bit counters.
-    Bimodal(BimodalPredictor),
-    /// Global-history gshare.
-    Gshare(GsharePredictor),
-    /// Two-level local-history predictor (the paper's baseline).
-    Local(LocalPredictor),
-    /// Alpha 21264-style tournament of local and gshare.
-    Tournament(TournamentPredictor),
-}
-
-impl DirectionPredictor for AnyDirectionPredictor {
-    fn predict(&self, pc: u64) -> bool {
-        match self {
-            AnyDirectionPredictor::Perfect(p) => p.predict(pc),
-            AnyDirectionPredictor::Bimodal(p) => p.predict(pc),
-            AnyDirectionPredictor::Gshare(p) => p.predict(pc),
-            AnyDirectionPredictor::Local(p) => p.predict(pc),
-            AnyDirectionPredictor::Tournament(p) => p.predict(pc),
-        }
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        match self {
-            AnyDirectionPredictor::Perfect(p) => p.update(pc, taken),
-            AnyDirectionPredictor::Bimodal(p) => p.update(pc, taken),
-            AnyDirectionPredictor::Gshare(p) => p.update(pc, taken),
-            AnyDirectionPredictor::Local(p) => p.update(pc, taken),
-            AnyDirectionPredictor::Tournament(p) => p.update(pc, taken),
-        }
-    }
-
-    fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
-        match self {
-            AnyDirectionPredictor::Perfect(p) => p.predict_and_update(pc, taken),
-            AnyDirectionPredictor::Bimodal(p) => p.predict_and_update(pc, taken),
-            AnyDirectionPredictor::Gshare(p) => p.predict_and_update(pc, taken),
-            AnyDirectionPredictor::Local(p) => p.predict_and_update(pc, taken),
-            AnyDirectionPredictor::Tournament(p) => p.predict_and_update(pc, taken),
-        }
-    }
-}
-
-/// Builds the direction predictor selected by `config`.
-#[must_use]
-pub fn build_direction_predictor(config: &BranchPredictorConfig) -> AnyDirectionPredictor {
-    use crate::config::DirectionPredictorKind as K;
-    match config.kind {
-        K::Perfect => AnyDirectionPredictor::Perfect(PerfectPredictor),
-        K::Bimodal => AnyDirectionPredictor::Bimodal(BimodalPredictor::new(config.counter_entries)),
-        K::Gshare => AnyDirectionPredictor::Gshare(GsharePredictor::new(
-            config.counter_entries,
-            config.global_history_bits,
-        )),
-        K::Local => AnyDirectionPredictor::Local(LocalPredictor::new(config)),
-        K::Tournament => AnyDirectionPredictor::Tournament(TournamentPredictor::new(config)),
+    /// Predicts, trains with the outcome, and reports whether the prediction
+    /// was correct.
+    pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
+        let predicted = self.predict(pc);
+        self.update(pc, taken);
+        predicted == taken
     }
 }
 
@@ -357,7 +102,7 @@ pub fn build_direction_predictor(config: &BranchPredictorConfig) -> AnyDirection
 mod tests {
     use super::*;
 
-    fn accuracy<P: DirectionPredictor>(p: &mut P, outcomes: &[(u64, bool)]) -> f64 {
+    fn accuracy(p: &mut LocalPredictor, outcomes: &[(u64, bool)]) -> f64 {
         let mut correct = 0usize;
         for &(pc, taken) in outcomes {
             if p.predict_and_update(pc, taken) {
@@ -365,10 +110,6 @@ mod tests {
             }
         }
         correct as f64 / outcomes.len() as f64
-    }
-
-    fn biased_stream(pc: u64, n: usize, taken: bool) -> Vec<(u64, bool)> {
-        (0..n).map(|_| (pc, taken)).collect()
     }
 
     #[test]
@@ -386,57 +127,13 @@ mod tests {
     }
 
     #[test]
-    fn perfect_never_mispredicts() {
-        let mut p = PerfectPredictor;
-        assert!(p.predict_and_update(0x1000, true));
-        assert!(p.predict_and_update(0x1000, false));
-    }
-
-    #[test]
-    fn bimodal_learns_bias() {
-        let mut p = BimodalPredictor::new(1024);
-        let acc = accuracy(&mut p, &biased_stream(0x4000, 1000, false));
-        assert!(
-            acc > 0.99,
-            "bimodal should learn an always-not-taken branch, got {acc}"
-        );
-    }
-
-    #[test]
     fn local_learns_short_loop_pattern() {
         // Pattern: taken 3 times, not taken once (loop trip count 4). A local
-        // predictor with >= 4 history bits learns this perfectly; a bimodal
-        // predictor cannot exceed 75%.
+        // predictor with >= 4 history bits learns this perfectly.
         let pattern: Vec<(u64, bool)> = (0..4000).map(|i| (0x8000u64, i % 4 != 3)).collect();
-        let mut local = LocalPredictor::with_geometry(1024, 10, 1024);
-        let mut bimodal = BimodalPredictor::new(1024);
+        let mut local = LocalPredictor::new(&BranchPredictorConfig::hpca2010_baseline());
         let acc_local = accuracy(&mut local, &pattern);
-        let acc_bimodal = accuracy(&mut bimodal, &pattern);
         assert!(acc_local > 0.97, "local predictor accuracy {acc_local}");
-        assert!(acc_bimodal < 0.80, "bimodal accuracy {acc_bimodal}");
-    }
-
-    #[test]
-    fn gshare_learns_correlated_branches() {
-        // Branch B outcome equals branch A outcome (perfect global correlation,
-        // uncorrelated with B's own PC bias).
-        let mut outcomes = Vec::new();
-        for i in 0..4000 {
-            let flip = (i / 3) % 2 == 0;
-            outcomes.push((0x1000u64, flip));
-            outcomes.push((0x2000u64, flip));
-        }
-        let mut g = GsharePredictor::new(4096, 12);
-        let acc = accuracy(&mut g, &outcomes);
-        assert!(acc > 0.9, "gshare accuracy {acc}");
-    }
-
-    #[test]
-    fn tournament_is_at_least_as_good_as_worst_component_on_bias() {
-        let cfg = BranchPredictorConfig::hpca2010_baseline();
-        let mut t = TournamentPredictor::new(&cfg);
-        let acc = accuracy(&mut t, &biased_stream(0xdead0, 2000, true));
-        assert!(acc > 0.98, "tournament accuracy {acc}");
     }
 
     #[test]
@@ -452,30 +149,11 @@ mod tests {
                 (0x7000, (x ^ (x >> 31)) & 1 == 1)
             })
             .collect();
-        let mut p = LocalPredictor::with_geometry(1024, 10, 1024);
+        let mut p = LocalPredictor::new(&BranchPredictorConfig::hpca2010_baseline());
         let acc = accuracy(&mut p, &outcomes);
         assert!(
             acc < 0.9,
             "pattern should not be trivially predictable, got {acc}"
         );
-    }
-
-    #[test]
-    fn factory_builds_every_kind() {
-        use crate::config::DirectionPredictorKind as K;
-        for kind in [K::Perfect, K::Bimodal, K::Gshare, K::Local, K::Tournament] {
-            let cfg = BranchPredictorConfig {
-                kind,
-                ..BranchPredictorConfig::hpca2010_baseline()
-            };
-            let mut p = build_direction_predictor(&cfg);
-            p.predict_and_update(0x100, true);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bimodal_rejects_non_power_of_two() {
-        let _ = BimodalPredictor::new(1000);
     }
 }

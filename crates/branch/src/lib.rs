@@ -5,9 +5,9 @@
 //! abstracted away). This crate provides the predictor structures of the
 //! paper's baseline configuration (Table 1): a 12 Kbit local two-level
 //! direction predictor, an 8-way set-associative 2K-entry branch target
-//! buffer and a 32-entry return address stack — plus the alternative
-//! direction predictors (bimodal, gshare, tournament) and the *perfect*
-//! predictor used for the component-wise accuracy experiments of Figure 4.
+//! buffer and a 32-entry return address stack — plus the *perfect* front-end
+//! (every direction and target correct) used for the component-wise accuracy
+//! experiments of Figure 4.
 //!
 //! ```
 //! use iss_branch::{BranchPredictorConfig, BranchUnit};
@@ -35,10 +35,7 @@ pub mod ras;
 pub mod unit;
 
 pub use btb::BranchTargetBuffer;
-pub use config::{BranchPredictorConfig, DirectionPredictorKind};
-pub use direction::{
-    BimodalPredictor, DirectionPredictor, GsharePredictor, LocalPredictor, PerfectPredictor,
-    TournamentPredictor,
-};
+pub use config::BranchPredictorConfig;
+pub use direction::LocalPredictor;
 pub use ras::ReturnAddressStack;
 pub use unit::{BranchOutcome, BranchStats, BranchUnit};

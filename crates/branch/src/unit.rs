@@ -9,8 +9,8 @@
 use iss_trace::{BranchClass, BranchInfo};
 
 use crate::btb::BranchTargetBuffer;
-use crate::config::{BranchPredictorConfig, DirectionPredictorKind};
-use crate::direction::{build_direction_predictor, AnyDirectionPredictor, DirectionPredictor};
+use crate::config::BranchPredictorConfig;
+use crate::direction::LocalPredictor;
 use crate::ras::ReturnAddressStack;
 
 /// Result of predicting one branch.
@@ -61,15 +61,13 @@ impl BranchStats {
     }
 }
 
-/// Per-core branch prediction front-end: direction predictor + BTB + RAS.
-///
-/// The direction predictor is an [`AnyDirectionPredictor`] enum, not a boxed
-/// trait object: predictions happen once per dynamic branch, and enum
-/// dispatch keeps that call monomorphic (no vtable on the hot path).
+/// Per-core branch prediction front-end: local direction predictor + BTB +
+/// RAS, or, when [`BranchPredictorConfig::perfect`] is set, a front-end that
+/// never mispredicts and trains nothing.
 #[derive(Clone)]
 pub struct BranchUnit {
     config: BranchPredictorConfig,
-    direction: AnyDirectionPredictor,
+    direction: LocalPredictor,
     btb: BranchTargetBuffer,
     ras: ReturnAddressStack,
     stats: BranchStats,
@@ -97,17 +95,11 @@ impl BranchUnit {
             .unwrap_or_else(|e| panic!("invalid branch predictor configuration: {e}"));
         BranchUnit {
             config: *config,
-            direction: build_direction_predictor(config),
+            direction: LocalPredictor::new(config),
             btb: BranchTargetBuffer::new(config.btb_entries, config.btb_ways),
             ras: ReturnAddressStack::new(config.ras_entries),
             stats: BranchStats::default(),
         }
-    }
-
-    /// Whether this unit never mispredicts (perfect mode for Figure 4).
-    #[must_use]
-    pub fn is_perfect(&self) -> bool {
-        self.config.kind == DirectionPredictorKind::Perfect && self.config.perfect_targets
     }
 
     /// The configuration the unit was built from.
@@ -129,26 +121,14 @@ impl BranchUnit {
     /// wrong-path work.
     #[must_use]
     pub fn would_mispredict(&self, pc: u64, info: &BranchInfo) -> bool {
-        if self.is_perfect() {
+        if self.config.perfect {
             return false;
         }
-        let direction_correct = match info.class {
-            BranchClass::Conditional => {
-                if self.config.kind == DirectionPredictorKind::Perfect {
-                    true
-                } else {
-                    self.direction.predict(pc) == info.taken
-                }
-            }
-            _ => true,
-        };
-        let target_correct = if self.config.perfect_targets {
-            true
-        } else {
-            match info.class {
-                BranchClass::Return => self.ras.peek() == Some(info.target),
-                _ => !info.taken || self.btb.probe(pc) == Some(info.target),
-            }
+        let direction_correct =
+            info.class != BranchClass::Conditional || self.direction.predict(pc) == info.taken;
+        let target_correct = match info.class {
+            BranchClass::Return => self.ras.peek() == Some(info.target),
+            _ => !info.taken || self.btb.probe(pc) == Some(info.target),
         };
         !(direction_correct && target_correct)
     }
@@ -158,7 +138,7 @@ impl BranchUnit {
     pub fn predict_and_update(&mut self, pc: u64, info: &BranchInfo) -> BranchOutcome {
         self.stats.branches += 1;
 
-        if self.is_perfect() {
+        if self.config.perfect {
             return BranchOutcome {
                 mispredicted: false,
                 direction_mispredict: false,
@@ -169,43 +149,33 @@ impl BranchUnit {
 
         // --- direction prediction (conditional branches only) ---
         let direction_correct = match info.class {
-            BranchClass::Conditional => {
-                if self.config.kind == DirectionPredictorKind::Perfect {
-                    true
-                } else {
-                    self.direction.predict_and_update(pc, info.taken)
-                }
-            }
+            BranchClass::Conditional => self.direction.predict_and_update(pc, info.taken),
             // Unconditional transfers always resolve taken.
             _ => true,
         };
 
         // --- target prediction ---
-        let target_correct = if self.config.perfect_targets {
-            true
-        } else {
-            match info.class {
-                BranchClass::Return => {
-                    let predicted = self.ras.pop();
+        let target_correct = match info.class {
+            BranchClass::Return => {
+                let predicted = self.ras.pop();
+                predicted == Some(info.target)
+            }
+            BranchClass::Conditional
+            | BranchClass::UnconditionalDirect
+            | BranchClass::Indirect
+            | BranchClass::Call => {
+                let predicted = self.btb.lookup(pc);
+                self.btb.update(pc, info.target);
+                if info.taken {
+                    // A taken branch needs a correct BTB target; a
+                    // not-taken branch falls through regardless.
                     predicted == Some(info.target)
-                }
-                BranchClass::Conditional
-                | BranchClass::UnconditionalDirect
-                | BranchClass::Indirect
-                | BranchClass::Call => {
-                    let predicted = self.btb.lookup(pc);
-                    self.btb.update(pc, info.target);
-                    if info.taken {
-                        // A taken branch needs a correct BTB target; a
-                        // not-taken branch falls through regardless.
-                        predicted == Some(info.target)
-                    } else {
-                        true
-                    }
+                } else {
+                    true
                 }
             }
         };
-        if info.class == BranchClass::Call && !self.config.perfect_targets {
+        if info.class == BranchClass::Call {
             self.ras.push(info.fallthrough);
         }
 
@@ -256,7 +226,7 @@ impl BranchUnit {
             infos.len(),
             "branch batch columns must have equal length"
         );
-        if self.is_perfect() {
+        if self.config.perfect {
             // The scalar path only counts the branch on the perfect
             // short-circuit; match it without touching any table.
             self.stats.branches += pcs.len() as u64;

@@ -2,26 +2,25 @@
 //!
 //! Every experiment in the paper's evaluation is a sweep over independent
 //! `(model, config, workload, seed)` points; nothing couples two points of a
-//! figure. [`run_batch`] exploits that: it executes a declarative job list on
-//! a self-scheduling pool of scoped worker threads (no extra dependencies —
-//! plain `std::thread::scope`), returning the summaries **in job order**
-//! regardless of completion order, so parallel and serial execution produce
-//! identical experiment rows.
+//! figure. [`try_run_batch_with_threads`] exploits that: it executes a
+//! declarative job list on a self-scheduling pool of scoped worker threads
+//! (no extra dependencies — plain `std::thread::scope`), returning the
+//! summaries **in job order** regardless of completion order, so parallel
+//! and serial execution produce identical experiment rows.
 //!
-//! * The worker count comes from the `ISS_THREADS` environment variable and
-//!   defaults to the host's available parallelism.
+//! * The caller picks the worker count; a sweep takes it from the
+//!   `ISS_THREADS` environment variable, which defaults to the host's
+//!   available parallelism.
 //! * Workers pull the next job index from a shared atomic counter, so a slow
 //!   job (an 8-core detailed run) never stalls the queue behind it.
 //! * Each job runs under panic isolation: one poisoned job surfaces as an
-//!   error for that slot ([`try_run_batch_with_threads`]) instead of sinking
-//!   the whole batch.
+//!   error for that slot instead of sinking the whole batch.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::config::SystemConfig;
-use crate::env::THREADS;
 use crate::runner::{run, CoreModel, SimSummary};
 use crate::scenario::fnv1a_hex;
 use crate::workload::WorkloadSpec;
@@ -248,38 +247,18 @@ pub fn try_run_batch_with_threads(
         .collect()
 }
 
-/// Runs every job on `threads` workers and returns the summaries in job
-/// order.
-///
-/// # Panics
-///
-/// If any job panicked, re-raises the first failure — after every other job
-/// has completed (a poisoned job cannot leave the batch half-run).
-#[must_use]
-pub fn run_batch_with_threads(jobs: &[SimJob], threads: usize) -> Vec<SimSummary> {
-    try_run_batch_with_threads(jobs, threads)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .collect()
-}
-
-/// Runs every job on the [`THREADS`] worker count (`ISS_THREADS`,
-/// default: available parallelism) and returns the summaries in job order.
-///
-/// This is the entry point every experiment driver routes through.
-///
-/// # Panics
-///
-/// If any job panicked, re-raises the first failure after the rest of the
-/// batch completed.
-#[must_use]
-pub fn run_batch(jobs: &[SimJob]) -> Vec<SimSummary> {
-    run_batch_with_threads(jobs, THREADS.get())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::THREADS;
+
+    /// Runs the batch and unwraps every slot.
+    fn run_all(jobs: &[SimJob], threads: usize) -> Vec<SimSummary> {
+        try_run_batch_with_threads(jobs, threads)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+            .collect()
+    }
 
     fn quick_jobs() -> Vec<SimJob> {
         let c1 = SystemConfig::hpca2010_baseline(1);
@@ -309,7 +288,7 @@ mod tests {
     #[test]
     fn results_come_back_in_job_order() {
         let jobs = quick_jobs();
-        let out = run_batch_with_threads(&jobs, 3);
+        let out = run_all(&jobs, 3);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].workload, "gcc");
         assert_eq!(out[1].workload, "mcfx2");
@@ -320,8 +299,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial_canonically() {
         let jobs = quick_jobs();
-        let serial = run_batch_with_threads(&jobs, 1);
-        let parallel = run_batch_with_threads(&jobs, 4);
+        let serial = run_all(&jobs, 1);
+        let parallel = run_all(&jobs, 4);
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.canonical_record(), p.canonical_record());
         }
@@ -361,8 +340,8 @@ mod tests {
         let jobs = quick_jobs();
         // More threads than jobs must not spawn idle workers that index past
         // the job list, and zero threads must degrade to serial.
-        let a = run_batch_with_threads(&jobs, 64);
-        let b = run_batch_with_threads(&jobs, 0);
+        let a = run_all(&jobs, 64);
+        let b = run_all(&jobs, 0);
         assert_eq!(a.len(), 3);
         assert_eq!(b.len(), 3);
     }

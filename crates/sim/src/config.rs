@@ -90,7 +90,6 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iss_branch::DirectionPredictorKind;
 
     #[test]
     fn baseline_validates_and_matches_table1() {
@@ -113,18 +112,18 @@ mod tests {
                 .unwrap()
         };
         let a = machine("fig4-dispatch");
-        assert_eq!(a.branch.kind, DirectionPredictorKind::Perfect);
+        assert!(a.branch.perfect);
         assert!(a.memory.perfect_l1i && a.memory.perfect_l2 && !a.memory.perfect_l1d);
 
         let b = machine("fig4-icache");
         assert!(b.memory.perfect_l1d && !b.memory.perfect_l1i);
 
         let c = machine("fig4-branch");
-        assert_eq!(c.branch.kind, DirectionPredictorKind::Local);
+        assert!(!c.branch.perfect);
         assert!(c.memory.perfect_l1i && c.memory.perfect_l1d);
 
         let d = machine("fig4-l2");
-        assert_eq!(d.branch.kind, DirectionPredictorKind::Perfect);
+        assert!(d.branch.perfect);
         assert!(d.memory.perfect_l1i && !d.memory.perfect_l1d && !d.memory.perfect_l2);
     }
 

@@ -50,7 +50,7 @@ pub mod shard;
 pub mod store;
 pub mod workload;
 
-pub use batch::{run_batch, run_batch_with_threads, SimJob};
+pub use batch::SimJob;
 pub use config::SystemConfig;
 pub use hybrid::{HybridSpec, SwapController, SwapPolicy};
 pub use model::{AnyMachine, CpuModel, ModelCheckpoint};

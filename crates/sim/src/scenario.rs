@@ -415,15 +415,6 @@ impl SweepSpec {
         Ok(spec)
     }
 
-    /// Lowers the expanded sweep into a batch job list.
-    ///
-    /// # Errors
-    ///
-    /// Propagates expansion/validation errors.
-    pub fn jobs(&self) -> Result<Vec<SimJob>, String> {
-        self.expand()?.iter().map(ScenarioSpec::to_job).collect()
-    }
-
     /// Runs the sweep on the configured worker count (`ISS_THREADS`,
     /// default: available parallelism) and returns one [`Record`] per
     /// expanded point, in expansion order.

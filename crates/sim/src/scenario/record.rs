@@ -173,21 +173,13 @@ impl Record {
         self.sampling.as_ref().map(|e| e.ci95_half_width)
     }
 
-    /// The 95% confidence bounds `(low, high)` around the CPI estimate,
-    /// for sampled runs.
-    #[must_use]
-    pub fn ci95_bounds(&self) -> Option<(f64, f64)> {
-        self.sampling
-            .as_ref()
-            .map(|e| (e.cpi - e.ci95_half_width, e.cpi + e.ci95_half_width))
-    }
-
     /// Whether the record's 95% interval brackets `reference_cpi`
     /// (vacuously false for non-sampled records).
     #[must_use]
     pub fn ci_brackets(&self, reference_cpi: f64) -> bool {
-        self.ci95_bounds()
-            .is_some_and(|(lo, hi)| lo <= reference_cpi && reference_cpi <= hi)
+        self.sampling
+            .as_ref()
+            .is_some_and(|e| e.brackets(reference_cpi))
     }
 
     /// Relative CPI error against a reference record.

@@ -1,10 +1,19 @@
 //! Integration tests for the parallel batch engine: bit-identical results
 //! regardless of worker count, and per-job panic isolation.
 
-use iss_sim::batch::{run_batch, run_batch_with_threads, try_run_batch_with_threads, SimJob};
+use iss_sim::batch::{try_run_batch_with_threads, SimJob};
 use iss_sim::config::SystemConfig;
-use iss_sim::runner::{run, CoreModel};
+use iss_sim::env::THREADS;
+use iss_sim::runner::{run, CoreModel, SimSummary};
 use iss_sim::workload::WorkloadSpec;
+
+/// Runs the batch and unwraps every slot.
+fn run_all(jobs: &[SimJob], threads: usize) -> Vec<SimSummary> {
+    try_run_batch_with_threads(jobs, threads)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+        .collect()
+}
 
 /// A mixed job list covering every workload shape and every core model.
 fn mixed_jobs() -> Vec<SimJob> {
@@ -57,7 +66,7 @@ fn four_workers_match_the_serial_path_byte_for_byte() {
         .iter()
         .map(|j| run(j.model, &j.config, &j.workload, j.seed).canonical_record())
         .collect();
-    let parallel: Vec<String> = run_batch_with_threads(&jobs, 4)
+    let parallel: Vec<String> = run_all(&jobs, 4)
         .iter()
         .map(|s| s.canonical_record())
         .collect();
@@ -70,11 +79,11 @@ fn four_workers_match_the_serial_path_byte_for_byte() {
 #[test]
 fn repeated_parallel_runs_are_stable() {
     let jobs = mixed_jobs();
-    let a: Vec<String> = run_batch_with_threads(&jobs, 4)
+    let a: Vec<String> = run_all(&jobs, 4)
         .iter()
         .map(|s| s.canonical_record())
         .collect();
-    let b: Vec<String> = run_batch_with_threads(&jobs, 3)
+    let b: Vec<String> = run_all(&jobs, 3)
         .iter()
         .map(|s| s.canonical_record())
         .collect();
@@ -119,7 +128,7 @@ fn run_batch_defaults_are_usable() {
         WorkloadSpec::single("twolf", 2_000),
         3,
     )];
-    let out = run_batch(&jobs);
+    let out = run_all(&jobs, THREADS.get());
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].total_instructions, 2_000);
 }

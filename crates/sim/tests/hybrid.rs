@@ -2,12 +2,20 @@
 //! restores, bit-identity of pinned hybrid runs, worker-count invariance of
 //! hybrid batch rows, and the speed-vs-accuracy acceptance frontier.
 
-use iss_sim::batch::run_batch_with_threads;
+use iss_sim::batch::try_run_batch_with_threads;
 use iss_sim::experiments::{builtin, default_hybrid_policies, ExperimentScale};
 use iss_sim::hybrid::HybridSpec;
 use iss_sim::model::{AnyMachine, CpuModel};
-use iss_sim::runner::{run, BaseModel, CoreModel};
+use iss_sim::runner::{run, BaseModel, CoreModel, SimSummary};
 use iss_sim::{SimJob, SystemConfig, WorkloadSpec};
+
+/// Runs the batch and unwraps every slot.
+fn run_all(jobs: &[SimJob], threads: usize) -> Vec<SimSummary> {
+    try_run_batch_with_threads(jobs, threads)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+        .collect()
+}
 
 fn machine(kind: BaseModel, spec: &WorkloadSpec, config: &SystemConfig, seed: u64) -> AnyMachine {
     AnyMachine::build(kind, config, spec.build(seed).unwrap())
@@ -121,8 +129,8 @@ fn hybrid_batch_rows_are_worker_count_invariant() {
             ]
         })
         .collect();
-    let serial = run_batch_with_threads(&jobs, 1);
-    let parallel = run_batch_with_threads(&jobs, 4);
+    let serial = run_all(&jobs, 1);
+    let parallel = run_all(&jobs, 4);
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.canonical_record(), p.canonical_record());
     }
@@ -179,7 +187,7 @@ fn frontier_contains_a_faster_point_within_5_percent_error() {
         ];
         let (mut detailed, mut hybrid) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..3 {
-            let summaries = run_batch_with_threads(&jobs, 1);
+            let summaries = run_all(&jobs, 1);
             detailed = detailed.min(summaries[0].host_seconds);
             hybrid = hybrid.min(summaries[1].host_seconds);
         }

@@ -1,12 +1,14 @@
 //! Conservation invariants: every base model, a hybrid run and a sampled run
 //! each retire exactly the workload's instructions, and no core of a base
-//! model commits faster than its dispatch width allows.
+//! model commits faster than its dispatch width allows. Monotonicity: a
+//! perfect branch front-end never makes a run slower.
 
 use proptest::prelude::*;
 
+use iss_sim::experiments::ExperimentScale;
 use iss_sim::model::{AnyMachine, CpuModel};
 use iss_sim::runner::{run, BaseModel, CoreModel};
-use iss_sim::{HybridSpec, SamplingSpec, SystemConfig, WorkloadSpec};
+use iss_sim::{HybridSpec, MachineSpec, SamplingSpec, SystemConfig, WorkloadSpec};
 
 const MODELS: [BaseModel; 3] = [BaseModel::Interval, BaseModel::Detailed, BaseModel::OneIpc];
 
@@ -128,5 +130,30 @@ proptest! {
             WorkloadSpec::homogeneous(spec_bench, 2, len)
         };
         check_conservation(&spec, seed, 2 * len, perfect_memory);
+    }
+}
+
+/// Removing every branch misprediction removes penalties and adds none: on
+/// each quick-scale SPEC program, the interval and the detailed model take
+/// no more cycles with `perfect_branch` than on the baseline machine.
+#[test]
+fn perfect_branch_prediction_is_never_slower() {
+    let scale = ExperimentScale::quick();
+    let baseline = MachineSpec::hpca2010().resolve(1).unwrap();
+    let mut spec = MachineSpec::hpca2010();
+    spec.overrides.perfect_branch = true;
+    let perfect = spec.resolve(1).unwrap();
+    for bench in ["gcc", "gzip", "mcf", "twolf", "swim", "mesa"] {
+        let workload = WorkloadSpec::single(bench, scale.spec_length);
+        for kind in [BaseModel::Interval, BaseModel::Detailed] {
+            let cycles =
+                |config: &SystemConfig| run(kind.into(), config, &workload, scale.seed).cycles;
+            let (real, ideal) = (cycles(&baseline), cycles(&perfect));
+            assert!(
+                ideal <= real,
+                "{bench} {}: {ideal} cycles with a perfect front-end, {real} without",
+                kind.name()
+            );
+        }
     }
 }

@@ -3,11 +3,19 @@
 //! to the pure measurement model, and the speed-vs-error-vs-confidence
 //! acceptance frontier.
 
-use iss_sim::batch::run_batch_with_threads;
+use iss_sim::batch::try_run_batch_with_threads;
 use iss_sim::experiments::{builtin, default_sampling_specs, ExperimentScale};
-use iss_sim::runner::{run, BaseModel, CoreModel};
+use iss_sim::runner::{run, BaseModel, CoreModel, SimSummary};
 use iss_sim::sampling::SamplingSpec;
 use iss_sim::{SimJob, SystemConfig, WorkloadSpec};
+
+/// Runs the batch and unwraps every slot.
+fn run_all(jobs: &[SimJob], threads: usize) -> Vec<SimSummary> {
+    try_run_batch_with_threads(jobs, threads)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+        .collect()
+}
 
 const SPEC_QUICK: [&str; 6] = ["gcc", "gzip", "mcf", "twolf", "swim", "mesa"];
 
@@ -31,8 +39,8 @@ fn sampled_rows_are_bit_identical_across_worker_counts() {
             })
         })
         .collect();
-    let serial = run_batch_with_threads(&jobs, 1);
-    let parallel = run_batch_with_threads(&jobs, 4);
+    let serial = run_all(&jobs, 1);
+    let parallel = run_all(&jobs, 4);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.canonical_record(), p.canonical_record());

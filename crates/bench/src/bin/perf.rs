@@ -6,6 +6,9 @@
 //!
 //! * simulated MIPS per core model over the SPEC quick set, each row a
 //!   one-model benchmark sweep through the scenario engine on one worker,
+//! * an `interval-parsec4` row: the interval model over the PARSEC quick
+//!   set at the `parsec_length` budget on four threads, the multi-core path
+//!   whose cores contend for the shared DRAM channel,
 //! * a `warming` row: the sampled runner's own functional-warming loop
 //!   ([`iss_sim::sampling::warm_functionally`]) with no timing model
 //!   attached, the speed sampled simulation is Amdahl-bound on,
@@ -19,7 +22,7 @@
 
 use iss_bench::gates::{render_perf, PerfFile, PerfRow};
 use iss_bench::kernels::{batch_kernels, harvest, HARVEST_BENCHMARK};
-use iss_bench::{EXPERIMENT_SCALE, SPEC_QUICK};
+use iss_bench::{EXPERIMENT_SCALE, PARSEC_QUICK, SPEC_QUICK};
 use iss_sim::env::DEFAULT_WARM_BATCH;
 use iss_sim::experiments::{default_sampling_specs, ExperimentScale};
 use iss_sim::host_time::{host_kernel_mops, HostTimer};
@@ -27,6 +30,10 @@ use iss_sim::runner::CoreModel;
 use iss_sim::sampling::warm_functionally;
 use iss_sim::scenario::{ScenarioSpec, SweepSpec};
 use iss_sim::{SystemConfig, WorkloadSpec};
+
+/// The multi-core row: the interval model over the PARSEC quick set on
+/// four threads, where the cores share one DRAM channel.
+const PARSEC_ROW: &str = "interval-parsec4";
 
 /// Measurement rounds. Each round times the host kernel and then every
 /// row once, and each quantity keeps its fastest round. A shared host
@@ -58,17 +65,20 @@ fn timed<'a>(name: &str, mut run: impl FnMut() -> u64 + 'a) -> Row<'a> {
     (name.to_string(), Box::new(sample))
 }
 
-/// The row of `model`: one-model sweep over the SPEC quick set on one
-/// worker, summed over its records (simulated instructions and the host
-/// seconds the records report).
-fn model_row<'a>(model: CoreModel, scale: ExperimentScale) -> Row<'a> {
-    let mut base = ScenarioSpec::new(
-        WorkloadSpec::single(SPEC_QUICK[0], scale.spec_length),
-        scale.seed,
-    );
+/// A row named `name`: a one-model sweep of `workload` over `benchmarks`
+/// on one worker, summed over its records (simulated instructions and the
+/// host seconds the records report).
+fn sweep_row<'a>(
+    name: String,
+    model: CoreModel,
+    workload: WorkloadSpec,
+    benchmarks: &[&str],
+    seed: u64,
+) -> Row<'a> {
+    let mut base = ScenarioSpec::new(workload, seed);
     base.model = model;
     let mut sweep = SweepSpec::new("perf", base);
-    sweep.benchmarks = SPEC_QUICK.iter().map(|b| (*b).to_string()).collect();
+    sweep.benchmarks = benchmarks.iter().map(|b| (*b).to_string()).collect();
     let sample = move || {
         let records = sweep
             .run_with_threads(1)
@@ -78,7 +88,13 @@ fn model_row<'a>(model: CoreModel, scale: ExperimentScale) -> Row<'a> {
             records.iter().map(|r| r.host_seconds).sum(),
         )
     };
-    (model.name(), Box::new(sample))
+    (name, Box::new(sample))
+}
+
+/// The row of `model` over the SPEC quick set, one core per program.
+fn model_row<'a>(model: CoreModel, scale: ExperimentScale) -> Row<'a> {
+    let workload = WorkloadSpec::single(SPEC_QUICK[0], scale.spec_length);
+    sweep_row(model.name(), model, workload, &SPEC_QUICK, scale.seed)
 }
 
 /// Runs [`ROUNDS`] rounds; returns the fastest host-kernel speed and the
@@ -120,8 +136,9 @@ fn main() {
     let columns = harvest(HARVEST_BENCHMARK, scale.spec_length, scale.seed);
 
     println!(
-        "perf — simulator throughput (spec budget {} instructions/benchmark, {ROUNDS} rounds)",
-        scale.spec_length
+        "perf — simulator throughput (spec budget {}, parsec budget {} instructions/benchmark, \
+         {ROUNDS} rounds)",
+        scale.spec_length, scale.parsec_length
     );
     // The sampled model's row uses the acceptance-point spec of the default
     // sweep, so the gate pins the configuration the sampling figure
@@ -136,6 +153,13 @@ fn main() {
     .into_iter()
     .map(|m| model_row(m, scale))
     .collect();
+    rows.push(sweep_row(
+        PARSEC_ROW.to_string(),
+        CoreModel::Interval,
+        WorkloadSpec::multithreaded(PARSEC_QUICK[0], 4, scale.parsec_length),
+        &PARSEC_QUICK,
+        scale.seed,
+    ));
     rows.push(timed("warming", || {
         SPEC_QUICK
             .iter()

@@ -9,6 +9,8 @@
 //! resource whose conflict behaviour the multi-core evaluation (Figures 6-8)
 //! depends on.
 
+use std::collections::BTreeMap;
+
 /// DRAM timing and bandwidth parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
@@ -95,14 +97,28 @@ impl Default for DramConfig {
 /// can lie hundreds of cycles past the current multi-core cycle, while other
 /// cores keep issuing at the present. A single busy-until pointer would let
 /// such a future reservation delay every present-time request behind it, so
-/// the channel instead keeps the set of reserved busy intervals and places
-/// each request into the earliest gap at or after its own arrival time.
+/// the channel instead keeps the busy time it has reserved and places each
+/// request into the earliest free slot at or after its own arrival time.
+///
+/// Busy time is kept as maximal busy runs, not one interval per transfer.
+/// Every request occupies the channel for the same `transfer` cycles, so
+/// its start is the earliest `s >= arrival` with `[s, s + transfer)` free:
+/// a function of the union of busy time alone, which merging a reservation
+/// into the runs it touches leaves as it is. A free gap shorter than
+/// `transfer` between two runs can hold no request, so it is absorbed into
+/// the runs as well. Consecutive runs are then at least `transfer` cycles
+/// apart, and placing a request takes at most two lookups however long the
+/// backlog. The per-transfer schedule survives only as the oracle of this
+/// module's tests.
 #[derive(Debug, Clone)]
 pub struct DramModel {
     config: DramConfig,
-    /// Reserved busy intervals, keyed by start cycle (non-overlapping).
-    busy: std::collections::BTreeMap<u64, u64>,
-    /// Largest arrival time observed (drives pruning of stale intervals).
+    /// Channel cycles of one line transfer ([`DramConfig::transfer_cycles`]).
+    transfer: u64,
+    /// Busy runs, keyed by start cycle, mapped to their end: sorted,
+    /// disjoint and separated by free gaps of at least `transfer` cycles.
+    busy: BTreeMap<u64, u64>,
+    /// Largest arrival time observed (drives pruning of stale runs).
     horizon: u64,
     accesses: u64,
     total_queue_cycles: u64,
@@ -113,9 +129,9 @@ pub struct DramModel {
     total_latency: u64,
 }
 
-/// Reservations ending this many cycles before the newest arrival can no
-/// longer conflict with any request (chain-deferred arrivals lag the present
-/// by far less) and are pruned.
+/// Runs ending this many cycles before the newest arrival can no longer
+/// conflict with any request (chain-deferred arrivals lag the present by
+/// far less) and are pruned.
 const PRUNE_LAG: u64 = 1 << 20;
 
 impl DramModel {
@@ -131,7 +147,8 @@ impl DramModel {
             .unwrap_or_else(|e| panic!("invalid DRAM configuration: {e}"));
         DramModel {
             config: *config,
-            busy: std::collections::BTreeMap::new(),
+            transfer: config.transfer_cycles(),
+            busy: BTreeMap::new(),
             horizon: 0,
             accesses: 0,
             total_queue_cycles: 0,
@@ -146,26 +163,36 @@ impl DramModel {
         &self.config
     }
 
-    /// Reserves `dur` channel cycles in the earliest free gap starting at or
-    /// after `arrival`; returns the start of the reservation.
-    fn reserve(&mut self, arrival: u64, dur: u64) -> u64 {
-        let mut start = arrival;
-        loop {
-            // Intervals are non-overlapping, so the latest-starting interval
-            // that begins before `start + dur` is the only possible conflict;
-            // if it ends at or before `start`, every earlier one does too.
-            let conflict = self
-                .busy
-                .range(..start + dur)
-                .next_back()
-                .filter(|&(_, &end)| end > start)
-                .map(|(_, &end)| end);
-            match conflict {
-                Some(end) => start = end,
-                None => break,
+    /// Reserves one transfer in the earliest free slot starting at or after
+    /// `arrival`; returns the start of the reservation.
+    fn reserve(&mut self, arrival: u64) -> u64 {
+        let t = self.transfer;
+        // Runs are disjoint, so the latest-starting run that begins before
+        // `arrival + t` is the only possible conflict. If it ends after
+        // `arrival`, the slot at its end is free: the next run starts at
+        // least `t` cycles later.
+        let before = self
+            .busy
+            .range(..arrival + t)
+            .next_back()
+            .map(|(&s, &e)| (s, e));
+        let start = match before {
+            Some((_, end)) if end > arrival => end,
+            _ => arrival,
+        };
+        // Merge the reservation with a neighbouring run less than `t` cycles
+        // away: a gap that short can hold no transfer.
+        let mut run = (start, start + t);
+        if let Some((s, _)) = before.filter(|&(_, e)| start - e < t) {
+            run.0 = s;
+        }
+        if let Some((&s, &e)) = self.busy.range(run.1..).next() {
+            if s - run.1 < t {
+                self.busy.remove(&s);
+                run.1 = e;
             }
         }
-        self.busy.insert(start, start + dur);
+        self.busy.insert(run.0, run.1);
         self.horizon = self.horizon.max(arrival);
         if self.accesses.is_multiple_of(1024) {
             let cutoff = self.horizon.saturating_sub(PRUNE_LAG);
@@ -181,7 +208,7 @@ impl DramModel {
     /// the reservation schedule with fictitious queueing, and any channel
     /// backlog would have drained during the fast-forwarded gap anyway.
     pub fn access_unqueued(&mut self) -> u64 {
-        let latency = self.config.access_latency + self.config.transfer_cycles();
+        let latency = self.config.access_latency + self.transfer;
         self.accesses += 1;
         self.total_latency += latency;
         latency
@@ -196,10 +223,9 @@ impl DramModel {
     /// Performs one line access starting at cycle `now`; returns the total
     /// latency observed by the requester (queueing + access + transfer).
     pub fn access(&mut self, now: u64) -> u64 {
-        let transfer = self.config.transfer_cycles();
-        let start = self.reserve(now, transfer);
+        let start = self.reserve(now);
         let queue = start - now;
-        let latency = queue + self.config.access_latency + transfer;
+        let latency = queue + self.config.access_latency + self.transfer;
         self.accesses += 1;
         self.total_queue_cycles += queue;
         self.read_queue_cycles += queue;
@@ -210,7 +236,7 @@ impl DramModel {
     /// Performs a write-back: occupies the channel but the requester does not
     /// wait for it. Returns the queueing delay absorbed by the channel.
     pub fn writeback(&mut self, now: u64) -> u64 {
-        let start = self.reserve(now, self.config.transfer_cycles());
+        let start = self.reserve(now);
         let queue = start - now;
         self.accesses += 1;
         self.total_queue_cycles += queue;
@@ -320,6 +346,137 @@ mod tests {
         d.access(0);
         assert!(d.average_latency() > 0.0);
         assert_eq!(d.accesses(), 1);
+    }
+
+    /// The per-transfer schedule the busy runs replace: one interval per
+    /// transfer, found by walking the backlog interval by interval, pruned
+    /// on the same cadence (every 1024th channel transaction).
+    struct PerTransfer {
+        config: DramConfig,
+        busy: BTreeMap<u64, u64>,
+        horizon: u64,
+        accesses: u64,
+        total_queue_cycles: u64,
+        read_queue_cycles: u64,
+    }
+
+    impl PerTransfer {
+        fn new(config: &DramConfig) -> Self {
+            PerTransfer {
+                config: *config,
+                busy: BTreeMap::new(),
+                horizon: 0,
+                accesses: 0,
+                total_queue_cycles: 0,
+                read_queue_cycles: 0,
+            }
+        }
+
+        /// Reserves one transfer; returns its queueing delay.
+        fn queue(&mut self, arrival: u64) -> u64 {
+            let dur = self.config.transfer_cycles();
+            let mut start = arrival;
+            while let Some(end) = self
+                .busy
+                .range(..start + dur)
+                .next_back()
+                .map(|(_, &end)| end)
+                .filter(|&end| end > start)
+            {
+                start = end;
+            }
+            self.busy.insert(start, start + dur);
+            self.horizon = self.horizon.max(arrival);
+            if self.accesses.is_multiple_of(1024) {
+                let cutoff = self.horizon.saturating_sub(PRUNE_LAG);
+                self.busy.retain(|_, end| *end >= cutoff);
+            }
+            self.accesses += 1;
+            self.total_queue_cycles += start - arrival;
+            start - arrival
+        }
+
+        fn access(&mut self, now: u64) -> u64 {
+            let queue = self.queue(now);
+            self.read_queue_cycles += queue;
+            queue + self.config.access_latency + self.config.transfer_cycles()
+        }
+    }
+
+    /// Asserts that the busy runs are sorted, disjoint and separated by at
+    /// least one transfer time of free cycles.
+    fn assert_runs_coalesced(d: &DramModel) {
+        let mut prev_end: Option<u64> = None;
+        for (&s, &e) in &d.busy {
+            assert!(s < e, "empty run [{s}, {e})");
+            if let Some(p) = prev_end {
+                assert!(p + d.transfer <= s, "run ending {p} too close to {s}");
+            }
+            prev_end = Some(e);
+        }
+    }
+
+    /// The busy runs place every request where the per-transfer schedule
+    /// does, on all three presets: seeded streams of accesses, write-backs
+    /// and unqueued transactions, at the present or chain-deferred up to
+    /// 3000 cycles ahead, in saturating bursts and with idle jumps that
+    /// carry the horizon well past `PRUNE_LAG`.
+    #[test]
+    fn busy_runs_match_the_per_transfer_schedule() {
+        for config in [
+            DramConfig::hpca2010_baseline(),
+            DramConfig::external_16b(),
+            DramConfig::stacked_3d(),
+        ] {
+            let t = config.transfer_cycles();
+            let mut d = DramModel::new(&config);
+            let mut oracle = PerTransfer::new(&config);
+            let mut rng = 0x9E37_79B9_7F4A_7C15_u64 ^ t;
+            let mut backlog = 0;
+            let mut now = 0u64;
+            for step in 0..12_000 {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                now += match rng % 64 {
+                    0 => 50_000 + rng % 200_000,
+                    1..=40 => rng % t,
+                    _ => rng % (4 * t),
+                };
+                let arrival = now
+                    + if rng.is_multiple_of(5) {
+                        (rng >> 8) % 3_000
+                    } else {
+                        0
+                    };
+                match (rng >> 32) % 8 {
+                    0 => {
+                        d.access_unqueued();
+                        oracle.accesses += 1;
+                    }
+                    1 | 2 => assert_eq!(
+                        d.writeback(arrival),
+                        oracle.queue(arrival),
+                        "step {step}: write-back at {arrival}"
+                    ),
+                    _ => assert_eq!(
+                        d.access(arrival),
+                        oracle.access(arrival),
+                        "step {step}: access at {arrival}"
+                    ),
+                }
+                assert_eq!(d.total_queue_cycles(), oracle.total_queue_cycles);
+                assert_eq!(d.read_queue_cycles(), oracle.read_queue_cycles);
+                assert_runs_coalesced(&d);
+                backlog = backlog.max(oracle.busy.len());
+            }
+            assert_eq!(d.accesses(), oracle.accesses);
+            assert!(now > 4 * PRUNE_LAG, "horizon {now} stayed short of pruning");
+            assert!(
+                backlog > 100,
+                "backlog of {backlog} transfers at most (T = {t})"
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Conservation invariants: every base model, a hybrid run and a sampled run
 //! each retire exactly the workload's instructions, and no core of a base
 //! model commits faster than its dispatch width allows. Monotonicity: a
-//! perfect branch front-end never makes a run slower.
+//! perfect branch front-end, instruction side, data side or L2 never makes
+//! a run slower.
 
 use proptest::prelude::*;
 
 use iss_sim::experiments::ExperimentScale;
 use iss_sim::model::{AnyMachine, CpuModel};
 use iss_sim::runner::{run, BaseModel, CoreModel};
+use iss_sim::scenario::MachineOverrides;
 use iss_sim::{HybridSpec, MachineSpec, SamplingSpec, SystemConfig, WorkloadSpec};
 
 const MODELS: [BaseModel; 3] = [BaseModel::Interval, BaseModel::Detailed, BaseModel::OneIpc];
@@ -133,27 +135,41 @@ proptest! {
     }
 }
 
-/// Removing every branch misprediction removes penalties and adds none: on
+/// Removing one class of miss events removes penalties and adds none: on
 /// each quick-scale SPEC program, the interval and the detailed model take
-/// no more cycles with `perfect_branch` than on the baseline machine.
-#[test]
-fn perfect_branch_prediction_is_never_slower() {
+/// no more cycles with the structure that `perfect` makes perfect than on
+/// the baseline machine.
+fn assert_perfect_is_never_slower(structure: &str, perfect: fn(&mut MachineOverrides)) {
     let scale = ExperimentScale::quick();
     let baseline = MachineSpec::hpca2010().resolve(1).unwrap();
     let mut spec = MachineSpec::hpca2010();
-    spec.overrides.perfect_branch = true;
-    let perfect = spec.resolve(1).unwrap();
+    perfect(&mut spec.overrides);
+    let ideal_machine = spec.resolve(1).unwrap();
     for bench in ["gcc", "gzip", "mcf", "twolf", "swim", "mesa"] {
         let workload = WorkloadSpec::single(bench, scale.spec_length);
         for kind in [BaseModel::Interval, BaseModel::Detailed] {
             let cycles =
                 |config: &SystemConfig| run(kind.into(), config, &workload, scale.seed).cycles;
-            let (real, ideal) = (cycles(&baseline), cycles(&perfect));
+            let (real, ideal) = (cycles(&baseline), cycles(&ideal_machine));
             assert!(
                 ideal <= real,
-                "{bench} {}: {ideal} cycles with a perfect front-end, {real} without",
+                "{bench} {}: {ideal} cycles with a perfect {structure}, {real} without",
                 kind.name()
             );
         }
     }
+}
+
+#[test]
+fn perfect_branch_prediction_is_never_slower() {
+    assert_perfect_is_never_slower("front-end", |o| o.perfect_branch = true);
+}
+
+/// The rest of the Figure 4 isolations: a perfect instruction side, data
+/// side or L2 never costs cycles either.
+#[test]
+fn perfect_memory_structures_are_never_slower() {
+    assert_perfect_is_never_slower("instruction side", |o| o.perfect_iside = true);
+    assert_perfect_is_never_slower("data side", |o| o.perfect_dside = true);
+    assert_perfect_is_never_slower("L2", |o| o.perfect_l2 = true);
 }

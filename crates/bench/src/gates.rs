@@ -343,7 +343,9 @@ pub struct PerfFile {
     /// [`iss_sim::host_time::host_kernel_mops`]: every rate is divided by
     /// it before two runs are compared.
     pub host_kernel_mops: f64,
-    /// Single-thread throughput per core model, plus the `warming` row.
+    /// Throughput per core model on one thread, the multi-core
+    /// `interval-parsec4` row (four threads sharing the DRAM channel), and
+    /// the `warming` row.
     pub models: Vec<PerfRow>,
     /// Throughput per batch kernel ([`crate::kernels`]).
     pub kernels: Vec<PerfRow>,

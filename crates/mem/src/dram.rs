@@ -118,6 +118,9 @@ pub struct DramModel {
     /// Busy runs, keyed by start cycle, mapped to their end: sorted,
     /// disjoint and separated by free gaps of at least `transfer` cycles.
     busy: BTreeMap<u64, u64>,
+    /// The latest end of any run reserved so far: no run starts at or
+    /// after it.
+    tail: u64,
     /// Largest arrival time observed (drives pruning of stale runs).
     horizon: u64,
     accesses: u64,
@@ -149,6 +152,7 @@ impl DramModel {
             config: *config,
             transfer: config.transfer_cycles(),
             busy: BTreeMap::new(),
+            tail: 0,
             horizon: 0,
             accesses: 0,
             total_queue_cycles: 0,
@@ -181,18 +185,21 @@ impl DramModel {
             _ => arrival,
         };
         // Merge the reservation with a neighbouring run less than `t` cycles
-        // away: a gap that short can hold no transfer.
+        // away: a gap that short can hold no transfer. No run starts at or
+        // after `tail`, so a reservation at the end of the schedule (any
+        // request that finds no later reservation) skips the second lookup.
         let mut run = (start, start + t);
         if let Some((s, _)) = before.filter(|&(_, e)| start - e < t) {
             run.0 = s;
         }
-        if let Some((&s, &e)) = self.busy.range(run.1..).next() {
-            if s - run.1 < t {
+        if run.1 < self.tail {
+            if let Some((&s, &e)) = self.busy.range(run.1..run.1 + t).next() {
                 self.busy.remove(&s);
                 run.1 = e;
             }
         }
         self.busy.insert(run.0, run.1);
+        self.tail = self.tail.max(run.1);
         self.horizon = self.horizon.max(arrival);
         if self.accesses.is_multiple_of(1024) {
             let cutoff = self.horizon.saturating_sub(PRUNE_LAG);
@@ -403,12 +410,13 @@ mod tests {
         }
     }
 
-    /// Asserts that the busy runs are sorted, disjoint and separated by at
-    /// least one transfer time of free cycles.
+    /// Asserts that the busy runs are sorted, disjoint, separated by at
+    /// least one transfer time of free cycles and end by `tail`.
     fn assert_runs_coalesced(d: &DramModel) {
         let mut prev_end: Option<u64> = None;
         for (&s, &e) in &d.busy {
             assert!(s < e, "empty run [{s}, {e})");
+            assert!(e <= d.tail, "run [{s}, {e}) ends past tail {}", d.tail);
             if let Some(p) = prev_end {
                 assert!(p + d.transfer <= s, "run ending {p} too close to {s}");
             }

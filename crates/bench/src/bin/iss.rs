@@ -7,7 +7,6 @@
 //!                                      [--json PATH] [--jsonl PATH]
 //! iss serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR]
 //!           [--cache-max-mb N] [--evict]
-//! iss validate <spec.toml | directory>...
 //! iss lint <spec.toml | directory>...
 //! iss list [directory]
 //! iss export <builtin-name> [path]
@@ -35,13 +34,12 @@
 //! interrupted sweep resumes by simply running it again.
 //! Knobs: `ISS_SHARDS`, `ISS_SHARD_RETRIES`, `ISS_JOB_TIMEOUT_MS`, and
 //! the test hook `ISS_FAULT_INJECT=<panic|exit|stall>:<job>`.
-//! `validate` parses and expands specs without simulating anything — every
+//! `lint` parses and expands specs without simulating anything — every
 //! structural defect a run would hit (unknown keys, unknown benchmarks,
-//! core-count mismatches, invalid configs) fails here, loudly.
-//! `lint` goes further: static analysis of specs that *do* validate —
-//! duplicate design points by canonical digest, dead sweep axes, machine
-//! sanity, and a cost estimate against `ci/BENCH_baseline.json` (see
-//! `iss_bench::spec_lint`).
+//! core-count mismatches, invalid configs) fails here, loudly — and then
+//! analyzes them: duplicate design points by canonical digest, dead sweep
+//! axes, machine sanity, and a cost estimate against
+//! `ci/BENCH_baseline.json` (see `iss_bench::spec_lint`).
 //! `serve` turns the engine into a long-running service: a TCP listener
 //! speaking line-delimited JSON, a bounded simulation worker pool
 //! (`--workers` / `ISS_SERVE_WORKERS`), and a persistent digest-keyed
@@ -117,9 +115,8 @@ fn usage() -> ExitCode {
          [--shards N] [--cache-dir DIR] [--json PATH] [--jsonl PATH]\n  \
          iss serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR] \
          [--cache-max-mb N] [--evict]\n  \
-         iss validate <spec.toml | directory>...\n  iss lint <spec.toml | \
-         directory>...\n  iss list [directory]\n  iss export <builtin> [path]\n  \
-         iss export <spec.toml | builtin> --jsonl [path]"
+         iss lint <spec.toml | directory>...\n  iss list [directory]\n  \
+         iss export <builtin> [path]\n  iss export <spec.toml | builtin> --jsonl [path]"
     );
     ExitCode::FAILURE
 }
@@ -139,7 +136,6 @@ fn main() -> ExitCode {
         "run" => run(rest),
         "sweep" => sweep(rest),
         "serve" => serve(rest),
-        "validate" => validate(rest),
         "lint" => lint(rest),
         "list" => list(rest),
         "export" => export(rest),
@@ -475,7 +471,7 @@ fn spec_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// The spec files `iss validate` and `iss lint` check: each argument as
+/// The spec files `iss lint` checks: each argument as
 /// given, or a directory's spec files in its place. A directory that holds
 /// none is an error.
 fn spec_targets(args: &[String]) -> Result<Vec<PathBuf>, String> {
@@ -493,54 +489,6 @@ fn spec_targets(args: &[String]) -> Result<Vec<PathBuf>, String> {
         }
     }
     Ok(targets)
-}
-
-fn validate(args: &[String]) -> Result<ExitCode, String> {
-    if args.is_empty() {
-        return Ok(usage());
-    }
-    let targets = spec_targets(args)?;
-    let mut failures = 0;
-    for path in &targets {
-        let outcome = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read: {e}"))
-            .and_then(|text| SweepSpec::from_toml(&text).map_err(|e| e.to_string()))
-            .and_then(|sweep| sweep.expand().map(|points| (sweep, points)));
-        match outcome {
-            Ok((sweep, points)) => {
-                outln!(
-                    "{}: OK (`{}`, {} scenario(s))",
-                    path.display(),
-                    sweep.name,
-                    points.len()
-                )?;
-                // Validation accepts duplicate design points (they simulate
-                // fine, just redundantly); nudge toward the deeper check.
-                let mut digests = BTreeSet::new();
-                if points
-                    .iter()
-                    .filter_map(|p| p.digest().ok())
-                    .any(|d| !digests.insert(d))
-                {
-                    outln!(
-                        "  note: expands to duplicate design points — run \
-                         `iss lint {}` for details",
-                        path.display()
-                    )?;
-                }
-            }
-            Err(e) => {
-                failures += 1;
-                eprintln!("{}: FAIL — {e}", path.display());
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("{failures} of {} spec file(s) invalid", targets.len());
-        return Ok(ExitCode::FAILURE);
-    }
-    outln!("{} spec file(s) valid", targets.len())?;
-    Ok(ExitCode::SUCCESS)
 }
 
 fn lint(args: &[String]) -> Result<ExitCode, String> {

@@ -222,9 +222,7 @@ pub fn diff_accuracy(golden: &GoldenAccuracy, current: &[GoldenRow]) -> Vec<Stri
 ///
 /// The error formulas are the figures' own: per-core IPC error for the
 /// single-threaded accuracy figures, whole-run CPI error (against the
-/// group's pure-detailed reference) for the frontier rows — identical
-/// operations to the legacy bespoke drivers, so the committed golden file
-/// keeps passing without regeneration.
+/// group's pure-detailed reference) for the frontier rows.
 ///
 /// # Panics
 ///

@@ -12,7 +12,7 @@ use iss_sim::env::DEFAULT_WARM_BATCH;
 use iss_sim::{SystemConfig, WorkloadSpec};
 use iss_trace::{
     catalog, fast_forward_batched, geo_classify, geo_classify_head, geo_threshold_table,
-    BranchInfo, CheckpointStream, CoreResume, InstBatch, GEO_U_MIN,
+    BranchInfo, CheckpointStream, CoreResume, InstBatch, GEO_U_MIN, LINE_SHIFT,
 };
 
 /// The benchmark whose columns the kernels replay: the quick-set workload
@@ -21,10 +21,6 @@ pub const HARVEST_BENCHMARK: &str = "mcf";
 
 /// Generator draws the threshold-scan kernel classifies per pass.
 const DRAWS: usize = 1 << 16;
-
-/// Instruction-fetch line size (log2 bytes) of the cache-probe kernel, the
-/// sampled runner's.
-const IFETCH_LINE_SHIFT: u32 = 6;
 
 /// One harvested warming batch: copies of the columns
 /// `fast_forward_batched` produced.
@@ -144,7 +140,7 @@ pub fn batch_kernels<'a>(
                 &c.mem_pos,
                 &c.mem_addr,
                 &c.mem_store,
-                IFETCH_LINE_SHIFT,
+                LINE_SHIFT,
                 &mut last_iline,
                 now,
             );

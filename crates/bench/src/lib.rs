@@ -2,13 +2,13 @@
 //!
 //! The `iss` binary is the front door: `iss run <spec-or-figure>` executes
 //! any scenario file or built-in figure sweep through the generic scenario
-//! engine, `iss validate` checks spec files without simulating, `iss list`
-//! names what is available. The built-in sweeps are the checked-in files
-//! under `examples/scenarios/` (see [`iss_sim::experiments::builtin`]);
-//! `table1` prints the Table 1 configuration. The gate binaries
-//! (`accuracy_gate`, `perf`, `perf_gate`) pin accuracy and speed in CI
-//! ([`gates`]); `perf` times the batch kernels of [`kernels`]. `iss lint`
-//! runs the static spec checks of [`spec_lint`].
+//! engine, `iss lint` checks spec files without simulating (the static
+//! checks of [`spec_lint`]), `iss list` names what is available. The
+//! built-in sweeps are the checked-in files under `examples/scenarios/`
+//! (see [`iss_sim::experiments::builtin`]); `table1` prints the Table 1
+//! configuration. The gate binaries (`accuracy_gate`, `perf`, `perf_gate`)
+//! pin accuracy and speed in CI ([`gates`]); `perf` times the batch
+//! kernels of [`kernels`].
 //!
 //! The instruction budget of the built-in sweeps is controlled by the
 //! `ISS_EXPERIMENT_SCALE` environment variable: `quick` (default for CI

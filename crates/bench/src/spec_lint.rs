@@ -86,9 +86,8 @@ const WINDOW_PER_DISPATCH: (u64, u64) = (4, 256);
 ///
 /// # Errors
 ///
-/// Returns the underlying parse/expansion error when the sweep cannot be
-/// expanded at all — that is `iss validate` territory; the lint pass
-/// only runs on specs that validate.
+/// Returns the underlying expansion error when the sweep cannot be
+/// expanded at all; `iss lint` reports it as the file's failure.
 pub fn analyze(sweep: &SweepSpec, mips: Option<&[PerfRow]>) -> Result<SpecReport, String> {
     let points = sweep.expand()?;
     let mut findings = Vec::new();

@@ -15,7 +15,6 @@ const USAGE: &str = "usage:
   iss run <spec.toml | builtin> [--threads N] [--reference VARIANT] [--json PATH] [--jobs I,J,...]
   iss sweep <spec.toml | builtin> [--shards N] [--cache-dir DIR] [--json PATH] [--jsonl PATH]
   iss serve [--addr HOST:PORT] [--workers N] [--cache-dir DIR] [--cache-max-mb N] [--evict]
-  iss validate <spec.toml | directory>...
   iss lint <spec.toml | directory>...
   iss list [directory]
   iss export <builtin> [path]
@@ -32,9 +31,9 @@ const ERROR_ROWS: &[&str] = &[
     // No command, an unknown one, or a command without its target.
     " => {usage}",
     "frobnicate => {usage}",
+    "validate examples/scenarios => {usage}",
     "run => {usage}",
     "sweep => {usage}",
-    "validate => {usage}",
     "lint => {usage}",
     "export => {usage}",
     // A missing operand for each operand flag.
@@ -65,12 +64,11 @@ const ERROR_ROWS: &[&str] = &[
     "export fig5 --bogus => iss export: unexpected argument `--bogus`",
     "list examples/scenarios extra => iss list: unexpected argument `extra`",
     "list --bogus => iss list: unexpected argument `--bogus`",
-    // Export and the spec checkers.
+    // Export and the spec checker.
     "export nope => iss export: `nope` is not a built-in sweep (see `iss list`)",
     "export nope --jsonl => iss export: `nope` {not_found}",
     "export fig5 {tmp}/no-such-dir/fig5.toml => iss export: cannot write \
      {tmp}/no-such-dir/fig5.toml: No such file or directory (os error 2)",
-    "validate {empty} => iss validate: no .toml files in {empty}",
     "lint {empty} => iss lint: no .toml files in {empty}",
 ];
 
@@ -134,12 +132,7 @@ fn error_paths_exit_1_with_their_pinned_message() {
 /// Commands whose reader has gone before their first line, as in `iss run
 /// fig5 | head -1`: each stops quietly, with status 0 and nothing on
 /// stderr, instead of panicking in `print!`.
-const CLOSED_STDOUT_ROWS: &[&str] = &[
-    "run fig5",
-    "export fig5",
-    "list",
-    "validate examples/scenarios",
-];
+const CLOSED_STDOUT_ROWS: &[&str] = &["run fig5", "export fig5", "list", "lint examples/scenarios"];
 
 #[test]
 fn a_closed_stdout_stops_the_command_quietly() {
@@ -233,7 +226,7 @@ fn list_names_every_builtin_and_the_checked_in_files() {
     let out = run(env!("CARGO_BIN_EXE_iss"), &["list".into()], &[]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "stdout: {stdout}");
-    assert_eq!(BUILTINS.len(), 13);
+    assert_eq!(BUILTINS.len(), 12);
     for (name, description, _) in BUILTINS {
         assert!(
             stdout.contains(&format!("  {name:<14} {description}\n")),

@@ -39,7 +39,8 @@ fn every_checked_in_file_parses_and_expands() {
         assert!(!points.is_empty(), "{} expands to nothing", path.display());
         checked += 1;
     }
-    // The 13 built-in figures plus the heterogeneous showcase scenario.
+    // The 12 built-in figures plus the heterogeneous showcase and the
+    // serve smoke scenario.
     assert!(checked >= 14, "only {checked} scenario files found");
 }
 

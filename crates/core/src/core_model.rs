@@ -9,7 +9,7 @@
 
 use iss_branch::{BranchPredictorConfig, BranchUnit};
 use iss_mem::MemoryHierarchy;
-use iss_trace::{CoreResume, DynInst, InstructionStream, SyncController, SyncOp, ThreadId};
+use iss_trace::{CoreResume, DynInst, InstructionStream, SyncController, ThreadId};
 
 use crate::config::IntervalCoreConfig;
 use crate::multicore::{CoreWarmParts, SimCore};
@@ -70,7 +70,7 @@ impl<S: InstructionStream> SimCore for IntervalCore<S> {
             core_id,
             config: *config,
             window: Window::new(config.window_size),
-            old_window: OldWindow::new(config.old_window_size, config.dispatch_width),
+            old_window: OldWindow::new(config.window_size, config.dispatch_width),
             branch_unit: BranchUnit::new(branch_config),
             stream,
             stream_exhausted: false,
@@ -254,27 +254,13 @@ impl<S: InstructionStream> IntervalCore<S> {
         let core = self.core_id;
 
         // --- synchronization (functional-first: the timing model decides how
-        //     long the thread is blocked at each synchronization point) ---
+        //     long the thread is blocked at each synchronization point). A
+        //     barrier instruction serializes the pipeline and is charged its
+        //     drain below; if it did not release, the next cycles idle via
+        //     `is_blocked` ---
         if let Some(op) = inst.sync {
-            match op {
-                SyncOp::BarrierArrive { id } => {
-                    sync.arrive_barrier(core, id);
-                    // The barrier instruction itself serializes the pipeline;
-                    // the drain penalty is charged below. If the barrier did
-                    // not release, the next cycles idle via `is_blocked`.
-                }
-                SyncOp::LockAcquire { id } => {
-                    if !sync.try_acquire(core, id) {
-                        return DispatchOutcome::Blocked;
-                    }
-                }
-                SyncOp::LockRelease { id } => sync.release(core, id),
-                SyncOp::ThreadSpawn => {}
-                SyncOp::ThreadJoin { child } => {
-                    if !sync.join(core, child) {
-                        return DispatchOutcome::Blocked;
-                    }
-                }
+            if !sync.apply(core, op) {
+                return DispatchOutcome::Blocked;
             }
         }
 
@@ -413,9 +399,9 @@ impl<S: InstructionStream> IntervalCore<S> {
                         // misprediction is not hidden: leave it to be charged
                         // at the head, and stop overlapping younger
                         // instructions when it will turn out mispredicted —
-                        // they are wrong-path work. (Refinement over the
-                        // paper's pseudocode, which keeps scanning; see
-                        // DESIGN.md.)
+                        // they are wrong-path work. (A departure from the
+                        // paper's pseudocode, which keeps scanning; see the
+                        // crate docs.)
                         let will_mispredict = branch_unit.would_mispredict(inst.pc, &info);
                         if will_mispredict {
                             break;
@@ -434,7 +420,7 @@ impl<S: InstructionStream> IntervalCore<S> {
             // loads feeding its source registers.
             let ready_at = inst
                 .src_regs()
-                .map(|r| chain.get(r as usize).copied().unwrap_or(0))
+                .map(|r| chain[usize::from(r)])
                 .max()
                 .unwrap_or(0);
             if let Some(acc) = inst.mem {
@@ -451,12 +437,7 @@ impl<S: InstructionStream> IntervalCore<S> {
                         let completes_at = ready_at + resp.latency;
                         slowest_overlapped = slowest_overlapped.max(completes_at);
                         if let Some(dst) = inst.dst {
-                            // Out-of-range ids (hand-built test instructions
-                            // only) are simply not chain-tracked, matching
-                            // the `unwrap_or(0)` on the read side.
-                            if let Some(reg) = chain.get_mut(dst as usize) {
-                                *reg = completes_at;
-                            }
+                            chain[usize::from(dst)] = completes_at;
                             continue;
                         }
                     }
@@ -467,20 +448,18 @@ impl<S: InstructionStream> IntervalCore<S> {
                 }
             }
             if let Some(dst) = inst.dst {
-                if let Some(reg) = chain.get_mut(dst as usize) {
-                    *reg = if dependent {
-                        // A root-dependent instruction executes only after
-                        // the blocking load returns; it contributes no
-                        // overlapped-chain latency, and its redefinition
-                        // severs any earlier chain through this register.
-                        0
-                    } else {
-                        // Non-load results are ready when their inputs are
-                        // (the cycle-scale execution latency is negligible
-                        // next to the memory latencies the chain tracks).
-                        ready_at
-                    };
-                }
+                chain[usize::from(dst)] = if dependent {
+                    // A root-dependent instruction executes only after the
+                    // blocking load returns; it contributes no
+                    // overlapped-chain latency, and its redefinition severs
+                    // any earlier chain through this register.
+                    0
+                } else {
+                    // Non-load results are ready when their inputs are (the
+                    // cycle-scale execution latency is negligible next to
+                    // the memory latencies the chain tracks).
+                    ready_at
+                };
             }
         }
         slowest_overlapped
@@ -490,8 +469,10 @@ impl<S: InstructionStream> IntervalCore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
     use iss_mem::MemoryConfig;
-    use iss_trace::{catalog, SyntheticStream};
+    use iss_trace::{catalog, BranchClass, BranchInfo, MemAccess, OpClass, RegId, SyntheticStream};
 
     fn run_single(
         name: &str,
@@ -644,6 +625,108 @@ mod tests {
         assert!(
             stats.serializing_events > 0,
             "full-system profiles serialize occasionally"
+        );
+    }
+
+    /// Replays a fixed list of instructions.
+    struct Replay(VecDeque<DynInst>);
+
+    impl InstructionStream for Replay {
+        fn next_inst(&mut self) -> Option<DynInst> {
+            self.0.pop_front()
+        }
+    }
+
+    fn load(seq: u64, dst: RegId, src: Option<RegId>, vaddr: u64) -> DynInst {
+        let mut inst = DynInst::nop(seq, 0x1000 + 4 * seq);
+        inst.op = OpClass::Load;
+        inst.srcs = [src, None];
+        inst.dst = Some(dst);
+        inst.mem = Some(MemAccess {
+            vaddr,
+            size: 8,
+            is_store: false,
+            shared: false,
+        });
+        inst
+    }
+
+    /// Runs a hand-built stream on one core with a perfect instruction side
+    /// and cold data caches, so every load below misses to DRAM.
+    fn run_insts(insts: Vec<DynInst>, branch_cfg: &BranchPredictorConfig) -> IntervalCoreStats {
+        let stream = Replay(insts.into());
+        let core_cfg = IntervalCoreConfig::hpca2010_baseline();
+        let mut core = IntervalCore::new(0, &core_cfg, branch_cfg, stream);
+        let mem_cfg = MemoryConfig::hpca2010_baseline(1).with_perfect_instruction_side();
+        let mut mem = MemoryHierarchy::new(&mem_cfg);
+        let mut sync = SyncController::new(1);
+        let mut t = 0;
+        while !core.is_done() && t < 100_000 {
+            core.step_cycle(t, &mut mem, &mut sync);
+            t += 1;
+        }
+        assert!(core.is_done(), "core must finish within the cycle bound");
+        core.stats(t)
+    }
+
+    /// The first departure from Figure 3 of the paper, described in the
+    /// crate docs: a branch that depends on the blocking load and will
+    /// mispredict ends the overlap scan, so the independent load behind it
+    /// is not overlapped. A branch that predicts correctly does not.
+    #[test]
+    fn a_dependent_mispredicted_branch_stops_the_overlap_scan() {
+        let mut branch = DynInst::nop(1, 0x1004);
+        branch.op = OpClass::Branch;
+        branch.srcs = [Some(1), None];
+        branch.branch = Some(BranchInfo {
+            class: BranchClass::UnconditionalDirect,
+            taken: true,
+            target: 0x1008,
+            fallthrough: 0x1008,
+        });
+        let insts = vec![
+            load(0, 1, None, 0x10_0000),
+            branch,
+            load(2, 2, None, 0x20_0000),
+        ];
+        // The cold BTB misses the taken branch's target.
+        let real = run_insts(insts.clone(), &BranchPredictorConfig::hpca2010_baseline());
+        assert_eq!(real.overlapped_loads, 0);
+        assert_eq!(real.branch_miss_events, 1);
+        assert_eq!(real.long_latency_events, 2);
+        let perfect = run_insts(insts, &BranchPredictorConfig::perfect());
+        assert_eq!(perfect.overlapped_loads, 1);
+        assert_eq!(perfect.long_latency_events, 1);
+    }
+
+    /// The second departure from Figure 3 of the paper, described in the
+    /// crate docs: overlapped loads that chain through a register do not
+    /// overlap each other. The head load's penalty covers the chain of the
+    /// two misses behind it, about twice its penalty when they are
+    /// independent.
+    #[test]
+    fn chained_overlapped_loads_serialize() {
+        let run = |second_src| {
+            run_insts(
+                vec![
+                    load(0, 1, None, 0x10_0000),
+                    load(1, 2, None, 0x20_0000),
+                    load(2, 3, second_src, 0x30_0000),
+                ],
+                &BranchPredictorConfig::perfect(),
+            )
+        };
+        let chained = run(Some(2));
+        let parallel = run(None);
+        for stats in [&chained, &parallel] {
+            assert_eq!(stats.overlapped_loads, 2);
+            assert_eq!(stats.long_latency_events, 1);
+        }
+        assert!(
+            chained.long_latency_penalty > parallel.long_latency_penalty * 3 / 2,
+            "chained {} against parallel {}",
+            chained.long_latency_penalty,
+            parallel.long_latency_penalty
         );
     }
 }

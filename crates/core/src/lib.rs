@@ -22,6 +22,24 @@
 //! resolution time, the window drain time and the effective dispatch rate —
 //! the "old window approach" contributed by the paper).
 //!
+//! ## Departures from the paper's pseudocode
+//!
+//! [`IntervalCore`] follows Figure 3 of the paper except in two places of
+//! the overlap scan, the walk over the window behind a long-latency load:
+//!
+//! * **A dependent, mispredicted branch stops the scan.** A branch that
+//!   depends on the blocking load resolves only after the load returns, so
+//!   its misprediction is charged when it reaches the head, not hidden.
+//!   When it will mispredict, the instructions behind it are wrong-path
+//!   work, so the scan overlaps none of them; the paper keeps scanning.
+//!   Pinned by `core_model::tests::a_dependent_mispredicted_branch_stops_the_overlap_scan`.
+//! * **Chained overlapped loads serialize.** A load whose address comes
+//!   from another overlapped miss issues only when that miss returns, so
+//!   the blocking load is charged the longest chain through the overlapped
+//!   misses, not just the slowest single one. Without this, pointer chasing
+//!   (mcf) is billed one miss per chain and comes out far too fast.
+//!   Pinned by `core_model::tests::chained_overlapped_loads_serialize`.
+//!
 //! ```
 //! use iss_branch::BranchPredictorConfig;
 //! use iss_interval::{IntervalCoreConfig, IntervalSimulator};

@@ -21,10 +21,10 @@
 
 use std::collections::VecDeque;
 
-use iss_trace::{DynInst, FxHashMap, RegId, NUM_ARCH_REGS};
+use iss_trace::{DynInst, FxHashMap, RegId, LINE_SHIFT, NUM_ARCH_REGS};
 
 /// Issue time of the most recent producer of each architectural register,
-/// backed by a flat epoch-stamped array sized once at construction.
+/// backed by a flat epoch-stamped array of [`NUM_ARCH_REGS`] slots.
 ///
 /// Both operations the interval hot loop performs are allocation-free and
 /// cheap: a lookup is one bounds-checked index (no hashing), and `clear` —
@@ -47,21 +47,13 @@ impl RegIssueMap {
 
     #[inline]
     fn get(&self, r: RegId) -> Option<u64> {
-        match self.slots.get(r as usize) {
-            Some(&(written, t)) if written == self.epoch => Some(t),
-            _ => None,
-        }
+        let (written, t) = self.slots[usize::from(r)];
+        (written == self.epoch).then_some(t)
     }
 
     #[inline]
     fn insert(&mut self, r: RegId, t: u64) {
-        let i = r as usize;
-        if i >= self.slots.len() {
-            // Register ids beyond the architectural set only appear in
-            // hand-built test instructions; grow once and keep going.
-            self.slots.resize(i + 1, (0, 0));
-        }
-        self.slots[i] = (self.epoch, t);
+        self.slots[usize::from(r)] = (self.epoch, t);
     }
 
     fn clear(&mut self) {
@@ -94,8 +86,6 @@ pub struct OldWindow {
     head_time: u64,
     tail_time: u64,
 }
-
-const LINE_SHIFT: u32 = 6;
 
 impl OldWindow {
     /// Creates an empty old window.

@@ -9,7 +9,7 @@
 //! again when they reach the head. The `*_overlapped` flags record exactly
 //! that.
 
-use iss_trace::{DynInst, RegId};
+use iss_trace::{DynInst, LINE_SHIFT};
 
 /// The per-slot overlap flags of one in-flight instruction (see the module
 /// documentation). Stored as a column separate from the instruction payloads
@@ -202,22 +202,18 @@ impl<'a> Iterator for BehindHead<'a> {
 /// allocation once the backing buffers have grown to the window size.
 #[derive(Debug, Clone, Default)]
 pub struct DependenceTracker {
-    /// Poison bits for register ids `0..128` — the architectural set is 64
-    /// registers, so real streams live entirely in this mask and every
-    /// membership test in the scan is a single bit operation instead of a
-    /// list walk (the scan visits up to a window of instructions per
-    /// long-latency miss).
-    poisoned_mask: u128,
-    /// Poisoned register ids `>= 128` (only reachable from hand-built test
-    /// instructions; empty for generated streams).
-    poisoned_overflow: Vec<RegId>,
+    /// One poison bit per architectural register: all
+    /// [`NUM_ARCH_REGS`](iss_trace::NUM_ARCH_REGS) = 64 fit one word, so
+    /// every membership test in the scan is a single bit operation (the
+    /// scan visits up to a window of instructions per long-latency miss).
+    poisoned_regs: u64,
     /// Line addresses written by instructions on the poisoned chain, scanned
     /// once per load visited by the overlap scan.
     poisoned_lines: Vec<u64>,
 }
 
-const LINE_SHIFT: u32 = 6;
-const MASK_REGS: RegId = 128;
+// The poison mask holds one bit per architectural register.
+const _: () = assert!(iss_trace::NUM_ARCH_REGS <= u64::BITS as u16);
 
 impl DependenceTracker {
     /// Creates an empty tracker with buffers sized for `capacity` in-flight
@@ -225,8 +221,7 @@ impl DependenceTracker {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         DependenceTracker {
-            poisoned_mask: 0,
-            poisoned_overflow: Vec::new(),
+            poisoned_regs: 0,
             poisoned_lines: Vec::with_capacity(capacity),
         }
     }
@@ -242,45 +237,17 @@ impl DependenceTracker {
     /// Clears the tracker (keeping its buffers) and re-roots it at a new
     /// blocking load.
     pub fn reset_rooted_at(&mut self, load: &DynInst) {
-        self.poisoned_mask = 0;
-        self.poisoned_overflow.clear();
+        self.poisoned_regs = 0;
         self.poisoned_lines.clear();
         if let Some(dst) = load.dst {
-            self.poison(dst);
-        }
-    }
-
-    #[inline]
-    fn is_poisoned(&self, r: RegId) -> bool {
-        if r < MASK_REGS {
-            self.poisoned_mask & (1u128 << r) != 0
-        } else {
-            self.poisoned_overflow.contains(&r)
-        }
-    }
-
-    #[inline]
-    fn poison(&mut self, r: RegId) {
-        if r < MASK_REGS {
-            self.poisoned_mask |= 1u128 << r;
-        } else if !self.poisoned_overflow.contains(&r) {
-            self.poisoned_overflow.push(r);
-        }
-    }
-
-    #[inline]
-    fn unpoison(&mut self, r: RegId) {
-        if r < MASK_REGS {
-            self.poisoned_mask &= !(1u128 << r);
-        } else {
-            self.poisoned_overflow.retain(|&p| p != r);
+            self.poisoned_regs = 1 << dst;
         }
     }
 
     /// Whether `inst` depends (transitively) on the blocking load. When it
     /// does, its own outputs become poisoned too.
     pub fn depends_and_propagate(&mut self, inst: &DynInst) -> bool {
-        let mut depends = inst.src_regs().any(|r| self.is_poisoned(r));
+        let mut depends = inst.src_regs().any(|r| self.poisoned_regs & (1 << r) != 0);
         if let Some(mem) = &inst.mem {
             if !mem.is_store && self.poisoned_lines.contains(&(mem.vaddr >> LINE_SHIFT)) {
                 depends = true;
@@ -288,7 +255,7 @@ impl DependenceTracker {
         }
         if depends {
             if let Some(dst) = inst.dst {
-                self.poison(dst);
+                self.poisoned_regs |= 1 << dst;
             }
             if let Some(mem) = &inst.mem {
                 if mem.is_store {
@@ -301,7 +268,7 @@ impl DependenceTracker {
         } else if let Some(dst) = inst.dst {
             // An independent instruction that overwrites a poisoned register
             // breaks the chain for later readers of that register.
-            self.unpoison(dst);
+            self.poisoned_regs &= !(1 << dst);
         }
         depends
     }
@@ -310,7 +277,7 @@ impl DependenceTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iss_trace::{MemAccess, OpClass};
+    use iss_trace::{MemAccess, OpClass, RegId};
 
     fn inst(seq: u64, op: OpClass, dst: Option<RegId>, srcs: [Option<RegId>; 2]) -> DynInst {
         DynInst {

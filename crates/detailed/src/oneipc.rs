@@ -11,7 +11,7 @@
 use iss_branch::{BranchPredictorConfig, BranchUnit};
 use iss_interval::{CoreWarmParts, SimCore};
 use iss_mem::MemoryHierarchy;
-use iss_trace::{CoreResume, InstructionStream, SyncController, SyncOp, ThreadId};
+use iss_trace::{CoreResume, InstructionStream, SyncController, ThreadId};
 
 use crate::stats::DetailedCoreStats;
 
@@ -65,26 +65,10 @@ impl<S: InstructionStream> SimCore for OneIpcCore<S> {
             }
         };
         if let Some(op) = inst.sync {
-            match op {
-                SyncOp::BarrierArrive { id } => {
-                    sync.arrive_barrier(self.core_id, id);
-                }
-                SyncOp::LockAcquire { id } => {
-                    if !sync.try_acquire(self.core_id, id) {
-                        self.pending = Some(inst);
-                        self.core_time = now + 1;
-                        return;
-                    }
-                }
-                SyncOp::LockRelease { id } => sync.release(self.core_id, id),
-                SyncOp::ThreadSpawn => {}
-                SyncOp::ThreadJoin { child } => {
-                    if !sync.join(self.core_id, child) {
-                        self.pending = Some(inst);
-                        self.core_time = now + 1;
-                        return;
-                    }
-                }
+            if !sync.apply(self.core_id, op) {
+                self.pending = Some(inst);
+                self.core_time = now + 1;
+                return;
             }
         }
         let mut latency = 1;

@@ -35,14 +35,12 @@ use iss_branch::{BranchPredictorConfig, BranchUnit};
 use iss_interval::{CoreWarmParts, SimCore};
 use iss_mem::MemoryHierarchy;
 use iss_trace::{
-    CoreResume, DynInst, FxHashMap, InstructionStream, SyncController, SyncOp, ThreadId,
+    CoreResume, DynInst, FxHashMap, InstructionStream, SyncController, ThreadId, LINE_SHIFT,
     NUM_ARCH_REGS,
 };
 
 use crate::config::DetailedCoreConfig;
 use crate::stats::DetailedCoreStats;
-
-const LINE_SHIFT: u32 = 6;
 
 #[derive(Debug, Clone)]
 struct FetchEntry {
@@ -602,24 +600,9 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
             // Synchronization decisions happen at dispatch of the marked
             // instruction (functional-first).
             if let Some(op) = self.fetch_queue.front().and_then(|fe| fe.inst.sync) {
-                match op {
-                    SyncOp::BarrierArrive { id } => {
-                        sync.arrive_barrier(self.core_id, id);
-                    }
-                    SyncOp::LockAcquire { id } => {
-                        if !sync.try_acquire(self.core_id, id) {
-                            sync_failed = true;
-                            break;
-                        }
-                    }
-                    SyncOp::LockRelease { id } => sync.release(self.core_id, id),
-                    SyncOp::ThreadSpawn => {}
-                    SyncOp::ThreadJoin { child } => {
-                        if !sync.join(self.core_id, child) {
-                            sync_failed = true;
-                            break;
-                        }
-                    }
+                if !sync.apply(self.core_id, op) {
+                    sync_failed = true;
+                    break;
                 }
             }
 
@@ -634,7 +617,7 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
             // Capture data dependences on in-flight producers.
             let mut deps = DepList::default();
             for src in inst.src_regs() {
-                if let Some(Some(pseq)) = self.reg_producer.get(src as usize).copied() {
+                if let Some(pseq) = self.reg_producer[usize::from(src)] {
                     if self.producer(pseq).is_some() {
                         deps.push(pseq);
                     }
@@ -650,13 +633,7 @@ impl<S: InstructionStream> OutOfOrderCore<S> {
                 }
             }
             if let Some(dst) = inst.dst {
-                let i = dst as usize;
-                if i >= self.reg_producer.len() {
-                    // Beyond the architectural set: only hand-built test
-                    // instructions get here; grow once and keep going.
-                    self.reg_producer.resize(i + 1, None);
-                }
-                self.reg_producer[i] = Some(seq);
+                self.reg_producer[usize::from(dst)] = Some(seq);
             }
             if let Some(acc) = &inst.mem {
                 if acc.is_store {

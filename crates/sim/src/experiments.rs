@@ -1,7 +1,7 @@
 //! The built-in sweeps: every figure of the paper's evaluation as its
 //! checked-in scenario file.
 //!
-//! Each figure is data, not code. [`BUILTINS`] embeds the 13 files under
+//! Each figure is data, not code. [`BUILTINS`] embeds the 12 files under
 //! `examples/scenarios/` that define the figures, and [`builtin`] parses
 //! one and applies an [`ExperimentScale`] to it. The files are written at
 //! quick scale, so `builtin(name, ExperimentScale::quick())` is exactly
@@ -63,7 +63,7 @@ impl Default for ExperimentScale {
 
 /// The built-in sweeps in `iss list` order: name, one-line description,
 /// and the checked-in scenario file that defines the sweep at quick scale.
-pub const BUILTINS: [(&str, &str, &str); 13] = [
+pub const BUILTINS: [(&str, &str, &str); 12] = [
     (
         "fig4-dispatch",
         "Fig 4(a): effective dispatch rate isolation, detailed vs interval",
@@ -96,7 +96,7 @@ pub const BUILTINS: [(&str, &str, &str); 13] = [
     ),
     (
         "fig7",
-        "Fig 7: multi-threaded PARSEC normalized time vs core count",
+        "Fig 7 and Fig 10: multi-threaded PARSEC normalized time and speedup vs core count",
         include_str!("../../../examples/scenarios/fig7.toml"),
     ),
     (
@@ -108,11 +108,6 @@ pub const BUILTINS: [(&str, &str, &str); 13] = [
         "fig9",
         "Fig 9: simulation speedup, SPEC multi-program workloads",
         include_str!("../../../examples/scenarios/fig9.toml"),
-    ),
-    (
-        "fig10",
-        "Fig 10: simulation speedup, multi-threaded PARSEC workloads",
-        include_str!("../../../examples/scenarios/fig10.toml"),
     ),
     (
         "hybrid",

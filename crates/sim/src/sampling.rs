@@ -58,16 +58,12 @@
 use iss_trace::host_time::HostTimer;
 
 use iss_branch::BranchUnit;
-use iss_trace::{fast_forward_batched, InstBatch, ThreadedWorkload};
+use iss_trace::{fast_forward_batched, InstBatch, ThreadedWorkload, LINE_SHIFT};
 
 use crate::config::SystemConfig;
 use crate::env::WARM_BATCH;
 use crate::model::{AnyMachine, CpuModel, ModelCheckpoint};
 use crate::runner::{BaseModel, CoreModel, CoreSummary, SimSummary};
-
-/// Cache-line shift used to batch instruction-side warming accesses (one
-/// hierarchy access per fetched line, as a real fetch unit would).
-const IFETCH_LINE_SHIFT: u32 = 6;
 
 /// Complete description of a sampled run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -475,7 +471,7 @@ impl FunctionalState {
                     &batch.mem_pos,
                     &batch.mem_addr,
                     &batch.mem_store,
-                    IFETCH_LINE_SHIFT,
+                    LINE_SHIFT,
                     &mut last_iline[core],
                     now,
                 );

@@ -190,7 +190,6 @@ impl MachineSpec {
         }
         if let Some(window) = o.window_size {
             c.interval_core.window_size = window;
-            c.interval_core.old_window_size = window;
             c.detailed_core.rob_entries = window;
         }
         if let Some(latency) = o.dram_latency {

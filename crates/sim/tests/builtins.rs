@@ -32,7 +32,7 @@ fn scales() -> Vec<ExperimentScale> {
 
 #[test]
 fn quick_builtins_render_to_their_checked_in_files() {
-    assert_eq!(BUILTINS.len(), 13);
+    assert_eq!(BUILTINS.len(), 12);
     for (name, _, embedded) in BUILTINS {
         let file = scenario_file(name);
         assert_eq!(embedded, file, "`{name}` embeds a stale copy of its file");

@@ -34,10 +34,9 @@ use iss_mem::MemoryHierarchy;
 use iss_sim::experiments::{builtin, default_sampling_specs, ExperimentScale};
 use iss_sim::sampling::{run_sampled_with_batch, SamplingSpec};
 use iss_sim::{BaseModel, CoreModel, Record, SimSummary, SystemConfig, WorkloadSpec};
-use iss_trace::{catalog, BranchInfo, InstructionStream, MemAccess, SyntheticStream, ThreadId};
-
-/// Fetch-batching grain of the sampled warming path (64-byte lines).
-const IFETCH_LINE_SHIFT: u32 = 6;
+use iss_trace::{
+    catalog, BranchInfo, InstructionStream, MemAccess, SyntheticStream, ThreadId, LINE_SHIFT,
+};
 
 /// One warming event: which core consumed which instruction.
 struct Event {
@@ -91,7 +90,7 @@ fn warm_scalar(config: &SystemConfig, events: &[Event]) -> MemoryHierarchy {
     let mut last_iline = [u64::MAX; 2];
     for (pos, ev) in events.iter().enumerate() {
         let now = pos as u64;
-        let line = ev.pc >> IFETCH_LINE_SHIFT;
+        let line = ev.pc >> LINE_SHIFT;
         if last_iline[ev.core] != line {
             last_iline[ev.core] = line;
             mem.access_instruction(ev.core, ev.pc, now);
@@ -135,7 +134,7 @@ fn warm_batched(config: &SystemConfig, events: &[Event], batch: usize) -> Memory
             mem_pos,
             mem_addr,
             mem_store,
-            IFETCH_LINE_SHIFT,
+            LINE_SHIFT,
             &mut last_iline[core],
             now,
         );

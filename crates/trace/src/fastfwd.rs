@@ -166,24 +166,6 @@ impl InstBatch {
     }
 }
 
-/// Applies the synchronization side effect of one consumed instruction.
-/// Shared with the scalar test oracle so the two cannot diverge.
-fn apply_sync(sync: &mut SyncController, core: ThreadId, op: SyncOp) {
-    match op {
-        SyncOp::BarrierArrive { id } => {
-            sync.arrive_barrier(core, id);
-        }
-        SyncOp::LockAcquire { id } => {
-            let _ = sync.try_acquire(core, id);
-        }
-        SyncOp::LockRelease { id } => sync.release(core, id),
-        SyncOp::ThreadSpawn => {}
-        SyncOp::ThreadJoin { child } => {
-            let _ = sync.join(core, child);
-        }
-    }
-}
-
 /// Advances every core's stream functionally by (up to) `budget` instructions
 /// chip-wide, honoring synchronization, and hands the consumed instructions
 /// to `observe_batch` decoded into the structure-of-arrays `batch`.
@@ -284,7 +266,9 @@ pub fn fast_forward_batched(
                     per_core[core].done = true;
                     sync.mark_finished(core);
                 } else if let Some(op) = pending_sync {
-                    apply_sync(sync, core, op);
+                    // A refused acquire or join is consumed all the same:
+                    // the core waits behind it until it is woken.
+                    let _ = sync.apply(core, op);
                 }
             }
         }
@@ -364,7 +348,7 @@ mod tests {
                     };
                     observe(core, &inst);
                     if let Some(op) = inst.sync {
-                        apply_sync(sync, core, op);
+                        let _ = sync.apply(core, op);
                     }
                     per_core[core].instructions += 1;
                     share[core] -= 1;

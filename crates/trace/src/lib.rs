@@ -68,3 +68,10 @@ pub type ThreadId = usize;
 /// synthetic ISA. The value is in line with a RISC ISA such as Alpha (32 int +
 /// 32 fp); the exact number only matters for dependence-distance modeling.
 pub const NUM_ARCH_REGS: u16 = 64;
+
+/// Log2 of the 64-byte line every core model tracks memory at: a load
+/// depends on the youngest in-flight store to its line (interval and
+/// detailed cores alike), and instruction fetch is warmed one line at a
+/// time. It matches the line size of every cache level of the paper's
+/// baseline (Table 1).
+pub const LINE_SHIFT: u32 = 6;

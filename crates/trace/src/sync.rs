@@ -58,11 +58,10 @@ pub enum BlockReason {
 /// Shared synchronization state across the threads of one multi-threaded
 /// workload.
 ///
-/// The controller is deliberately timing-agnostic: the timing simulators call
-/// [`SyncController::arrive_barrier`], [`SyncController::try_acquire`] and so
-/// on when the corresponding instruction reaches the point at which it would
-/// block the pipeline, and poll [`SyncController::is_blocked`] to decide
-/// whether a core can make progress in a given cycle.
+/// The controller is deliberately timing-agnostic: every core model calls
+/// [`SyncController::apply`] when a marked instruction dispatches, and polls
+/// [`SyncController::is_blocked`] to decide whether a core can make progress
+/// in a given cycle.
 #[derive(Debug, Clone)]
 pub struct SyncController {
     num_threads: usize,
@@ -131,9 +130,34 @@ impl SyncController {
         (self.contended_acquires, self.total_acquires)
     }
 
+    /// Applies the marker `op` as `thread` dispatches the instruction that
+    /// carries it — the one synchronization step every core model and the
+    /// fast-forwarder share. Returns whether the instruction may dispatch:
+    /// `false` only for a lock held by another thread or a join whose child
+    /// is still running, and the thread then retries the same instruction
+    /// once it is woken (a released lock is handed to its lowest-numbered
+    /// waiter, so the retry succeeds). A barrier arrival always dispatches;
+    /// the thread then waits behind it while [`SyncController::is_blocked`].
+    #[must_use]
+    pub fn apply(&mut self, thread: ThreadId, op: SyncOp) -> bool {
+        match op {
+            SyncOp::BarrierArrive { id } => {
+                self.arrive_barrier(thread, id);
+                true
+            }
+            SyncOp::LockAcquire { id } => self.try_acquire(thread, id),
+            SyncOp::LockRelease { id } => {
+                self.release(thread, id);
+                true
+            }
+            SyncOp::ThreadSpawn => true,
+            SyncOp::ThreadJoin { child } => self.join(thread, child),
+        }
+    }
+
     /// Registers that `thread` arrived at barrier `id`. Returns `true` when
     /// the barrier is released by this arrival (all live threads arrived).
-    pub fn arrive_barrier(&mut self, thread: ThreadId, id: u64) -> bool {
+    fn arrive_barrier(&mut self, thread: ThreadId, id: u64) -> bool {
         self.barrier_arrived[thread] = Some(id);
         self.state[thread] = BlockReason::AtBarrier(id);
         self.maybe_release_barrier(id)
@@ -155,7 +179,7 @@ impl SyncController {
 
     /// Attempts to acquire lock `id` for `thread`. Returns `true` on success;
     /// on failure the thread is marked blocked until the holder releases.
-    pub fn try_acquire(&mut self, thread: ThreadId, id: u64) -> bool {
+    fn try_acquire(&mut self, thread: ThreadId, id: u64) -> bool {
         self.total_acquires += 1;
         match self.locks.get(&id) {
             Some(&holder) if holder != thread => {
@@ -176,7 +200,7 @@ impl SyncController {
     /// Releasing a lock the thread does not hold is ignored (the synthetic
     /// front-end never produces unmatched releases, but robustness costs
     /// nothing here).
-    pub fn release(&mut self, thread: ThreadId, id: u64) {
+    fn release(&mut self, thread: ThreadId, id: u64) {
         if self.locks.get(&id) == Some(&thread) {
             self.locks.remove(&id);
             // Wake the lowest-numbered waiter deterministically.
@@ -221,7 +245,7 @@ impl SyncController {
 
     /// Registers that `thread` waits for `child` to finish. Returns `true` if
     /// the child already finished (no blocking necessary).
-    pub fn join(&mut self, thread: ThreadId, child: ThreadId) -> bool {
+    fn join(&mut self, thread: ThreadId, child: ThreadId) -> bool {
         if self.finished[child] {
             true
         } else {
@@ -352,6 +376,44 @@ mod tests {
         }
         assert_eq!(interleaved.lock_contention(), sequential.lock_contention());
         assert_eq!(interleaved.block_reason(2), sequential.block_reason(2));
+    }
+
+    #[test]
+    fn apply_reports_whether_the_marker_passes_and_leaves_its_state() {
+        let mut s = SyncController::new(3);
+        // A spawn changes nothing.
+        assert!(s.apply(0, SyncOp::ThreadSpawn));
+        assert_eq!(s.block_reason(0), BlockReason::Running);
+        // A free lock is taken; a held one refuses the other thread, which
+        // waits on it.
+        assert!(s.apply(0, SyncOp::LockAcquire { id: 5 }));
+        assert!(!s.apply(1, SyncOp::LockAcquire { id: 5 }));
+        assert_eq!(s.block_reason(1), BlockReason::OnLock(5));
+        // The release hands the lock to the waiter, so its retry of the
+        // same acquire passes, and the old holder's attempt is refused.
+        assert!(s.apply(0, SyncOp::LockRelease { id: 5 }));
+        assert_eq!(s.block_reason(1), BlockReason::Running);
+        assert!(s.apply(1, SyncOp::LockAcquire { id: 5 }));
+        assert!(!s.apply(0, SyncOp::LockAcquire { id: 5 }));
+        assert_eq!(s.lock_contention(), (2, 4));
+        assert!(s.apply(1, SyncOp::LockRelease { id: 5 }));
+        assert_eq!(s.block_reason(0), BlockReason::Running);
+        // A barrier arrival always passes; the thread then waits behind it
+        // until every live thread has arrived.
+        assert!(s.apply(0, SyncOp::BarrierArrive { id: 1 }));
+        assert_eq!(s.block_reason(0), BlockReason::AtBarrier(1));
+        assert!(s.apply(1, SyncOp::BarrierArrive { id: 1 }));
+        assert!(s.is_blocked(1));
+        assert!(s.apply(2, SyncOp::BarrierArrive { id: 1 }));
+        assert!((0..3).all(|t| !s.is_blocked(t)));
+        assert_eq!(s.barriers_completed(), 1);
+        // A join waits for a running child and passes once it finished.
+        assert!(!s.apply(0, SyncOp::ThreadJoin { child: 2 }));
+        assert_eq!(s.block_reason(0), BlockReason::Joining(2));
+        s.mark_finished(2);
+        assert_eq!(s.block_reason(0), BlockReason::Running);
+        assert!(s.apply(0, SyncOp::ThreadJoin { child: 2 }));
+        assert_eq!(s.block_reason(0), BlockReason::Running);
     }
 
     #[test]

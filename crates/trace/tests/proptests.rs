@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use iss_trace::stream::{InstructionStream, SyntheticStream};
-use iss_trace::sync::SyncController;
+use iss_trace::sync::{SyncController, SyncOp};
 use iss_trace::{catalog, OpClass, ThreadedWorkload};
 
 fn any_benchmark() -> impl Strategy<Value = &'static str> {
@@ -127,12 +127,12 @@ proptest! {
         let mut sync = SyncController::new(4);
         let mut arrived = Vec::new();
         for &t in &order {
-            sync.arrive_barrier(t, 1);
+            prop_assert!(sync.apply(t, SyncOp::BarrierArrive { id: 1 }));
             arrived.push(t);
         }
         for t in 0..4 {
             if !arrived.contains(&t) {
-                sync.arrive_barrier(t, 1);
+                prop_assert!(sync.apply(t, SyncOp::BarrierArrive { id: 1 }));
             }
         }
         for t in 0..4 {
@@ -149,7 +149,7 @@ proptest! {
         let mut sync = SyncController::new(4);
         let mut holder: Option<usize> = None;
         for &t in &attempts {
-            let got = sync.try_acquire(t, 7);
+            let got = sync.apply(t, SyncOp::LockAcquire { id: 7 });
             match holder {
                 None => {
                     prop_assert!(got, "a free lock must be granted");
@@ -160,11 +160,11 @@ proptest! {
             }
         }
         if let Some(h) = holder {
-            sync.release(h, 7);
+            prop_assert!(sync.apply(h, SyncOp::LockRelease { id: 7 }));
             // After the release, either nobody or exactly one former waiter
             // holds the lock; the holder is never blocked.
             for t in 0..4 {
-                if sync.try_acquire(t, 7) {
+                if sync.apply(t, SyncOp::LockAcquire { id: 7 }) {
                     prop_assert!(!sync.is_blocked(t));
                     break;
                 }
@@ -219,6 +219,10 @@ proptest! {
         while let Some(i) = s.next_inst() {
             for src in i.srcs.into_iter().flatten() {
                 prop_assert!(src < iss_trace::NUM_ARCH_REGS);
+            }
+            // The core models index fixed per-register tables by these ids.
+            if let Some(dst) = i.dst {
+                prop_assert!(dst < iss_trace::NUM_ARCH_REGS);
             }
             n += 1;
         }
